@@ -16,7 +16,8 @@ Common flags: --precision N (decimal digits, >= 20, default 50),
 [0, 4*pi^2)), --json.
 
 Exit codes: 0 success, 2 input error, 3 mathematical failure, 4 precision
-exhausted.  Output is deterministic for a fixed configuration.
+exhausted (including a field member that did not reconstruct at escalated
+precision).  Output is deterministic for a fixed configuration.
 """
 from __future__ import annotations
 
@@ -29,8 +30,7 @@ from mpmath import mp
 
 from .field import (FieldError, NumberField, PrecisionExhausted,
                     element_in_field, guard_digits)
-from .extgroup import (ExtGroupError, MultBasis, UnsaturatedBasis,
-                       load_basis)
+from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
 from .regulator import RegulatorError, reg_vector

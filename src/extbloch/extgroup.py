@@ -484,10 +484,3 @@ def wedge_is_zero(terms, basis=None):
         basis = terms[0][1].basis
     return basis.wedge_is_zero(terms)
 
-
-def load_basis(field, fixture, precision=50):
-    """Build a MultBasis from a fixture dict:
-    { "free_gens": [[coeffs], ...], "saturated": true }."""
-    gens = [field.element(c) for c in fixture["free_gens"]]
-    return MultBasis(field, gens, saturated=bool(fixture.get("saturated")),
-                     precision=precision)

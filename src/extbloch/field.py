@@ -6,14 +6,20 @@ length deg(p), i.e. residues of polynomials of degree < deg(p).  Polynomials
 are dense low-to-high coefficient tuples.
 
 Numeric embeddings evaluate elements at isolated complex roots of p at a
-requested decimal precision.  Algebraic reconstruction (roots of unity,
-automorphisms, membership of a described algebraic number) works by lattice
-reduction against powers of the generator in one embedding followed by exact
-verification; a failed verification is an error, never a wrong answer.
+requested decimal precision.  Membership of an algebraic number given by its
+minimal polynomial q (roots of unity, cosines 2cos(2pi/n), roots of p itself)
+is decided in two steps.  A "no" is always exact: either deg q does not
+divide deg p, or q has no root modulo a split prime of the field, a prime
+with a degree-one prime ideal above it.  A "yes" comes from lattice reduction
+against powers of the generator in one embedding followed by exact
+verification, at escalating precision; a failed verification is an error
+(PrecisionExhausted), never a wrong answer.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -208,6 +214,134 @@ def cos2pi_minpoly(n):
         if k < h:
             d_prev, d_cur = d_cur, _padd(_pmul((Fraction(0), Fraction(1)), d_cur), _pneg(d_prev))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the split-prime certificate of non-membership
+#
+# Let p_D = D^d p(x/D) be the integral model of the defining polynomial, with
+# root theta = D*alpha.  At a prime l where p_D is squarefree mod l (so l does
+# not divide the index of Z[theta] in O_F) and has a root r mod l, the ideal
+# (l, theta - r) is a prime of O_F of degree one (Dedekind-Kummer).  If a root
+# beta of a monic q lies in F, then E*beta is integral, with q_E the integral
+# model of q, and reduces to a root of q_E in that prime's residue field F_l.
+# So q_E without a root mod one such split prime l proves that q has no root
+# in F, using integer arithmetic only.
+
+SPLIT_PRIMES = 30   # split primes a field keeps for the certificate
+
+
+def integral_model(poly):
+    """(D, D^d p(x/D)) for a monic rational polynomial p of degree d, with D
+    the least common denominator of its coefficients: a monic integer
+    polynomial whose roots are D times those of p.
+
+    >>> integral_model((Fraction(1, 4), Fraction(1, 2), Fraction(1)))
+    (4, (4, 2, 1))
+    """
+    d = len(poly) - 1
+    den = math.lcm(*(Fraction(c).denominator for c in poly))
+    return den, tuple(int(c * den ** (d - i)) for i, c in enumerate(poly))
+
+
+def discriminant(poly):
+    """Discriminant of a monic polynomial, exactly, from the resultant
+    Res(p, p') by the Euclidean recursion
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).
+
+    >>> discriminant((2, 0, 1))
+    Fraction(-8, 1)
+    """
+    d = len(poly) - 1
+    a = _trim([Fraction(c) for c in poly])
+    b = _pderiv(a)
+    res = Fraction(1)
+    while len(b) > 1:
+        r = _pdivmod(a, b)[1]
+        if not r:
+            return Fraction(0)
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+        res *= sign * b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    res *= b[0] ** (len(a) - 1)
+    return (-1) ** (d * (d - 1) // 2) * res
+
+
+def _primes():
+    found = []
+    for n in itertools.count(2):
+        small = itertools.takewhile(lambda p: p * p <= n, found)
+        if all(n % p for p in small):
+            found.append(n)
+            yield n
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_rem(a, m, ell):
+    """a mod m over F_ell for a monic m (integer lists, low to high)."""
+    a = list(a)
+    dm = len(m) - 1
+    for k in range(len(a) - 1, dm - 1, -1):
+        t = a[k] % ell
+        if t:
+            for j in range(dm):
+                a[k - dm + j] -= t * m[j]
+    return _fp_trim([c % ell for c in a[:dm]])
+
+
+def _fp_mulmod(a, b, m, ell):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _fp_rem(out, m, ell)
+
+
+def _fp_gcd(a, b, ell):
+    """gcd over F_ell of a monic a and any b."""
+    while b:
+        inv = pow(b[-1], -1, ell)
+        b = [c * inv % ell for c in b]
+        a, b = b, _fp_rem(a, b, ell)
+    return a
+
+
+def _fp_has_root(poly, ell):
+    """Whether a monic integer polynomial has a root mod ell, i.e. whether
+    gcd(x^ell - x, poly) is nontrivial over F_ell."""
+    m = _fp_trim([c % ell for c in poly])
+    if len(m) == 2:
+        return True
+    power, base, e = [1], [0, 1], ell
+    while e:
+        if e & 1:
+            power = _fp_mulmod(power, base, m, ell)
+        base = _fp_mulmod(base, base, m, ell)
+        e >>= 1
+    power += [0] * (2 - len(power))
+    power[1] -= 1
+    return len(_fp_gcd(m, _fp_trim([c % ell for c in power]), ell)) > 1
+
+
+def _fp_squarefree(poly, ell):
+    m = [c % ell for c in poly]
+    deriv = _fp_trim([i * c % ell for i, c in enumerate(m)][1:])
+    return bool(deriv) and len(_fp_gcd(m, deriv, ell)) == 1
+
+
+def nonmembership_prime(q, nf):
+    """A split prime of nf at which the integral model of the monic rational
+    polynomial q has no root, or None.  A prime is an exact proof that q has
+    no root in nf; None proves nothing."""
+    q_int = integral_model(q)[1]
+    return next((ell for ell in nf.split_primes
+                 if not _fp_has_root(q_int, ell)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +666,32 @@ class NumberField:
         self.one = self.rational(1)
         self.zero = self.rational(0)
         self.gen = FieldElement(self, [0, 1] if self.degree > 1 else [-coeffs[0]])
-        self.torsion = detect_roots_of_unity(self)
+        # derived values that other modules compute once per field, keyed
+        # by what computed them (torsion.two_cos)
+        self.memo = {}
+
+    @functools.cached_property
+    def torsion(self):
+        """(m, w): the order of the roots of unity and a verified
+        generator, detected on first use."""
+        return detect_roots_of_unity(self)
+
+    @functools.cached_property
+    def split_primes(self):
+        """The first SPLIT_PRIMES primes at which the integral model of
+        the defining polynomial is squarefree and has a root."""
+        p_int = integral_model(self.poly)[1]
+        return tuple(itertools.islice(
+            (ell for ell in _primes()
+             if _fp_has_root(p_int, ell) and _fp_squarefree(p_int, ell)),
+            SPLIT_PRIMES))
+
+    @functools.cached_property
+    def denominator_bound(self):
+        """|disc(p_D)|: the coordinates of an algebraic integer of the
+        field in the power basis 1, alpha, ... have denominators dividing
+        it, since disc(p_D) O_F lies in Z[D alpha], where they are integers."""
+        return abs(int(discriminant(integral_model(self.poly)[1])))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -590,45 +749,6 @@ class NumberField:
         return [self.embedding(i, precision)
                 for i in range(self.signature[0] + self.signature[1])]
 
-    def embedding_matching(self, approx, precision):
-        """The embedding (possibly conjugated) whose generator value is
-        closest to the given complex approximation."""
-        best = None
-        for ctx in self.embeddings(precision):
-            for c in ([ctx] if ctx.is_real else [ctx, ctx.conjugated()]):
-                d = abs(complex(c.root()) - complex(approx))
-                if best is None or d < best[0]:
-                    best = (d, c)
-        return best[1]
-
-
-def nf_new(coeffs):
-    """Build a number field from the dense coefficient list of its defining
-    polynomial (low-to-high).  The caller asserts irreducibility over Q;
-    squarefreeness is verified here."""
-    return NumberField(coeffs)
-
-
-def fe_arith(a, b, op):
-    """Dispatch arithmetic on field elements by operation name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(b, FieldElement) and b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def evaluate(a, ctx):
-    return ctx.evaluate(a)
-
 
 # ---------------------------------------------------------------------------
 # algebraic reconstruction
@@ -665,14 +785,26 @@ def reconstruct_at(nf, value, root_index, precision, den_bound=10 ** 6,
     raise ReconstructionFailed("no short lattice vector yields a candidate")
 
 
+ESCALATIONS = 3   # precision doublings after the first reconstruction
+
+
 def element_in_field(min_poly_coeffs, approx, nf, precision=None,
                      den_bound=10 ** 6):
     """Search for an element of nf with the given minimal polynomial over Q.
 
-    The target is described by its minimal polynomial (dense, low-to-high)
+    The target is described by its minimal polynomial q (dense, low-to-high)
     plus a complex approximation of one of its conjugates.  Returns a
     FieldElement verified exactly (its minimal polynomial is recomputed and
-    compared), or None when no embedding/root combination reconstructs.
+    compared), or None.  None is an exact certificate that q has no root in
+    nf: either deg q does not divide the field degree, or a split prime of
+    nf leaves q without a root (`nonmembership_prime`).
+
+    A q the certificate does not exclude is reconstructed by lattice
+    reduction at `precision` and `den_bound`; if no candidate verifies, again
+    with the bound raised to the field's `denominator_bound` and the
+    precision doubled, up to 2^ESCALATIONS times the request.  If that also
+    fails, PrecisionExhausted is raised: a numeric failure never reads as
+    absence.
     """
     q = _trim([Fraction(c) for c in min_poly_coeffs])
     if len(q) < 2:
@@ -683,7 +815,26 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
         return None
     if deg_q == 1:
         return nf.rational(-q[0])
+    if nonmembership_prime(q, nf) is not None:
+        return None
     precision = precision or 48
+    found = _reconstruct_root(q, approx, nf, precision, den_bound)
+    if found is not None:
+        return found
+    den_bound = max(den_bound, nf.denominator_bound * integral_model(q)[0])
+    for step in range(1, ESCALATIONS + 1):
+        found = _reconstruct_root(q, approx, nf, precision << step, den_bound)
+        if found is not None:
+            return found
+    raise PrecisionExhausted(
+        f"no root of [{', '.join(map(str, q))}] reconstructed in {nf!r} up "
+        f"to {precision << ESCALATIONS} digits, and none of its "
+        f"{len(nf.split_primes)} split primes excludes one")
+
+
+def _reconstruct_root(q, approx, nf, precision, den_bound):
+    """An exactly verified root of the monic q in nf, found by lattice
+    reduction at one precision, or None."""
     with mp.workdps(precision + guard_digits(precision)):
         roots_q = mpmath.polyroots([mp.mpf(c.numerator) / mp.mpf(c.denominator)
                                     for c in reversed(q)], maxsteps=500,
@@ -717,7 +868,8 @@ def _peval_field(poly, a):
 def detect_roots_of_unity(nf, precision=44):
     """The pair (m, w): m the order of the group of roots of unity of the
     field and w a verified generator (a root of the m-th cyclotomic
-    polynomial, which certifies its exact order)."""
+    polynomial, which certifies its exact order).  Every larger candidate
+    order is excluded by an exact certificate (see element_in_field)."""
     d = nf.degree
     candidates = [m for m in range(2, 2 * d * d + 3, 2) if euler_phi(m) <= d]
     for m in sorted(candidates, reverse=True):
@@ -729,51 +881,3 @@ def detect_roots_of_unity(nf, precision=44):
         if w is not None:
             return (m, w)
     return (2, nf.rational(-1))  # pragma: no cover
-
-
-def automorphisms(nf, precision=48):
-    """Images of the generator under all automorphisms of the field:
-    the roots of the defining polynomial that lie in the field itself,
-    each verified exactly."""
-    found = []
-    n_emb = nf.signature[0] + nf.signature[1]
-    with mp.workdps(precision + guard_digits(precision)):
-        all_roots = list(nf.roots(precision))
-        all_roots += [mpmath.conj(z) for z in all_roots[nf.signature[0]:]]
-    for root in all_roots:
-        for idx in range(n_emb):
-            for conj in ([False] if idx < nf.signature[0] else [False, True]):
-                try:
-                    cand = reconstruct_at(nf, root, idx, precision,
-                                          conjugate=conj)
-                except ReconstructionFailed:
-                    continue
-                if _peval_field(nf.poly, cand).is_zero() and cand not in found:
-                    found.append(cand)
-                    break
-            else:
-                continue
-            break
-    found.sort(key=lambda a: a.coeffs)
-    return found
-
-
-def load_field(fixture):
-    """Build a NumberField from a fixture dict:
-    { "poly": [c0,...,cd], "assert_irreducible": true,
-      "torsion_hint": {"order": m, "generator": [coeffs]} }.
-    Hints are verified against the detected torsion, never trusted."""
-    nf = nf_new(fixture["poly"])
-    hint = fixture.get("torsion_hint")
-    if hint is not None:
-        m, w = nf.torsion
-        if hint.get("order") != m:
-            raise FieldError(f"torsion hint order {hint.get('order')} "
-                             f"disagrees with detected order {m}")
-        gen_hint = hint.get("generator")
-        if gen_hint is not None:
-            cand = nf.element(gen_hint)
-            if not (_peval_field(cyclotomic(m), cand).is_zero()):
-                raise FieldError("torsion hint generator does not have the "
-                                 "declared order")
-    return nf

@@ -44,8 +44,18 @@ class NotApplicable(TorsionError):
 def two_cos(nf, n, precision=48):
     """2*cos(2*pi/n) as an element of nf, or None if it does not lie there.
 
-    The returned element is only pinned down up to Galois conjugacy (any
-    primitive branch serves the constructions below equally)."""
+    None is an exact certificate (see field.element_in_field); a value that
+    lies in nf but does not reconstruct raises PrecisionExhausted.  Results
+    are memoized on the field per (n, precision).  The returned element is
+    only pinned down up to Galois conjugacy (any primitive branch serves the
+    constructions below equally)."""
+    key = ("two_cos", n, precision)
+    if key not in nf.memo:
+        nf.memo[key] = _two_cos(nf, n, precision)
+    return nf.memo[key]
+
+
+def _two_cos(nf, n, precision):
     if n == 1:
         return nf.rational(2)
     if n == 2:

@@ -1,0 +1,170 @@
+"""Certified membership: the split-prime certificate, precision escalation,
+and the torsion data it decides, against sympy and under rescaling."""
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
+
+import extbloch.field as field_mod
+from extbloch.cli import main
+from extbloch.field import (NumberField, PrecisionExhausted,
+                            ReconstructionFailed, cos2pi_minpoly, cyclotomic,
+                            discriminant, element_in_field, euler_phi,
+                            integral_model, nonmembership_prime)
+from extbloch.torsion import torsion_profile, two_cos
+
+# base fields with their order m of roots of unity and nu_p for p = 2, 3
+# (nu_p = 0 for larger p), as in the torsion tables of the README fields
+BASE = {
+    "Q": ([0, 1], 2, {2: 2, 3: 1}),
+    "sqrt2": ([-2, 0, 1], 2, {2: 3, 3: 1}),
+    "i": ([1, 0, 1], 4, {2: 2, 3: 1}),
+    "sqrt-3": ([1, 1, 1], 6, {2: 2, 3: 1}),
+    "quartic": ([1, -2, 2, -1, 1], 6, {2: 2, 3: 1}),
+    "x4+1": ([1, 0, 0, 0, 1], 8, {2: 3, 3: 1}),
+}
+
+
+def scaled(poly, c):
+    """c^d p(x/c): the same field, generator multiplied by c."""
+    d = len(poly) - 1
+    return [Fraction(a) * Fraction(c) ** (d - i) for i, a in enumerate(poly)]
+
+
+def profile_of(poly, c=1):
+    prof = torsion_profile(NumberField(scaled(poly, c)))
+    return prof.m, {p: v for p, v in prof.nu.items() if v or p in (2, 3)}
+
+
+# rescalings on which a fixed-precision search reported too small an m or
+# nu_p before membership was certified
+@pytest.mark.parametrize("name, c", [("quartic", 1000), ("x4+1", 1000),
+                                     ("i", 3 * 10 ** 7),
+                                     ("sqrt-3", 3 * 10 ** 7),
+                                     ("sqrt2", 3 * 10 ** 7)])
+def test_rescaled_fields_keep_their_torsion(name, c):
+    poly, m, nu = BASE[name]
+    assert profile_of(poly, c) == (m, nu)
+
+
+def test_m_and_nu_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def has_root(poly_expr, domain):
+        factors = sympy.Poly(poly_expr, x, domain=domain).factor_list()[1]
+        return any(f.degree() == 1 for f, _ in factors)
+
+    for poly, _, _ in BASE.values():
+        p = sympy.Poly(list(reversed(poly)), x)
+        d = p.degree()
+        domain = sympy.QQ if d == 1 else \
+            sympy.QQ.algebraic_field(sympy.CRootOf(p, 0))
+        want_m = max(m for m in range(1, 2 * d * d + 3)
+                     if sympy.totient(m) <= d
+                     and has_root(sympy.cyclotomic_poly(m, x), domain))
+        prof = torsion_profile(NumberField(poly))
+        assert prof.m == want_m
+        for q in prof.primes:
+            nu = 0
+            while True:
+                target = sympy.minimal_polynomial(
+                    2 * sympy.cos(2 * sympy.pi / q ** (nu + 1)), x)
+                if sympy.degree(target, x) > d or not has_root(target,
+                                                               domain):
+                    break
+                nu += 1
+            assert prof.nu[q] == nu, (poly, q)
+
+
+@given(name=st.sampled_from(["sqrt2", "i", "sqrt-3", "quartic"]),
+       num=st.integers(min_value=1, max_value=10 ** 9),
+       den=st.integers(min_value=1, max_value=10 ** 3))
+@settings(max_examples=12, deadline=None)
+def test_torsion_is_invariant_under_rescaling(name, num, den):
+    poly, m, nu = BASE[name]
+    assert profile_of(poly, Fraction(num, den)) == (m, nu)
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16])
+def test_certificate_never_rejects_a_member(n):
+    # Q(zeta_n) contains zeta_m for m | lcm(2, n) and 2cos(2pi/k) for the
+    # same k; its real subfield Q(2cos(2pi/n)) contains the cosines
+    full = 2 * n if n % 2 else n
+    members = _divisors(full)
+    nf = NumberField(cyclotomic(n))
+    for k in members:
+        assert nonmembership_prime(cyclotomic(k), nf) is None, (n, k)
+        assert nonmembership_prime(cos2pi_minpoly(k), nf) is None, (n, k)
+    real = NumberField(cos2pi_minpoly(n))
+    for k in members:
+        assert nonmembership_prime(cos2pi_minpoly(k), real) is None, (n, k)
+    # and it excludes every other root of unity the degree allows
+    for k in range(3, 2 * nf.degree ** 2 + 3):
+        if k not in members and nf.degree % euler_phi(k) == 0:
+            assert nonmembership_prime(cyclotomic(k), nf) is not None, (n, k)
+
+
+def test_misses_run_no_lattice_reduction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice reduction on an excluded candidate")
+
+    monkeypatch.setattr(field_mod, "reconstruct_at", refuse)
+    sqrt2 = NumberField([-2, 0, 1])
+    with mp.workdps(48):
+        assert element_in_field([-3, 0, 1], mp.sqrt(3), sqrt2) is None
+    assert sqrt2.torsion[0] == 2
+
+
+def test_unreconstructed_survivor_raises(monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise ReconstructionFailed("forced")
+
+    monkeypatch.setattr(field_mod, "reconstruct_at", fail)
+    sqrt2 = NumberField([-2, 0, 1])
+    with mp.workdps(48):
+        with pytest.raises(PrecisionExhausted):
+            element_in_field([-2, 0, 1], mp.sqrt(2), sqrt2)
+    path = tmp_path / "field.json"
+    path.write_text('{"field": [1, 0, 1]}')
+    assert main(["torsion", "table", str(path)]) == 4
+    assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_torsion_is_lazy_and_two_cos_memoized(monkeypatch):
+    nf = NumberField([1, 0, 0, 0, 1])
+    assert "torsion" not in vars(nf)
+    first = two_cos(nf, 8)
+    monkeypatch.setattr("extbloch.torsion.element_in_field",
+                        lambda *a, **k: pytest.fail("not memoized"))
+    assert two_cos(nf, 8) is first
+    assert first * first == nf.rational(2)
+
+
+def test_integral_model_and_discriminant():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for poly, c in itertools.product([BASE["quartic"][0], [-7, 0, 0, 1]],
+                                     [1, Fraction(3, 10), 12]):
+        p = tuple(scaled(poly, c))
+        den, p_int = integral_model(p)
+        assert all(isinstance(a, int) for a in p_int) and p_int[-1] == 1
+        want = sympy.discriminant(sympy.Poly(list(reversed(p_int)), x))
+        assert discriminant(p_int) == int(want)
+
+
+@given(coeffs=st.lists(st.integers(min_value=-30, max_value=30),
+                       min_size=1, max_size=5),
+       ell=st.sampled_from([2, 3, 5, 7, 11, 13]))
+@settings(max_examples=60, deadline=None)
+def test_root_test_mod_ell_matches_brute_force(coeffs, ell):
+    poly = tuple(coeffs) + (1,)
+    brute = any(sum(c * r ** i for i, c in enumerate(poly)) % ell == 0
+                for r in range(ell))
+    assert field_mod._fp_has_root(poly, ell) == brute

@@ -212,22 +212,6 @@ class BlochSum:
         return basis.fstar_wedge_is_zero(self.nu_terms(basis))
 
 
-def nu(s, basis):
-    return s.nu_terms(basis)
-
-
-def is_in_B(s, basis):
-    return s.is_in_B(basis)
-
-
-def nu_hat(s):
-    return s.nu_hat()
-
-
-def is_in_Bhat(s):
-    return s.is_in_Bhat()
-
-
 def chi(e):
     """The pure chi element of e: an empty combination with chi part e."""
     return ExtBlochSum(e.basis, (), e)

@@ -469,18 +469,3 @@ def cover_to_C(basis, ctx, branch=None):
                             f"gcd({k_unit}, {m}) != 1")
     return LogLift(basis, ctx, lambda_w, k_unit)
 
-
-def log_lift(z, basis, exp_bound=64):
-    return basis.log_lift(z, exp_bound=exp_bound)
-
-
-def pi(e, basis=None):
-    return e.pi()
-
-
-def wedge_is_zero(terms, basis=None):
-    if basis is None:
-        terms = list(terms)
-        basis = terms[0][1].basis
-    return basis.wedge_is_zero(terms)
-

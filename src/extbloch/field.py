@@ -5,14 +5,19 @@ polynomial p with rational coefficients.  Elements are vectors of rationals of
 length deg(p), i.e. residues of polynomials of degree < deg(p).  Polynomials
 are dense low-to-high coefficient tuples.
 
-Numeric embeddings evaluate elements at isolated complex roots of p at a
-requested decimal precision.  Membership of an algebraic number given by its
-minimal polynomial q (roots of unity, cosines 2cos(2pi/n), roots of p itself)
-is decided in two steps.  A "no" is always exact: either deg q does not
-divide deg p, or q has no root modulo a split prime of the field, a prime
-with a degree-one prime ideal above it.  A "yes" comes from lattice reduction
-against powers of the generator in one embedding followed by exact
-verification, at escalating precision; a failed verification is an error
+Numeric embeddings evaluate elements at the complex roots of p at a
+requested decimal precision.  The roots are isolated once per field at low
+precision and refined by Newton's method for each precision requested; the
+refined roots must be separated (disjoint Newton disks) and leave a small
+residue, or the roots are isolated again at higher precision.  Membership
+of an algebraic number given by its minimal polynomial q (roots of unity,
+cosines 2cos(2pi/n), roots of p itself) is decided in two steps.  A "no" is
+always exact: either deg q does not divide deg p, or q has no root modulo a
+split prime of the field, a prime with a degree-one prime ideal above it.
+A "yes" comes from exact integer lattice reduction (LLL) against powers of
+the generator in one embedding, at the root of q that Newton's method
+reaches from the caller's approximation, followed by exact verification, at
+escalating precision; a failed verification is an error
 (PrecisionExhausted), never a wrong answer.
 """
 from __future__ import annotations
@@ -159,9 +164,9 @@ def cyclotomic(n):
     """Coefficient tuple (low-to-high) of the n-th cyclotomic polynomial.
 
     >>> cyclotomic(1)
-    (-1, 1)
+    (Fraction(-1, 1), Fraction(1, 1))
     >>> cyclotomic(6)
-    (1, -1, 1)
+    (Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1))
     """
     if n <= 0:
         raise ValueError("cyclotomic index must be positive")
@@ -347,63 +352,139 @@ def nonmembership_prime(q, nf):
 # ---------------------------------------------------------------------------
 # lattice reduction (LLL) over the integers, used for reconstruction
 
-def lll_reduce(basis, delta=0.99):
-    """LLL-reduce a list of integer vectors (rows).  Returns new rows.
+def lll_reduce(basis, delta=Fraction(99, 100)):
+    """LLL-reduce a list of linearly independent integer vectors (rows).
+    Returns new rows spanning the same lattice.
 
-    Basis rows stay exact integers; the Gram-Schmidt bookkeeping is done in
-    high-precision floats sized to the largest entry, which is accurate
-    enough for the size-reduction roundings used here.
+    Exact integral LLL (Cohen, GTM 138, Alg. 2.6.7): the Gram-Schmidt data
+    are kept as integers, d[i] the Gram determinant of the first i rows and
+    lam[k][j] = d[j+1] * mu_kj, so nothing is rounded but the size-reduction
+    multipliers.  The result is size-reduced (|mu_kj| <= 1/2) and satisfies
+    the Lovasz condition with the rational delta.
+
+    >>> lll_reduce([(1, 1, 1), (-1, 0, 2), (3, 5, 6)])
+    [(0, 1, 0), (1, 0, 1), (-1, 0, 2)]
     """
     b = [list(v) for v in basis]
     n = len(b)
-    bits = max(max(abs(x) for x in row).bit_length() for row in b if any(row))
-    with mp.workprec(4 * bits + 64):
-        deltaf = mp.mpf(delta)
-        mu = [[mp.mpf(0)] * n for _ in range(n)]
-        norms = [mp.mpf(0)] * n
-        bstar = []
-        for i in range(n):
-            v = [mp.mpf(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    continue
-                mu[i][j] = mp.fdot(map(mp.mpf, b[i]), bstar[j]) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-            norms[i] = mp.fdot(v, v)
+    delta = Fraction(delta)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
 
-        def size_reduce(k, j):
-            r = int(mp.nint(mu[k][j]))
-            if r != 0:
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                for i in range(j):
-                    mu[k][i] -= r * mu[j][i]
-                mu[k][j] -= r
-
-        k = 1
-        while k < n:
-            size_reduce(k, k - 1)
-            if norms[k] < (deltaf - mu[k][k - 1] ** 2) * norms[k - 1]:
-                # swap rows k-1, k and update the Gram-Schmidt data in place
-                m_ = mu[k][k - 1]
-                bnew = norms[k] + m_ ** 2 * norms[k - 1]
-                mu[k][k - 1] = m_ * norms[k - 1] / bnew
-                norms[k] = norms[k - 1] * norms[k] / bnew
-                norms[k - 1] = bnew
-                b[k - 1], b[k] = b[k], b[k - 1]
-                for j in range(k - 1):
-                    mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
-                for i in range(k + 1, n):
-                    t = mu[i][k - 1]
-                    mu[i][k - 1] = mu[k][k - 1] * t + \
-                        (1 - mu[k][k - 1] * m_) * mu[i][k]
-                    mu[i][k] = t - m_ * mu[i][k]
-                k = max(k - 1, 1)
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("lattice basis rows are linearly dependent")
             else:
-                for j in range(k - 2, -1, -1):
-                    size_reduce(k, j)
-                k += 1
-        return [tuple(v) for v in b]
+                d[k + 1] = u
+
+    def size_reduce(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= r * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= r * lam[j][i]
+
+    gram_schmidt(0)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if (delta.denominator * (d[k + 1] * d[k - 1] + lk * lk)
+                < delta.numerator * d[k] * d[k]):
+            # swap rows k-1, k; d[k] and the lam of later rows change
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, k_max + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = new_d
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return [tuple(v) for v in b]
+
+
+# ---------------------------------------------------------------------------
+# roots: isolated once at low precision, then refined by Newton's method
+
+ISOLATION_DIGITS = 20     # digits of the first isolation of a field's roots
+ISOLATION_DOUBLINGS = 5   # re-isolations at doubled digits before giving up
+NEWTON_STEPS = 64         # Newton steps allowed per root and refinement
+
+
+def _isolate_roots(poly, digits):
+    """Approximations of all roots of the rational poly (low to high) by
+    mpmath.polyroots at `digits` digits, or None if it does not converge."""
+    with mp.workdps(digits):
+        try:
+            return [mp.mpc(z) for z in mpmath.polyroots(
+                [mp.mpf(c.numerator) / c.denominator for c in reversed(poly)],
+                maxsteps=500, extraprec=3 * digits)]
+        except mpmath.libmp.NoConvergence:
+            return None
+
+
+def _newton(poly, z, start, target):
+    """Refine an approximation z of a simple root of the rational poly (low
+    to high) by Newton's method to `target` digits.  The working precision
+    starts at `start` digits and doubles each time a step falls below
+    10^(-dps/2) relative to z, as z then has about dps correct digits.
+    Returns the root and the size of the last step; raises
+    PrecisionExhausted after NEWTON_STEPS steps without convergence."""
+    dps = min(start, target)
+    for _ in range(NEWTON_STEPS):
+        with mp.workdps(dps):
+            z = mp.mpc(z)
+            f = df = mp.mpc(0)
+            for c in reversed(poly):
+                df = df * z + f
+                f = f * z + mp.mpf(c.numerator) / c.denominator
+            if df == 0:
+                break
+            step = abs(f / df)
+            z -= f / df
+            converged = step <= abs(z) * mp.mpf(10) ** (-(dps // 2))
+        if converged:
+            if dps == target:
+                return z, step
+            dps = min(2 * dps, target)
+    raise PrecisionExhausted(f"Newton's method did not converge to a root "
+                             f"of [{', '.join(map(str, poly))}] at {dps} "
+                             f"digits")
+
+
+def _refine_roots(poly, approx, start, target):
+    """Newton-refine the approximations `approx` of all d roots of poly to
+    `target` digits, or None if one does not converge or two are not
+    separated.  Separated means that the disks of radius (d+1)*|last step|
+    around the refined roots are pairwise disjoint: each disk holds a root
+    of poly (one of radius d*|p/p'| around the point before the last step
+    does), so disjoint disks hold d different roots."""
+    d = len(poly) - 1
+    try:
+        refined = [_newton(poly, z, start, target) for z in approx]
+    except PrecisionExhausted:
+        return None
+    with mp.workdps(target):
+        for (z, r), (w, s) in itertools.combinations(refined, 2):
+            if abs(z - w) <= (d + 1) * (r + s):
+                return None
+    return [z for z, _ in refined]
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +742,7 @@ class NumberField:
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self._root_cache = {}
+        self._isolation = None   # (digits, root approximations) that worked
         r1 = count_real_roots(self.poly)
         self.signature = (r1, (self.degree - r1) // 2)
         self.one = self.rational(1)
@@ -711,24 +793,47 @@ class NumberField:
     # -- embeddings --------------------------------------------------------
 
     def roots(self, precision):
-        """All d roots in the deterministic order, at the given precision."""
+        """All d roots in the deterministic order, at the given precision.
+
+        The roots are isolated once per field (mpmath.polyroots at
+        ISOLATION_DIGITS digits) and, for each precision, refined by Newton's
+        method to 2*precision + 40 digits.  The refined roots must be
+        separated (`_refine_roots`); if they are not, the roots are isolated
+        again at doubled precision, up to ISOLATION_DOUBLINGS times, and then
+        PrecisionExhausted is raised.  Order: the real roots ascending, then
+        one representative per conjugate pair (positive imaginary part) by
+        real part, then imaginary part.  Every root must leave a residue
+        |p(z)| <= 10^-precision.
+        """
         if precision in self._root_cache:
             return self._root_cache[precision]
         r1 = self.signature[0]
+        digits, approx = self._isolation or (ISOLATION_DIGITS, None)
+        while True:
+            approx = approx or _isolate_roots(self.poly, digits)
+            raw = approx and _refine_roots(self.poly, approx, digits,
+                                           2 * precision + 40)
+            if raw:
+                self._isolation = (digits, approx)
+                break
+            if digits >= ISOLATION_DIGITS << ISOLATION_DOUBLINGS:
+                raise PrecisionExhausted(
+                    f"roots of {self!r} not separated after isolation at "
+                    f"{digits} digits")
+            digits, approx = 2 * digits, None
         with mp.workdps(2 * precision + 40):
             coeffs_high_first = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
                                  for c in reversed(self.poly)]
-            try:
-                raw = mpmath.polyroots(coeffs_high_first, maxsteps=500,
-                                       extraprec=10 * precision)
-            except mpmath.libmp.NoConvergence as exc:  # pragma: no cover
-                raise PrecisionExhausted(str(exc)) from None
             raw = sorted(raw, key=lambda z: abs(mp.im(z)))
             reals = sorted((mp.mpc(mp.re(z)) for z in raw[:r1]),
                            key=lambda z: mp.re(z))
             upper = [z if mp.im(z) > 0 else mpmath.conj(z) for z in raw[r1:]]
-            # one representative per conjugate pair
-            upper = sorted(upper, key=lambda z: (mp.re(z), mp.im(z)))
+            # one representative per conjugate pair; real parts that agree
+            # to `precision` digits count as equal, so that rounding noise
+            # cannot reorder two pairs with the same real part
+            scale = mp.mpf(10) ** precision
+            upper = sorted(upper, key=lambda z: (mp.nint(mp.re(z) * scale),
+                                                 mp.im(z)))
             reps = upper[::2]
             ordered = [+z for z in reals + reps]
             for z in ordered:
@@ -834,27 +939,27 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
 
 def _reconstruct_root(q, approx, nf, precision, den_bound):
     """An exactly verified root of the monic q in nf, found by lattice
-    reduction at one precision, or None."""
-    with mp.workdps(precision + guard_digits(precision)):
-        roots_q = mpmath.polyroots([mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                                    for c in reversed(q)], maxsteps=500,
-                                   extraprec=10 * precision)
-        roots_q = sorted(roots_q,
-                         key=lambda z: abs(complex(z) - complex(approx)))
+    reduction at one precision, or None.
+
+    The root of q that `approx` approximates is refined by Newton's method
+    from approx to precision + guard digits; no other root of q is tried.
+    If Newton's method does not converge within NEWTON_STEPS steps,
+    PrecisionExhausted is raised."""
+    digits = precision + guard_digits(precision)
+    root = _newton(q, approx, digits, digits)[0]
     n_emb = nf.signature[0] + nf.signature[1]
     # q is a minimal polynomial, hence irreducible: if a root of q lies in
     # the field at all, every root of q is hit by some embedding, so scanning
-    # all embeddings for the root closest to the approximation is complete.
-    for root in roots_q[:1]:
-        for idx in range(n_emb):
-            for conj in ([False] if idx < nf.signature[0] else [False, True]):
-                try:
-                    cand = reconstruct_at(nf, root, idx, precision,
-                                          den_bound, conjugate=conj)
-                except ReconstructionFailed:
-                    continue
-                if _peval_field(q, cand).is_zero() and cand.min_poly() == q:
-                    return cand
+    # all embeddings for the one root approximated is complete.
+    for idx in range(n_emb):
+        for conj in ([False] if idx < nf.signature[0] else [False, True]):
+            try:
+                cand = reconstruct_at(nf, root, idx, precision,
+                                      den_bound, conjugate=conj)
+            except ReconstructionFailed:
+                continue
+            if _peval_field(q, cand).is_zero() and cand.min_poly() == q:
+                return cand
     return None
 
 

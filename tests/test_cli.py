@@ -124,3 +124,20 @@ def test_math_error_exit_code(capsys):
                                 "--prime", "7"])
     assert code == 3
     assert "math error" in err
+
+
+@pytest.mark.xfail(strict=True, reason="field info counts the roots of p at "
+                   "every embedding, so it reports deg p automorphisms for "
+                   "every field (3 for Q(2^(1/3)))")
+def test_field_info_automorphisms_of_a_non_galois_field(capsys, tmp_path):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    # the automorphisms of Q(a) are the roots of the minimal polynomial of
+    # a in Q(a): the linear factors of x^3 - 2 over Q(2^(1/3))
+    factors = sympy.factor_list(x ** 3 - 2, extension=sympy.root(2, 3))[1]
+    expected = sum(1 for f, _ in factors if sympy.degree(f, x) == 1)
+    fixture = tmp_path / "cube_root_2.json"
+    fixture.write_text(json.dumps({"field": [-2, 0, 0, 1]}))
+    code, out, _ = run(capsys, ["field", "info", str(fixture), "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["automorphisms"] == expected

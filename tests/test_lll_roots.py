@@ -1,0 +1,198 @@
+"""Exact integral LLL and Newton-refined roots, against independent checks:
+Gram-Schmidt data recomputed in Fractions, and mpmath.polyroots at three
+times the precision."""
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
+
+import extbloch.field as field_mod
+from extbloch.field import (NumberField, PrecisionExhausted, _newton,
+                            lll_reduce)
+
+DELTA = Fraction(99, 100)
+
+
+def _gram_schmidt(rows):
+    """(mu, squared norms of the Gram-Schmidt vectors), exactly."""
+    star, mu, norms = [], [], []
+    for b in rows:
+        v = [Fraction(x) for x in b]
+        coeffs = []
+        for s, n in zip(star, norms):
+            c = sum(x * y for x, y in zip(b, s)) / n
+            coeffs.append(c)
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(coeffs)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def _gram_det(rows):
+    """det(B B^T) by Gaussian elimination in Fractions."""
+    g = [[Fraction(sum(x * y for x, y in zip(a, b))) for b in rows]
+         for a in rows]
+    det = Fraction(1)
+    for col in range(len(g)):
+        piv = next((r for r in range(col, len(g)) if g[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            g[col], g[piv] = g[piv], g[col]
+            det = -det
+        det *= g[col][col]
+        for r in range(col + 1, len(g)):
+            f = g[r][col] / g[col][col]
+            g[r] = [x - f * y for x, y in zip(g[r], g[col])]
+    return det
+
+
+def _coordinates(rows, v):
+    """The rational x with x . rows = v (rows independent), or None."""
+    n, m = len(rows), len(v)
+    a = [[Fraction(rows[i][j]) for i in range(n)] + [Fraction(v[j])]
+         for j in range(m)]
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    if any(a[i][n] != 0 for i in range(r, m)):
+        return None
+    return [a[i][n] for i in range(n)]
+
+
+@st.composite
+def integer_bases(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(n, n + 2))
+    bits = draw(st.sampled_from([4, 20, 64, 140]))
+    entry = st.integers(-2 ** bits, 2 ** bits)
+    return [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+
+
+@given(integer_bases())
+@settings(max_examples=80, deadline=None)
+def test_lll_reduce_is_an_lll_basis_of_the_same_lattice(rows):
+    assume(_gram_det(rows) != 0)
+    reduced = lll_reduce(rows)
+    assert len(reduced) == len(rows)
+    assert all(isinstance(x, int) for row in reduced for x in row)
+    # the same lattice: integral in both directions, so equal covolume
+    assert _gram_det(reduced) == _gram_det(rows)
+    for row in reduced:
+        coords = _coordinates(rows, row)
+        assert coords is not None
+        assert all(c.denominator == 1 for c in coords)
+    mu, norms = _gram_schmidt(reduced)
+    assert all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
+    for k in range(1, len(reduced)):
+        assert norms[k] >= (DELTA - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+def test_lll_reduce_rejects_dependent_rows():
+    with pytest.raises(ValueError):
+        lll_reduce([(1, 2, 3), (2, 4, 6)])
+
+
+FIELDS = {
+    "Q": [0, 1], "sqrt2": [-2, 0, 1], "i": [1, 0, 1], "sqrt-3": [1, 1, 1],
+    "quartic": [1, -2, 2, -1, 1], "x4+1": [1, 0, 0, 0, 1],
+    "x6-7": [-7, 0, 0, 0, 0, 0, 1], "x8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+def _reference_roots(poly, dps):
+    """Roots by mpmath.polyroots in the documented order: the real ones
+    ascending, then those with positive imaginary part by (re, im)."""
+    with mp.workdps(dps):
+        raw = mpmath.polyroots(list(reversed(poly)), maxsteps=800,
+                               extraprec=4 * dps)
+        tiny = mp.mpf(10) ** (-dps // 2)
+        reals = sorted(mp.re(z) for z in raw if abs(mp.im(z)) < tiny)
+        upper = sorted((z for z in raw if mp.im(z) >= tiny),
+                       key=lambda z: (mp.re(z), mp.im(z)))
+        return [mp.mpc(x) for x in reals] + upper
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_roots_agree_with_polyroots_at_triple_precision(name):
+    nf = NumberField(FIELDS[name])
+    for precision in (44, 48, 50, 200):
+        ours = nf.roots(precision)
+        ref = _reference_roots(FIELDS[name], 3 * precision)
+        assert len(ours) == len(ref) == sum(nf.signature)
+        with mp.workdps(3 * precision):
+            for z, w in zip(ours, ref):
+                assert abs(z - w) < mp.mpf(10) ** -precision, (precision, z, w)
+
+
+def test_pairs_with_equal_real_parts_keep_their_order():
+    # (x - 7)^4 + 3 (x - 7)^2 + 1: roots 7 +- i/phi and 7 +- i*phi, so the
+    # order of the two pairs rests on the imaginary parts alone
+    nf = NumberField([2549, -1414, 297, -28, 1])
+    for precision in (30, 44, 48, 50, 60, 88, 100):
+        low, high = nf.roots(precision)
+        with mp.workdps(precision):
+            assert abs(low - mp.mpc(7, 2 / (1 + mp.sqrt(5)))) < 1e-20
+            assert abs(high - mp.mpc(7, (1 + mp.sqrt(5)) / 2)) < 1e-20
+
+
+def test_close_roots_are_isolated_again(monkeypatch):
+    # (x - 1)(x - 1 - 10^-30): polyroots at 20 digits cannot separate them
+    eps = Fraction(1, 10 ** 30)
+    nf = NumberField([1 + eps, -(2 + eps), 1])
+    isolations = []
+    polyroots = mpmath.polyroots
+
+    def spy(*args, **kwargs):
+        isolations.append(mp.dps)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    roots = nf.roots(44)
+    assert len(isolations) >= 2
+    assert isolations[0] == field_mod.ISOLATION_DIGITS
+    assert isolations == sorted(isolations)
+    with mp.workdps(100):
+        assert abs(roots[0] - 1) < mp.mpf(10) ** -44
+        assert abs(roots[1] - 1 - mp.mpf(10) ** -30) < mp.mpf(10) ** -44
+    # the isolation that separated them serves every later precision
+    isolations.clear()
+    nf.roots(60)
+    assert isolations == []
+
+
+def test_unseparated_roots_raise_precision_exhausted(monkeypatch):
+    nf = NumberField([-2, 0, 1])
+    # every isolation returns the same root twice, so separation never holds
+    monkeypatch.setattr(field_mod, "_isolate_roots",
+                        lambda poly, digits: [mp.mpc(1.4), mp.mpc(1.5)])
+    with pytest.raises(PrecisionExhausted):
+        nf.roots(44)
+
+
+def test_newton_converges_to_the_root_it_starts_near():
+    poly = tuple(Fraction(c) for c in (-2, 0, 1))
+    with mp.workdps(80):
+        root, step = _newton(poly, mp.mpf("-1.41"), 15, 80)
+        assert abs(root + mp.sqrt(2)) < mp.mpf(10) ** -75
+        assert step < mp.mpf(10) ** -39
+
+
+def test_newton_step_budget_raises():
+    # x^2 + 1 has no real root: Newton's method from a real start wanders
+    poly = tuple(Fraction(c) for c in (1, 0, 1))
+    with pytest.raises(PrecisionExhausted):
+        _newton(poly, mp.mpf("0.5"), 30, 30)

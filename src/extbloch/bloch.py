@@ -15,8 +15,8 @@ over a saturated basis means all its exponents are even.
 """
 from __future__ import annotations
 
-from .extgroup import (ExtElement, MultBasis, NotInSubgroup, WedgeElement)
-from .field import FieldElement, FieldError
+from .extgroup import ExtElement, NotInSubgroup, WedgeElement
+from .field import FieldElement
 
 
 class BlochError(Exception):
@@ -176,14 +176,12 @@ class BlochSum:
 
     def __init__(self, field, terms):
         merged = {}
-        order = {}
         for n, z in terms:
-            if isinstance(z, (int,)) or not isinstance(z, FieldElement):
+            if not isinstance(z, FieldElement):
                 z = field.rational(z)
             if z.is_zero() or z.is_one():
                 raise DegenerateTuple("entries must avoid 0 and 1")
             merged[z] = merged.get(z, 0) + int(n)
-            order.setdefault(z, len(order))
         self.field = field
         self.terms = tuple(sorted(((n, z) for z, n in merged.items() if n),
                                   key=lambda t: tuple(t[1].coeffs)))
@@ -330,12 +328,7 @@ def psl_lift_obstruction(x, basis):
     power of the torsion generator has no square root in F*)."""
     e = basis.log_lift(x)
     liftable = e.k % 2 == 0 and all(exp % 2 == 0 for _, exp in e.r)
-    if not liftable and not basis.saturated:
-        import warnings
-        from .extgroup import UnsaturatedBasis
-        warnings.warn("non-square verdict over an unsaturated basis",
-                      UnsaturatedBasis, stacklevel=2)
-    return liftable
+    return basis._caveat(liftable, "non-square")
 
 
 def change_torsion_generator(s, new_basis):

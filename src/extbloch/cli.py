@@ -29,7 +29,7 @@ import warnings
 from mpmath import mp
 
 from .field import (FieldError, NumberField, PrecisionExhausted,
-                    element_in_field, guard_digits)
+                    element_in_field, guard_digits, tolerance)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -43,19 +43,25 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path):
+def _load_fixture(path):
+    """The JSON object in the fixture file; a bare list is read as the
+    defining polynomial of a field fixture."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    if isinstance(data, list):
+        data = {"field": data}
+    if not isinstance(data, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _field_of(data):
-    key = "field" if "field" in data else "poly"
-    if key not in data:
+    if "field" not in data:
         raise InputError("fixture lacks a defining polynomial")
-    return NumberField(data[key])
+    return NumberField(data["field"])
 
 
 def _basis_of(field, data, precision):
@@ -113,12 +119,10 @@ def _poly_string(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns a payload dict; rendering is shared.
+# Commands: each takes the fixture's JSON object, the parsed arguments and
+# the run configuration, and returns a payload dict; rendering is shared.
 
-def cmd_field_info(args, cfg):
-    data = _load_json(args.fixture)
-    if isinstance(data, list):
-        data = {"field": data}
+def cmd_field_info(data, args, cfg):
     field = _field_of(data)
     m, w = field.torsion
     autos = 0
@@ -147,8 +151,7 @@ def cmd_field_info(args, cfg):
     }
 
 
-def cmd_bloch_verify(args, cfg):
-    data = _load_json(args.fixture)
+def cmd_bloch_verify(data, args, cfg):
     s = _element_of(data, cfg.precision)
     caveats = []
     with warnings.catch_warnings(record=True) as caught:
@@ -166,15 +169,13 @@ def cmd_bloch_verify(args, cfg):
     }
 
 
-def cmd_bloch_regulator(args, cfg):
-    data = _load_json(args.fixture)
+def cmd_bloch_regulator(data, args, cfg):
     s = _element_of(data, cfg.precision)
     vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
     return {"regulator": _reg_strings(vec, cfg)}
 
 
-def cmd_fiveterm_check(args, cfg):
-    data = _load_json(args.fixture)
+def cmd_fiveterm_check(data, args, cfg):
     field = _field_of(data)
     basis = _basis_of(field, data, cfg.precision)
     x = field.element(data["x"])
@@ -184,8 +185,7 @@ def cmd_fiveterm_check(args, cfg):
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
     vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
     with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
-        tol = cfg.tolerance_value if cfg.tolerance_value is not None \
-            else mp.mpf(10) ** (-cfg.precision + 10)
+        tol = tolerance(cfg.precision, cfg.tolerance_value)
         reg_zero = all(v.distance(0) < tol for v in vec)
     return {
         "wedge_zero": s.is_in_Bhat(),
@@ -194,10 +194,7 @@ def cmd_fiveterm_check(args, cfg):
     }
 
 
-def cmd_torsion_table(args, cfg):
-    data = _load_json(args.fixture)
-    if isinstance(data, list):
-        data = {"field": data}
+def cmd_torsion_table(data, args, cfg):
     field = _field_of(data)
     profile = torsion_profile(field, min(cfg.precision, 48))
     return {
@@ -208,10 +205,7 @@ def cmd_torsion_table(args, cfg):
     }
 
 
-def cmd_torsion_generators(args, cfg):
-    data = _load_json(args.fixture)
-    if isinstance(data, list):
-        data = {"field": data}
+def cmd_torsion_generators(data, args, cfg):
     field = _field_of(data)
     profile = torsion_profile(field, min(cfg.precision, 48))
     primes = [args.prime] if args.prime else \
@@ -228,19 +222,15 @@ def cmd_torsion_generators(args, cfg):
     return {"generators": out}
 
 
-def cmd_torsion_order(args, cfg):
-    data = _load_json(args.fixture)
-    if isinstance(data, list):
-        data = {"field": data}
+def cmd_torsion_order(data, args, cfg):
     field = _field_of(data)
     s = flattened_torsion(field, args.prime, min(cfg.precision, 48))
     order = certify_order(s, cfg.precision)
     return {"prime": args.prime, "order": order}
 
 
-def cmd_cycle_invariant(args, cfg):
-    inv = manifold_invariant(args.fixture, cfg.precision,
-                             cfg.tolerance_value)
+def cmd_cycle_invariant(data, args, cfg):
+    inv = manifold_invariant(data, cfg.precision, cfg.tolerance_value)
     digits = min(cfg.precision, 30)
     with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
         im = [_fmt_real(x, digits) for x in inv.imaginary_parts]
@@ -307,53 +297,37 @@ class RunConfig:
         return mp.mpf(10) ** self.tolerance
 
 
+# (group, command, handler, --prime: None, "optional" or "required"), in
+# the order of the help listing
+COMMANDS = (
+    ("field", "info", cmd_field_info, None),
+    ("bloch", "verify", cmd_bloch_verify, None),
+    ("bloch", "regulator", cmd_bloch_regulator, None),
+    ("fiveterm", "check", cmd_fiveterm_check, None),
+    ("torsion", "table", cmd_torsion_table, "optional"),
+    ("torsion", "generators", cmd_torsion_generators, "optional"),
+    ("torsion", "order", cmd_torsion_order, "required"),
+    ("cycle", "invariant", cmd_cycle_invariant, None),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="extbloch",
         description="Extended Bloch group computations over number fields")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field").add_subparsers(dest="sub",
-                                                     required=True)
-    p = p_field.add_parser("info")
-    p.add_argument("fixture")
-    _add_common(p)
-    p.set_defaults(handler=cmd_field_info)
-
-    p_bloch = sub.add_parser("bloch").add_subparsers(dest="sub",
-                                                     required=True)
-    for name, handler in (("verify", cmd_bloch_verify),
-                          ("regulator", cmd_bloch_regulator)):
-        p = p_bloch.add_parser(name)
+    groups = {}
+    for group, name, handler, prime in COMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(
+                dest="sub", required=True)
+        p = groups[group].add_parser(name)
         p.add_argument("fixture")
+        if prime:
+            p.add_argument("--prime", type=int,
+                           required=(prime == "required"))
         _add_common(p)
         p.set_defaults(handler=handler)
-
-    p_ft = sub.add_parser("fiveterm").add_subparsers(dest="sub",
-                                                     required=True)
-    p = p_ft.add_parser("check")
-    p.add_argument("fixture")
-    _add_common(p)
-    p.set_defaults(handler=cmd_fiveterm_check)
-
-    p_tor = sub.add_parser("torsion").add_subparsers(dest="sub",
-                                                     required=True)
-    for name, handler in (("table", cmd_torsion_table),
-                          ("generators", cmd_torsion_generators),
-                          ("order", cmd_torsion_order)):
-        p = p_tor.add_parser(name)
-        p.add_argument("fixture")
-        p.add_argument("--prime", type=int,
-                       required=(name == "order"))
-        _add_common(p)
-        p.set_defaults(handler=handler)
-
-    p_cyc = sub.add_parser("cycle").add_subparsers(dest="sub",
-                                                   required=True)
-    p = p_cyc.add_parser("invariant")
-    p.add_argument("fixture")
-    _add_common(p)
-    p.set_defaults(handler=cmd_cycle_invariant)
     return parser
 
 
@@ -362,7 +336,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(args)
-        payload = args.handler(args, cfg)
+        payload = args.handler(_load_fixture(args.fixture), args, cfg)
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4

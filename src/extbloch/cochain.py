@@ -33,10 +33,12 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .field import FieldElement, NumberField, guard_digits
+from .field import (FieldElement, NumberField, guard_digits,
+                    rounding_tolerance, tolerance as _tolerance)
 from .extgroup import SymbolicBasis, cover_to_C
 from .bloch import ExtBlochSum, Flattening, NotAFlattening, chi, normalize
 from .regulator import bloch_wigner, reg_vector
+from .torsion import _recurrence
 
 
 class CochainError(Exception):
@@ -60,6 +62,14 @@ class EdgeConditionFailed(CochainError):
 
 
 EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _edge_flattening(c):
+    """The flattening (c03 + c12 - c02 - c13, c01 + c23 - c02 - c13) of
+    six edge labels c, keyed by EDGES."""
+    c02_13 = c[(0, 2)] + c[(1, 3)]
+    return Flattening(c[(0, 3)] + c[(1, 2)] - c02_13,
+                      c[(0, 1)] + c[(2, 3)] - c02_13)
 
 
 def face_vertices(face):
@@ -218,10 +228,7 @@ class LiftedCochain:
         return self.class_lifts[self.cycle.edge_class(t, i, j)]
 
     def flattening(self, t):
-        c = {e: self.label(t, *e) for e in EDGES}
-        return Flattening(
-            c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
-            c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+        return _edge_flattening({e: self.label(t, *e) for e in EDGES})
 
     def shifted(self, rep, amount):
         """A lift with one 1-cell's label shifted by an integer multiple of
@@ -292,8 +299,7 @@ def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
         lifts = [cover_to_C(basis, ctx)
                  for ctx in basis.field.embeddings(precision)]
         with mp.workdps(precision + guard_digits(precision)):
-            tol = tolerance if tolerance is not None \
-                else mp.mpf(10) ** (-precision + 10)
+            tol = _tolerance(precision, tolerance)
             for rep, tot in totals.items():
                 if exact[rep]:
                     numeric[rep] = True
@@ -386,9 +392,7 @@ def cyclic_cochain(field, c, n):
     c01 = 1, c23 = c + 2, c02 = c13 = b_t, c03 = b_{t+1}, c12 = b_{t-1}."""
     if not isinstance(c, FieldElement):
         c = field.rational(c)
-    b = [field.rational(-1), field.rational(1)]
-    while len(b) < n + 2:
-        b.append(c * b[-1] - b[-2])
+    b = _recurrence(c, field.rational(-1), field.rational(1), n + 2)
     values = {}
     for t in range(n):
         values[(t, (0, 1))] = field.one
@@ -431,9 +435,7 @@ def lambda_sl2(tuples, v, basis=None):
                                          "dependent")
             c[(i, j)] = basis.symbol_signed(d)
         try:
-            fl = Flattening(
-                c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
-                c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+            fl = _edge_flattening(c)
         except NotAFlattening as exc:
             raise NotGeneralPosition(str(exc)) from None
         terms.append((sign, fl))
@@ -465,9 +467,7 @@ def _basis_flattening(basis, vectors, w, position):
                                      "dependent")
         c[(j, k)] = basis.symbol_signed(d)
     try:
-        return Flattening(
-            c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
-            c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+        return _edge_flattening(c)
     except NotAFlattening as exc:
         raise NotGeneralPosition(str(exc)) from None
 
@@ -585,11 +585,15 @@ class ManifoldInvariant:
     regulator: list
     imaginary_parts: list
     dilogarithm_sums: list
+    precision: int
 
     @property
     def matches(self):
-        with mp.workdps(30):
-            return all(abs(a - b) < mp.mpf(10) ** -20
+        """Whether Im(regulator) equals the Bloch-Wigner sum at every
+        embedding, within the tolerance of the precision."""
+        with mp.workdps(self.precision + guard_digits(self.precision)):
+            tol = _tolerance(self.precision)
+            return all(abs(a - b) < tol
                        for a, b in zip(self.imaginary_parts,
                                        self.dilogarithm_sums))
 
@@ -624,7 +628,7 @@ def _search_translates(cycle, basis, build, precision, search_bound):
     # of the central unit; the translates must cancel exactly that multiple
     targets = None
     with mp.workdps(precision + guard_digits(precision)):
-        tol = mp.mpf(10) ** (-precision // 2)
+        tol = rounding_tolerance(precision)
         for ctx in basis.field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
             unit = lift.lift(basis.iota())
@@ -735,4 +739,4 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
     return ManifoldInvariant(element=element, flattenings=fls,
                              regulator=regulator,
                              imaginary_parts=imaginary_parts,
-                             dilogarithm_sums=dsums)
+                             dilogarithm_sums=dsums, precision=precision)

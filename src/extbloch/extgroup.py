@@ -29,10 +29,10 @@ from __future__ import annotations
 import math
 import warnings
 
-import mpmath
 from mpmath import mp
 
-from .field import (FieldElement, FieldError, guard_digits)
+from .field import (FieldElement, FieldError, guard_digits,
+                    rounding_tolerance)
 
 
 class ExtGroupError(Exception):
@@ -151,33 +151,36 @@ class _BasisCommon:
         """Decide whether sum n_i * (e_i /\\ f_i) vanishes in the exterior
         square of E, treating the torsion lift and the free generator lifts
         as a free basis.  terms: iterable of (n, ExtElement, ExtElement)."""
-        terms = list(terms)
-        keys = set()
-        for _, e, f in terms:
-            keys.update(e.coords())
-            keys.update(f.coords())
-        keys = sorted(keys)
-        verdict = True
-        for a in keys:
-            diag = sum(n * e.coord(a) * f.coord(a) for n, e, f in terms)
-            if diag % 2 != 0:
-                verdict = False
-                break
-        if verdict:
-            for i, a in enumerate(keys):
-                for b in keys[i + 1:]:
-                    off = sum(n * (e.coord(a) * f.coord(b)
-                                   - e.coord(b) * f.coord(a))
-                              for n, e, f in terms)
-                    if off != 0:
-                        verdict = False
-                        break
-                if not verdict:
-                    break
+        return self._caveat(_wedge_vanishes(terms, 0), "nonzero wedge")
+
+    def _caveat(self, verdict, what):
+        """Pass a verdict through, warning the caller of the public method
+        that a negative one only holds relative to an unsaturated basis."""
         if not verdict and not self.saturated:
-            warnings.warn("nonzero wedge verdict over an unsaturated basis",
-                          UnsaturatedBasis, stacklevel=2)
+            warnings.warn(f"{what} verdict over an unsaturated basis",
+                          UnsaturatedBasis, stacklevel=3)
         return verdict
+
+
+def _wedge_vanishes(terms, torsion_modulus):
+    """Whether sum n * (e /\\ f) over (n, e, f) in terms vanishes, in the
+    coordinates of ExtElement.coords (torsion slot at -1): every diagonal
+    sum is even, every free/free antisymmetrized sum is 0, and every
+    torsion/free sum is 0 when torsion_modulus is 0 (the torsion lift is
+    free, as in E) and divisible by it otherwise (the torsion generator has
+    that order, as in F*)."""
+    rows = [(n, e.coords(), f.coords()) for n, e, f in terms]
+    keys = sorted({j for _, ce, cf in rows for j in (*ce, *cf)})
+    for i, a in enumerate(keys):
+        if sum(n * ce.get(a, 0) * cf.get(a, 0) for n, ce, cf in rows) % 2:
+            return False
+        for b in keys[i + 1:]:
+            off = sum(n * (ce.get(a, 0) * cf.get(b, 0)
+                           - ce.get(b, 0) * cf.get(a, 0))
+                      for n, ce, cf in rows)
+            if off % torsion_modulus if a == -1 and torsion_modulus else off:
+                return False
+    return True
 
 
 class WedgeElement:
@@ -275,7 +278,7 @@ class MultBasis(_BasisCommon):
             # Gram matrix determinant bounded away from zero at working scale
             gram = mat.T * mat
             det = mp.det(gram)
-            return abs(det) > mp.mpf(10) ** (-self.precision // 2)
+            return abs(det) > rounding_tolerance(self.precision)
 
     def log_lift(self, z, exp_bound=64):
         """Coordinates (k, r) of a field element lying in the subgroup
@@ -303,34 +306,11 @@ class MultBasis(_BasisCommon):
 
     def fstar_wedge_is_zero(self, terms):
         """Decision in the exterior square of F* itself, where the torsion
-        generator only has order m: on top of the free-coordinate checks the
-        mixed torsion/free sums must vanish mod m and the torsion diagonal
-        sum must be even (the torsion generator is not 2-divisible in F*,
-        since a square root would be a root of unity of order 2m)."""
-        terms = list(terms)
-        keys = sorted({j for _, e, f in terms for j, _ in e.r + f.r})
-        for a in keys:
-            if sum(n * e.coord(a) * f.coord(a) for n, e, f in terms) % 2:
-                return self._caveat(False)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                if sum(n * (e.coord(a) * f.coord(b) - e.coord(b) * f.coord(a))
-                       for n, e, f in terms) != 0:
-                    return self._caveat(False)
-        for j in keys:
-            mixed = sum(n * (f.k * e.coord(j) - e.k * f.coord(j))
-                        for n, e, f in terms)
-            if mixed % self.m != 0:
-                return self._caveat(False)
-        if sum(n * e.k * f.k for n, e, f in terms) % 2:
-            return self._caveat(False)
-        return True
-
-    def _caveat(self, verdict):
-        if not verdict and not self.saturated:
-            warnings.warn("nonzero wedge verdict over an unsaturated basis",
-                          UnsaturatedBasis, stacklevel=3)
-        return verdict
+        generator only has order m: the mixed torsion/free sums need only
+        vanish mod m, while the torsion diagonal sum must still be even (the
+        torsion generator is not 2-divisible in F*, since a square root
+        would be a root of unity of order 2m)."""
+        return self._caveat(_wedge_vanishes(terms, self.m), "nonzero wedge")
 
     def _free_exponents(self, z, exp_bound):
         with mp.workdps(self.precision + guard_digits(self.precision)):
@@ -457,12 +437,12 @@ def cover_to_C(basis, ctx, branch=None):
             lambda_w = mp.log(sigma_w)
         else:
             lambda_w = mp.mpc(branch)
-            if abs(mp.exp(lambda_w) - sigma_w) > mp.mpf(10) ** (-prec // 2):
+            if abs(mp.exp(lambda_w) - sigma_w) > rounding_tolerance(prec):
                 raise BranchInvalid("explicit branch does not exponentiate "
                                     "to the torsion generator's image")
         ratio = m * lambda_w / (2j * mp.pi)
         k_unit = int(mp.nint(mp.re(ratio)))
-        if abs(ratio - k_unit) > mp.mpf(10) ** (-prec // 2):
+        if abs(ratio - k_unit) > rounding_tolerance(prec):
             raise BranchInvalid("m * lambda_w is not a multiple of 2*pi*i")
     if math.gcd(k_unit, m) != 1:
         raise BranchInvalid("branch does not define a covering: "

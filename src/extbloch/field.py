@@ -60,6 +60,30 @@ def guard_digits(precision):
     return max(10, precision // 5)
 
 
+def tolerance(precision, override=None):
+    """Tolerance for comparing values computed at `precision` digits:
+    `override` if given, else 10^(10 - precision).  Evaluate it at the
+    working precision of the comparison.
+
+    >>> tolerance(30) == mp.mpf(10) ** -20, tolerance(30, 1e-5)
+    (True, 1e-05)
+    """
+    if override is not None:
+        return override
+    return mp.mpf(10) ** (10 - precision)
+
+
+def rounding_tolerance(precision):
+    """How far a value computed at `precision` digits may lie from the
+    integer it is rounded to: 10^(-precision // 2).  Evaluate it at the
+    working precision of the rounding.
+
+    >>> rounding_tolerance(45) == mp.mpf(10) ** -23
+    True
+    """
+    return mp.mpf(10) ** (-precision // 2)
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over Fraction
 
@@ -642,9 +666,6 @@ class FieldElement:
             if sol is not None:
                 return tuple([-c for c in sol] + [Fraction(1)])
         raise FieldError("minimal polynomial search failed")  # pragma: no cover
-
-    def evaluate(self, ctx):
-        return ctx.evaluate(self)
 
     def substitute(self, image):
         """The image of this element under the field endomorphism sending the

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
 
-from .field import PrecisionExhausted, guard_digits
+from .field import (PrecisionExhausted, guard_digits, rounding_tolerance,
+                    tolerance as _tolerance)
 from .extgroup import cover_to_C
 
 
@@ -128,21 +128,21 @@ class RegulatorValue:
         self.value = value
         self.precision = precision
 
-    def canonical(self):
-        """Representative with real part in [0, 4*pi^2)."""
+    def _reduced(self, shift):
+        """Representative with real part in [-shift, 1 - shift) * 4*pi^2."""
         with mp.workdps(self.precision + guard_digits(self.precision)):
             mod = 4 * mp.pi ** 2
             re = mp.re(self.value)
-            re -= mp.floor(re / mod) * mod
+            re -= mp.floor(re / mod + shift) * mod
             return +mp.mpc(re, mp.im(self.value))
+
+    def canonical(self):
+        """Representative with real part in [0, 4*pi^2)."""
+        return self._reduced(0)
 
     def symmetric(self):
         """Representative with real part in [-2*pi^2, 2*pi^2)."""
-        with mp.workdps(self.precision + guard_digits(self.precision)):
-            mod = 4 * mp.pi ** 2
-            re = mp.re(self.value)
-            re -= mp.floor(re / mod + mp.mpf("0.5")) * mod
-            return +mp.mpc(re, mp.im(self.value))
+        return self._reduced(mp.mpf("0.5"))
 
     def __add__(self, other):
         if isinstance(other, RegulatorValue):
@@ -165,17 +165,13 @@ class RegulatorValue:
         """Distance to another value (or plain complex) modulo 4*pi^2."""
         o = other.value if isinstance(other, RegulatorValue) else other
         with mp.workdps(self.precision + guard_digits(self.precision)):
-            mod = 4 * mp.pi ** 2
-            d = self.value - o
-            re = mp.re(d)
-            re -= mp.nint(re / mod) * mod
-            return abs(mp.mpc(re, mp.im(d)))
+            d = RegulatorValue(self.value - o, self.precision)
+            return abs(d.symmetric())
 
     def close_to(self, other, tolerance=None):
         with mp.workdps(self.precision + guard_digits(self.precision)):
-            if tolerance is None:
-                tolerance = mp.mpf(10) ** (-self.precision + 10)
-            return self.distance(other) < tolerance
+            return self.distance(other) < _tolerance(self.precision,
+                                                     tolerance)
 
     def __repr__(self):
         return f"RegulatorValue({self.symmetric()})"
@@ -190,7 +186,7 @@ def reg_flattening(fl, lift):
         z = lift.ctx.evaluate(fl.z)
         logz = mp.log(z)
         log1z = mp.log(1 - z)
-        tol = mp.mpf(10) ** (-prec // 2)
+        tol = rounding_tolerance(prec)
         twopii = 2j * mp.pi
         p = mp.nint(mp.im(w0 - logz) / (2 * mp.pi))
         q = mp.nint(mp.im(w1 - log1z) / (2 * mp.pi))
@@ -222,8 +218,7 @@ def reg_vector(s, precision=50, tolerance=None):
     field = basis.field
     out = []
     with mp.workdps(precision + guard_digits(precision)):
-        if tolerance is None:
-            tolerance = mp.mpf(10) ** (-precision + 10)
+        tolerance = _tolerance(precision, tolerance)
         for ctx in field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
             val = reg_sum(s, lift)
@@ -244,8 +239,7 @@ def torsion_order(v, max_den=10 ** 4, tolerance=None):
     denominator, or None when no reconstruction fits."""
     prec = v.precision
     with mp.workdps(prec + guard_digits(prec)):
-        if tolerance is None:
-            tolerance = mp.mpf(10) ** (-prec + 10)
+        tolerance = _tolerance(prec, tolerance)
         if abs(mp.im(v.value)) > tolerance:
             return None
         x = mp.re(v.value) / (4 * mp.pi ** 2)

@@ -21,13 +21,14 @@ regulator: rational reconstruction of each embedding's value against 4*pi^2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 from mpmath import mp
 
-from .field import (NumberField, cos2pi_minpoly, element_in_field, euler_phi,
-                    guard_digits)
+from .field import (NumberField, _primes, cos2pi_minpoly, element_in_field,
+                    euler_phi, guard_digits)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -98,20 +99,13 @@ class TorsionProfile:
     primes: tuple = dc_field(default=())
 
 
-def _primes_up_to(bound):
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % q for q in out):
-            out.append(n)
-    return out
-
-
 def torsion_profile(nf, precision=48):
     """nu_p for every prime that could contribute (p - 1 <= 2*degree),
     plus w and the reduced exponents."""
     m = nf.torsion[0]
     nu = {}
-    for p in _primes_up_to(max(5, 2 * nf.degree + 1)):
+    bound = max(5, 2 * nf.degree + 1)
+    for p in itertools.takewhile(lambda q: q <= bound, _primes()):
         nu[p] = nu_p(nf, p, precision)
     w = 2
     nu_prime = {}
@@ -128,10 +122,27 @@ def torsion_profile(nf, precision=48):
 
 
 def _recurrence(c, first, second, length):
+    """The first `length` (at least 2) terms of s_{k+1} = c*s_k - s_{k-1}
+    from s_0 = first, s_1 = second."""
     seq = [first, second]
     while len(seq) < length:
         seq.append(c * seq[-1] - seq[-2])
     return seq
+
+
+def _cosine_sequence(nf, p, precision):
+    """(c, seq, span) for the largest power n = p^nu with c = 2cos(2pi/n)
+    in nf: the b-sequence up to b_{n/2+1} (p = 2) or the a-sequence up to
+    a_{n+1} (odd p), and the indices k of the generator's terms."""
+    nu = nu_p(nf, p, precision)
+    if nu == 0:
+        raise NotApplicable(f"no p-power cosines beyond nu = 0 for p = {p}")
+    n = p ** nu
+    c = two_cos(nf, n, precision)
+    if p == 2:
+        seq = _recurrence(c, nf.rational(-1), nf.rational(1), n // 2 + 2)
+        return c, seq, range(1, n // 2 + 1)
+    return c, _recurrence(c, nf.rational(2), c, n + 2), range(1, n + 1)
 
 
 def beta_p(nf, p, precision=48):
@@ -140,17 +151,7 @@ def beta_p(nf, p, precision=48):
     >>> beta_p(NumberField([0, 1]), 3).terms[0][0]
     2
     """
-    nu = nu_p(nf, p, precision)
-    if nu == 0:
-        raise NotApplicable(f"no p-power cosines beyond nu = 0 for p = {p}")
-    n = p ** nu
-    c = two_cos(nf, n, precision)
-    if p == 2:
-        seq = _recurrence(c, nf.rational(-1), nf.rational(1), n // 2 + 2)
-        span = range(1, n // 2 + 1)
-    else:
-        seq = _recurrence(c, nf.rational(2), c, n + 2)
-        span = range(1, n + 1)
+    _, seq, span = _cosine_sequence(nf, p, precision)
     terms = []
     for k in span:
         if seq[k].is_zero() or seq[k + 1].is_zero() or seq[k - 1].is_zero():
@@ -172,34 +173,18 @@ def flattened_torsion(nf, p, precision=48):
     plus the chi part l(c+2) + half; without that correction the wedge of
     the half-sum does not vanish.  The wedge is verified before returning.
     """
-    nu = nu_p(nf, p, precision)
-    if nu == 0:
-        raise NotApplicable(f"no p-power cosines beyond nu = 0 for p = {p}")
-    n = p ** nu
-    c = two_cos(nf, n, precision)
+    c, seq, span = _cosine_sequence(nf, p, precision)
     basis = SymbolicBasis(nf)
-    if p == 2:
-        seq = _recurrence(c, nf.rational(-1), nf.rational(1), n // 2 + 2)
-        span = range(1, n // 2 + 1)
-    else:
-        seq = _recurrence(c, nf.rational(2), c, n + 2)
-        span = range(1, n + 1)
     lifts = [basis.symbol_signed(v) for v in seq]
     a_plus = basis.symbol_signed(c + nf.rational(2))
-    terms = []
-    chi_part = None
     if p == 2:
-        for k in span:
-            e = lifts[k + 1] + lifts[k - 1] - 2 * lifts[k]
-            f = a_plus - 2 * lifts[k]
-            terms.append((1, Flattening(e, f)))
-        chi_part = a_plus + basis.element(1)
+        f_base, chi_part = a_plus, a_plus + basis.element(1)
     else:
-        a_minus = basis.symbol_signed(nf.rational(2) - c)
-        for k in span:
-            e = lifts[k + 1] + lifts[k - 1] - 2 * lifts[k]
-            f = a_plus + a_minus - 2 * lifts[k]
-            terms.append((1, Flattening(e, f)))
+        f_base = a_plus + basis.symbol_signed(nf.rational(2) - c)
+        chi_part = None
+    terms = [(1, Flattening(lifts[k + 1] + lifts[k - 1] - 2 * lifts[k],
+                            f_base - 2 * lifts[k]))
+             for k in span]
     out = ExtBlochSum(basis, terms, chi_part)
     if not out.is_in_Bhat():
         raise TorsionError("flattened generator has nonzero wedge")

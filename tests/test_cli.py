@@ -104,10 +104,36 @@ def test_json_output(capsys):
     assert out == json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def test_missing_file_is_input_error(capsys):
-    code, _, err = run(capsys, ["field", "info", "/no/such/file.json"])
+SUBCOMMANDS = [["field", "info"], ["bloch", "verify"], ["bloch", "regulator"],
+               ["fiveterm", "check"], ["torsion", "table"],
+               ["torsion", "generators"], ["torsion", "order"],
+               ["cycle", "invariant"]]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids="-".join)
+def test_missing_file_is_input_error(capsys, command):
+    prime = ["--prime", "2"] if command == ["torsion", "order"] else []
+    code, _, err = run(capsys, command + ["/no/such/file.json"] + prime)
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("content", ["5", '{"poly": [-2, 0, 1]}', "{"],
+                         ids=["number", "poly-key", "bad-json"])
+def test_malformed_fixture_is_input_error(capsys, tmp_path, content):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(content)
+    code, _, err = run(capsys, ["torsion", "table", str(fixture)])
+    assert code == 2
+    assert "input error" in err
+
+
+def test_bare_list_is_a_field_fixture(capsys, tmp_path):
+    fixture = tmp_path / "sqrt2.json"
+    fixture.write_text("[-2, 0, 1]")
+    code, out, _ = run(capsys, ["torsion", "table", str(fixture)])
+    assert code == 0
+    assert "w: 48" in out
 
 
 def test_low_precision_rejected(capsys):

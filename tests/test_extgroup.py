@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +98,7 @@ def test_wedge_warns_on_unsaturated_basis(rationals):
         WedgeElement(basis, [(1, e, e)]).is_zero()
 
 
-def test_fstar_wedge_uses_torsion_order(basis23):
+def test_fstar_wedge_uses_torsion_order(basis23, wedge_bases):
     # in F* the torsion generator has order 2, so mixed sums count mod 2
     t = basis23.element(1)
     g = basis23.element(0, {0: 1})
@@ -105,6 +106,109 @@ def test_fstar_wedge_uses_torsion_order(basis23):
     assert not basis23.fstar_wedge_is_zero([(1, t, g)])
     # over E the same combination is nonzero
     assert not basis23.wedge_is_zero([(2, t, g)])
+    # in the quartic field the torsion generator has order 6
+    quartic = wedge_bases[6]
+    t = quartic.element(1)
+    g = quartic.element(0, {0: 1})
+    assert quartic.fstar_wedge_is_zero([(6, t, g)])
+    assert quartic.fstar_wedge_is_zero([(1, quartic.iota(), g)])
+    assert not quartic.fstar_wedge_is_zero([(2, t, g)])
+    assert not quartic.wedge_is_zero([(6, t, g)])
+
+
+# The two wedge decisions as they stood before they were merged into one
+# routine, verbatim, as the reference for the merged one.  `self` needs
+# `m`, `saturated` and `_caveat(verdict)`.
+
+def reference_wedge_is_zero(self, terms):
+    terms = list(terms)
+    keys = set()
+    for _, e, f in terms:
+        keys.update(e.coords())
+        keys.update(f.coords())
+    keys = sorted(keys)
+    verdict = True
+    for a in keys:
+        diag = sum(n * e.coord(a) * f.coord(a) for n, e, f in terms)
+        if diag % 2 != 0:
+            verdict = False
+            break
+    if verdict:
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                off = sum(n * (e.coord(a) * f.coord(b)
+                               - e.coord(b) * f.coord(a))
+                          for n, e, f in terms)
+                if off != 0:
+                    verdict = False
+                    break
+            if not verdict:
+                break
+    if not verdict and not self.saturated:
+        warnings.warn("nonzero wedge verdict over an unsaturated basis",
+                      UnsaturatedBasis, stacklevel=2)
+    return verdict
+
+
+def reference_fstar_wedge_is_zero(self, terms):
+    terms = list(terms)
+    keys = sorted({j for _, e, f in terms for j, _ in e.r + f.r})
+    for a in keys:
+        if sum(n * e.coord(a) * f.coord(a) for n, e, f in terms) % 2:
+            return self._caveat(False)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            if sum(n * (e.coord(a) * f.coord(b) - e.coord(b) * f.coord(a))
+                   for n, e, f in terms) != 0:
+                return self._caveat(False)
+    for j in keys:
+        mixed = sum(n * (f.k * e.coord(j) - e.k * f.coord(j))
+                    for n, e, f in terms)
+        if mixed % self.m != 0:
+            return self._caveat(False)
+    if sum(n * e.k * f.k for n, e, f in terms) % 2:
+        return self._caveat(False)
+    return True
+
+
+@pytest.fixture(scope="module")
+def wedge_bases():
+    """Saturated bases keyed by the torsion order m: Q with 2, 3, 5, 7, and
+    the quartic fixture field with one free generator."""
+    q = NumberField([0, 1])
+    quartic = NumberField([1, -2, 2, -1, 1])
+    return {2: MultBasis(q, [q.rational(p) for p in (2, 3, 5, 7)],
+                         saturated=True),
+            6: MultBasis(quartic, [quartic.element([1, -2, 0, -1])],
+                         saturated=True)}
+
+
+@pytest.mark.parametrize("m", [2, 6])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_merged_wedge_decision_matches_the_old_routines(wedge_bases, m, data):
+    basis = wedge_bases[m]
+    coeff = st.integers(-3, 3)
+    element = st.builds(basis.element, st.integers(-2 * m, 2 * m),
+                        st.dictionaries(st.integers(0, basis.num_gens() - 1),
+                                        st.integers(-3, 3)))
+    terms = data.draw(st.lists(st.tuples(coeff, element, element),
+                               max_size=4))
+    if data.draw(st.booleans()):
+        # symmetrized sums vanish in both exterior squares
+        terms += [(n, f, e) for n, e, f in terms]
+    # torsion/free terms n * (kT /\ e); with k a multiple of m these are
+    # the pure-central terms n * (c*m*T /\ e)
+    torsion = st.integers(-2 * m, 2 * m).map(basis.element)
+    central = st.integers(-2, 2).map(basis.iota)
+    terms += data.draw(st.lists(st.tuples(coeff, torsion | central, element),
+                                max_size=3))
+    terms = data.draw(st.permutations(terms))
+    ref = SimpleNamespace(m=m, saturated=True, _caveat=lambda verdict: verdict)
+    assert basis.m == m
+    assert basis.wedge_is_zero(terms) == reference_wedge_is_zero(ref, terms)
+    assert basis.fstar_wedge_is_zero(terms) == \
+        reference_fstar_wedge_is_zero(ref, terms)
 
 
 def test_symbolic_basis_dedupes_values(rationals):

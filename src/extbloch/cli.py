@@ -10,8 +10,9 @@ Subcommands:
     torsion order FIELD.json --prime P
     cycle invariant TRIANGULATION.json
 
-Common flags: --precision N (decimal digits, >= 20, default 50),
---tolerance E (exponent of the comparison tolerance), --symmetric-range
+Only `torsion generators` (optionally) and `torsion order` (always) take
+--prime P.  Common flags: --precision N (decimal digits, >= 20, default
+50), --tolerance E (exponent of the comparison tolerance), --symmetric-range
 (display regulators with real part in [-2*pi^2, 2*pi^2) instead of
 [0, 4*pi^2)), --json.
 
@@ -225,7 +226,7 @@ def cmd_torsion_generators(data, args, cfg):
 def cmd_torsion_order(data, args, cfg):
     field = _field_of(data)
     s = flattened_torsion(field, args.prime, min(cfg.precision, 48))
-    order = certify_order(s, cfg.precision)
+    order = certify_order(s, cfg.precision, tolerance=cfg.tolerance_value)
     return {"prime": args.prime, "order": order}
 
 
@@ -304,7 +305,7 @@ COMMANDS = (
     ("bloch", "verify", cmd_bloch_verify, None),
     ("bloch", "regulator", cmd_bloch_regulator, None),
     ("fiveterm", "check", cmd_fiveterm_check, None),
-    ("torsion", "table", cmd_torsion_table, "optional"),
+    ("torsion", "table", cmd_torsion_table, None),
     ("torsion", "generators", cmd_torsion_generators, "optional"),
     ("torsion", "order", cmd_torsion_order, "required"),
     ("cycle", "invariant", cmd_cycle_invariant, None),

@@ -586,13 +586,14 @@ class ManifoldInvariant:
     imaginary_parts: list
     dilogarithm_sums: list
     precision: int
+    tolerance: object = None   # overrides the default of the precision
 
     @property
     def matches(self):
         """Whether Im(regulator) equals the Bloch-Wigner sum at every
-        embedding, within the tolerance of the precision."""
+        embedding, within the tolerance (field.tolerance)."""
         with mp.workdps(self.precision + guard_digits(self.precision)):
-            tol = _tolerance(self.precision)
+            tol = _tolerance(self.precision, self.tolerance)
             return all(abs(a - b) < tol
                        for a, b in zip(self.imaginary_parts,
                                        self.dilogarithm_sums))
@@ -739,4 +740,5 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
     return ManifoldInvariant(element=element, flattenings=fls,
                              regulator=regulator,
                              imaginary_parts=imaginary_parts,
-                             dilogarithm_sums=dsums, precision=precision)
+                             dilogarithm_sums=dsums, precision=precision,
+                             tolerance=tolerance)

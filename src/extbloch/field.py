@@ -7,18 +7,22 @@ are dense low-to-high coefficient tuples.
 
 Numeric embeddings evaluate elements at the complex roots of p at a
 requested decimal precision.  The roots are isolated once per field at low
-precision and refined by Newton's method for each precision requested; the
-refined roots must be separated (disjoint Newton disks) and leave a small
-residue, or the roots are isolated again at higher precision.  Membership
-of an algebraic number given by its minimal polynomial q (roots of unity,
-cosines 2cos(2pi/n), roots of p itself) is decided in two steps.  A "no" is
-always exact: either deg q does not divide deg p, or q has no root modulo a
-split prime of the field, a prime with a degree-one prime ideal above it.
-A "yes" comes from exact integer lattice reduction (LLL) against powers of
-the generator in one embedding, at the root of q that Newton's method
-reaches from the caller's approximation, followed by exact verification, at
-escalating precision; a failed verification is an error
-(PrecisionExhausted), never a wrong answer.
+precision and refined by Newton's method; the field keeps its most precise
+refinement, rounds it for a request that needs no more digits and refines
+it further for one that needs more.  The refined roots must be separated
+(disjoint Newton disks) and leave a small residue, or the roots are
+isolated again at higher precision.  Membership of an algebraic number
+given by its minimal polynomial q (roots of unity, cosines 2cos(2pi/n),
+roots of p itself) is decided in four steps.  A "no" is always exact:
+either deg q does not divide deg p, or q has no root modulo a split prime
+of the field, a prime with a degree-one prime ideal above it.  A "yes"
+comes from exact integer lattice reduction (LLL) against powers of the
+generator in one embedding, at the root of q that Newton's method reaches
+from the caller's approximation, followed by exact verification.  The
+steps: the first few split primes; one reconstruction at the requested
+precision; the rest of the split primes; reconstruction at escalating
+precision.  A failed verification is an error (PrecisionExhausted), never
+a wrong answer.
 """
 from __future__ import annotations
 
@@ -258,6 +262,7 @@ def cos2pi_minpoly(n):
 # in F, using integer arithmetic only.
 
 SPLIT_PRIMES = 30   # split primes a field keeps for the certificate
+SIEVE_FIRST = 4     # of them, the ones tried before any reconstruction
 
 
 def integral_model(poly):
@@ -364,12 +369,13 @@ def _fp_squarefree(poly, ell):
     return bool(deriv) and len(_fp_gcd(m, deriv, ell)) == 1
 
 
-def nonmembership_prime(q, nf):
-    """A split prime of nf at which the integral model of the monic rational
-    polynomial q has no root, or None.  A prime is an exact proof that q has
-    no root in nf; None proves nothing."""
+def nonmembership_prime(q, nf, start=0, stop=SPLIT_PRIMES):
+    """A split prime of nf, from the start-th to the (stop-1)-th, at which
+    the integral model of the monic rational polynomial q has no root, or
+    None.  A prime is an exact proof that q has no root in nf; None proves
+    nothing."""
     q_int = integral_model(q)[1]
-    return next((ell for ell in nf.split_primes
+    return next((ell for ell in nf.split_primes(stop)[start:]
                  if not _fp_has_root(q_int, ell)), None)
 
 
@@ -763,7 +769,9 @@ class NumberField:
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self._root_cache = {}
-        self._isolation = None   # (digits, root approximations) that worked
+        self._refined = None     # (digits, roots): the most precise refinement
+        self._split_primes = []  # split primes found so far, ascending
+        self._split_search = None
         r1 = count_real_roots(self.poly)
         self.signature = (r1, (self.degree - r1) // 2)
         self.one = self.rational(1)
@@ -779,15 +787,19 @@ class NumberField:
         generator, detected on first use."""
         return detect_roots_of_unity(self)
 
-    @functools.cached_property
-    def split_primes(self):
-        """The first SPLIT_PRIMES primes at which the integral model of
-        the defining polynomial is squarefree and has a root."""
-        p_int = integral_model(self.poly)[1]
-        return tuple(itertools.islice(
-            (ell for ell in _primes()
-             if _fp_has_root(p_int, ell) and _fp_squarefree(p_int, ell)),
-            SPLIT_PRIMES))
+    def split_primes(self, count=SPLIT_PRIMES):
+        """The first `count` primes at which the integral model of the
+        defining polynomial is squarefree and has a root, found on first
+        use and kept."""
+        if len(self._split_primes) < count:
+            if self._split_search is None:
+                p_int = integral_model(self.poly)[1]
+                self._split_search = (
+                    ell for ell in _primes()
+                    if _fp_has_root(p_int, ell) and _fp_squarefree(p_int, ell))
+            self._split_primes += itertools.islice(
+                self._split_search, count - len(self._split_primes))
+        return tuple(self._split_primes[:count])
 
     @functools.cached_property
     def denominator_bound(self):
@@ -816,33 +828,41 @@ class NumberField:
     def roots(self, precision):
         """All d roots in the deterministic order, at the given precision.
 
-        The roots are isolated once per field (mpmath.polyroots at
-        ISOLATION_DIGITS digits) and, for each precision, refined by Newton's
-        method to 2*precision + 40 digits.  The refined roots must be
-        separated (`_refine_roots`); if they are not, the roots are isolated
-        again at doubled precision, up to ISOLATION_DOUBLINGS times, and then
-        PrecisionExhausted is raised.  Order: the real roots ascending, then
-        one representative per conjugate pair (positive imaginary part) by
-        real part, then imaginary part.  Every root must leave a residue
-        |p(z)| <= 10^-precision.
+        Each precision needs the roots to 2*precision + 40 digits.  The
+        field keeps its most precise refinement of all d roots: a request
+        that needs no more digits rounds it (their separation is already
+        proven), one that needs more refines it by Newton's method.  The
+        first request isolates the roots (mpmath.polyroots at
+        ISOLATION_DIGITS digits) and refines them.  The refined roots must
+        be separated (`_refine_roots`); if they are not, the roots are
+        isolated again at doubled precision, up to ISOLATION_DOUBLINGS
+        times, and then PrecisionExhausted is raised.  Order: the real
+        roots ascending, then one representative per conjugate pair
+        (positive imaginary part) by real part, then imaginary part.  Every
+        root must leave a residue |p(z)| <= 10^-precision.
         """
         if precision in self._root_cache:
             return self._root_cache[precision]
         r1 = self.signature[0]
-        digits, approx = self._isolation or (ISOLATION_DIGITS, None)
-        while True:
-            approx = approx or _isolate_roots(self.poly, digits)
-            raw = approx and _refine_roots(self.poly, approx, digits,
-                                           2 * precision + 40)
-            if raw:
-                self._isolation = (digits, approx)
-                break
-            if digits >= ISOLATION_DIGITS << ISOLATION_DOUBLINGS:
+        target = 2 * precision + 40
+        digits, raw = self._refined or (0, None)
+        if digits < target:
+            # roots correct to `digits` digits pass Newton's convergence
+            # test at twice as many, so refinement may start there
+            raw = raw and _refine_roots(self.poly, raw, 2 * digits, target)
+            for doublings in range(ISOLATION_DOUBLINGS + 1):
+                if raw:
+                    break
+                isolation = ISOLATION_DIGITS << doublings
+                approx = _isolate_roots(self.poly, isolation)
+                raw = approx and _refine_roots(self.poly, approx, isolation,
+                                               target)
+            if not raw:
                 raise PrecisionExhausted(
                     f"roots of {self!r} not separated after isolation at "
-                    f"{digits} digits")
-            digits, approx = 2 * digits, None
-        with mp.workdps(2 * precision + 40):
+                    f"{ISOLATION_DIGITS << ISOLATION_DOUBLINGS} digits")
+            self._refined = (target, raw)
+        with mp.workdps(target):
             coeffs_high_first = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
                                  for c in reversed(self.poly)]
             raw = sorted(raw, key=lambda z: abs(mp.im(z)))
@@ -925,12 +945,14 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
     nf: either deg q does not divide the field degree, or a split prime of
     nf leaves q without a root (`nonmembership_prime`).
 
-    A q the certificate does not exclude is reconstructed by lattice
-    reduction at `precision` and `den_bound`; if no candidate verifies, again
-    with the bound raised to the field's `denominator_bound` and the
-    precision doubled, up to 2^ESCALATIONS times the request.  If that also
-    fails, PrecisionExhausted is raised: a numeric failure never reads as
-    absence.
+    The order of the search: the first SIEVE_FIRST split primes; one
+    reconstruction by lattice reduction at `precision` and `den_bound`; the
+    remaining split primes, up to SPLIT_PRIMES; then reconstruction with the
+    bound raised to the field's `denominator_bound` and the precision
+    doubled, up to 2^ESCALATIONS times the request.  A verified root makes
+    the remaining primes moot, since none of them can exclude a member.  If
+    every escalation fails too, PrecisionExhausted is raised: a numeric
+    failure never reads as absence.
     """
     q = _trim([Fraction(c) for c in min_poly_coeffs])
     if len(q) < 2:
@@ -941,12 +963,17 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
         return None
     if deg_q == 1:
         return nf.rational(-q[0])
-    if nonmembership_prime(q, nf) is not None:
+    if nonmembership_prime(q, nf, 0, SIEVE_FIRST) is not None:
         return None
     precision = precision or 48
-    found = _reconstruct_root(q, approx, nf, precision, den_bound)
+    try:
+        found = _reconstruct_root(q, approx, nf, precision, den_bound)
+    except PrecisionExhausted:
+        found = None
     if found is not None:
         return found
+    if nonmembership_prime(q, nf, SIEVE_FIRST) is not None:
+        return None
     den_bound = max(den_bound, nf.denominator_bound * integral_model(q)[0])
     for step in range(1, ESCALATIONS + 1):
         found = _reconstruct_root(q, approx, nf, precision << step, den_bound)
@@ -955,7 +982,7 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
     raise PrecisionExhausted(
         f"no root of [{', '.join(map(str, q))}] reconstructed in {nf!r} up "
         f"to {precision << ESCALATIONS} digits, and none of its "
-        f"{len(nf.split_primes)} split primes excludes one")
+        f"{SPLIT_PRIMES} split primes excludes one")
 
 
 def _reconstruct_root(q, approx, nf, precision, den_bound):

@@ -191,12 +191,13 @@ def flattened_torsion(nf, p, precision=48):
     return out
 
 
-def certify_order(s, precision=50, max_den=10 ** 4):
+def certify_order(s, precision=50, max_den=10 ** 4, tolerance=None):
     """Certified order of a torsion element: the lcm over all embeddings of
-    the order of its regulator value in C modulo 4*pi^2."""
+    the order of its regulator value in C modulo 4*pi^2.  `tolerance`
+    overrides the default of the precision (field.tolerance)."""
     orders = []
-    for v in reg_vector(s, precision):
-        k = torsion_order(v, max_den=max_den)
+    for v in reg_vector(s, precision, tolerance):
+        k = torsion_order(v, max_den=max_den, tolerance=tolerance)
         if k is None:
             raise NotTorsion("a regulator value admits no rational "
                              "reconstruction against 4*pi^2")

@@ -167,3 +167,22 @@ def test_field_info_automorphisms_of_a_non_galois_field(capsys, tmp_path):
     code, out, _ = run(capsys, ["field", "info", str(fixture), "--json"])
     assert code == 0
     assert json.loads(out)["result"]["automorphisms"] == expected
+
+
+def test_torsion_order_honours_tolerance(capsys):
+    # at 50 digits the regulator's imaginary part at the real embeddings
+    # is ~1e-61: within the default 1e-40, not within 1e-200
+    argv = ["torsion", "order", f"{FIXTURES}/field_sqrt2.json",
+            "--prime", "2"]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--tolerance", "-200"])
+    assert code == 3 and out == ""
+    assert "math error" in err
+
+
+def test_torsion_table_takes_no_prime(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "table", f"{FIXTURES}/field_sqrt2.json",
+              "--prime", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prime 3" in capsys.readouterr().err

@@ -11,8 +11,9 @@ from extbloch.bloch import chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
 from extbloch.cochain import (CochainError, EdgeConditionFailed, IdealCochain,
-                              LiftedCochain, NotACocycle, NotGeneralPosition,
-                              NotIdeal, Triangulated3Cycle, cyclic_cochain,
+                              LiftedCochain, ManifoldInvariant, NotACocycle,
+                              NotGeneralPosition, NotIdeal,
+                              Triangulated3Cycle, cyclic_cochain,
                               cyclic_cycle, edge_conditions,
                               flag_boundary_check, flag_lambda,
                               is_lifted_five_term, lambda_sl2,
@@ -434,3 +435,14 @@ def test_degenerate_shape_rejected():
     data["shapes"][0] = [1]
     with pytest.raises(NotIdeal):
         manifold_invariant(data, 30)
+
+
+def test_matches_uses_the_given_tolerance():
+    # a gap of 1e-30 passes the default tolerance of 30 digits (1e-20)
+    # and fails an explicit 1e-40
+    with mp.workdps(60):
+        gap = [mp.mpf(1)], [1 + mp.mpf(10) ** -30]
+        inv = ManifoldInvariant(None, (), [], *gap, precision=30)
+        strict = ManifoldInvariant(None, (), [], *gap, precision=30,
+                                   tolerance=mp.mpf(10) ** -40)
+    assert inv.matches and not strict.matches

@@ -138,6 +138,33 @@ def test_roots_agree_with_polyroots_at_triple_precision(name):
                 assert abs(z - w) < mp.mpf(10) ** -precision, (precision, z, w)
 
 
+_FRESH = {}
+
+
+def _fresh_roots(name, precision):
+    """The roots of a newly built field at one precision, computed once."""
+    if (name, precision) not in _FRESH:
+        _FRESH[name, precision] = NumberField(FIELDS[name]).roots(precision)
+    return _FRESH[name, precision]
+
+
+@given(name=st.sampled_from(["Q", "sqrt2", "i", "sqrt-3", "quartic", "x4+1",
+                             "x6-7"]),
+       precisions=st.lists(st.sampled_from([20, 44, 48, 50, 100, 200]),
+                           min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_roots_do_not_depend_on_earlier_requests(name, precisions):
+    # a field reuses or refines its most precise roots; each answer must be
+    # that of a field asked at this precision first
+    nf = NumberField(FIELDS[name])
+    for precision in precisions:
+        ours, fresh = nf.roots(precision), _fresh_roots(name, precision)
+        assert len(ours) == len(fresh)
+        with mp.workdps(2 * precision + 40):
+            for z, w in zip(ours, fresh):
+                assert abs(z - w) < mp.mpf(10) ** -(2 * precision + 30)
+
+
 def test_pairs_with_equal_real_parts_keep_their_order():
     # (x - 7)^4 + 3 (x - 7)^2 + 1: roots 7 +- i/phi and 7 +- i*phi, so the
     # order of the two pairs rests on the imaginary parts alone
@@ -168,7 +195,7 @@ def test_close_roots_are_isolated_again(monkeypatch):
     with mp.workdps(100):
         assert abs(roots[0] - 1) < mp.mpf(10) ** -44
         assert abs(roots[1] - 1 - mp.mpf(10) ** -30) < mp.mpf(10) ** -44
-    # the isolation that separated them serves every later precision
+    # later precisions refine the roots the field kept, with no isolation
     isolations.clear()
     nf.roots(60)
     assert isolations == []

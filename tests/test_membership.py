@@ -9,7 +9,7 @@ from mpmath import mp
 
 import extbloch.field as field_mod
 from extbloch.cli import main
-from extbloch.field import (NumberField, PrecisionExhausted,
+from extbloch.field import (SIEVE_FIRST, NumberField, PrecisionExhausted,
                             ReconstructionFailed, cos2pi_minpoly, cyclotomic,
                             discriminant, element_in_field, euler_phi,
                             integral_model, nonmembership_prime)
@@ -120,6 +120,38 @@ def test_misses_run_no_lattice_reduction(monkeypatch):
     with mp.workdps(48):
         assert element_in_field([-3, 0, 1], mp.sqrt(3), sqrt2) is None
     assert sqrt2.torsion[0] == 2
+
+
+def test_late_witness_still_excludes(monkeypatch):
+    # sqrt(285) is not in Q(i); the first split prime of Q(i) at which
+    # x^2 - 285 has no root comes after the first SIEVE_FIRST
+    nf = NumberField([1, 0, 1])
+    q = [-285, 0, 1]
+    assert nonmembership_prime(q, nf, 0, SIEVE_FIRST) is None
+    assert nonmembership_prime(q, nf) is not None
+    attempts = []
+    reconstruct_at = field_mod.reconstruct_at
+    monkeypatch.setattr(field_mod, "reconstruct_at",
+                        lambda *a, **k: attempts.append(a[3])
+                        or reconstruct_at(*a, **k))
+    with mp.workdps(48):
+        assert element_in_field(q, mp.sqrt(285), nf) is None
+    # one reconstruction, at the requested precision, then the full sieve
+    assert attempts and set(attempts) == {48}
+
+
+def test_member_tests_only_the_first_split_primes(monkeypatch):
+    nf = NumberField([-2, 0, 1])
+    q = (-8, 0, 1)   # 2*sqrt2
+    tested = []
+    has_root = field_mod._fp_has_root
+    monkeypatch.setattr(field_mod, "_fp_has_root",
+                        lambda poly, ell: tested.append(tuple(poly))
+                        or has_root(poly, ell))
+    with mp.workdps(48):
+        w = element_in_field(q, 2 * mp.sqrt(2), nf)
+    assert w * w == nf.rational(8)
+    assert tested.count(q) == SIEVE_FIRST
 
 
 def test_unreconstructed_survivor_raises(monkeypatch, tmp_path, capsys):

@@ -15,7 +15,7 @@ over a saturated basis means all its exponents are even.
 """
 from __future__ import annotations
 
-from .extgroup import ExtElement, NotInSubgroup, WedgeElement
+from .extgroup import ExtElement, NotInSubgroup
 from .field import FieldElement
 
 
@@ -87,22 +87,18 @@ class ExtBlochSum:
                 continue
             if fl.basis is not basis:
                 raise BlochError("terms over different bases")
-            key = (tuple(fl.z.coeffs),
-                   fl.e.k % basis.m if basis.m else fl.e.k, fl.e.r,
-                   fl.f.k % basis.m if basis.m else fl.f.k, fl.f.r)
+            key = (tuple(fl.z.coeffs), fl.e.k % basis.m, fl.e.r,
+                   fl.f.k % basis.m, fl.f.r)
             merged.setdefault(key, []).append((int(n), fl))
         out = []
         for key in sorted(merged):
             group = merged[key]
             any_fl = group[0][1]
-            if basis.m:
-                # canonical translate: central coordinates reduced to [0, m)
-                base = Flattening(
-                    ExtElement(basis, any_fl.e.k % basis.m, any_fl.e.r),
-                    ExtElement(basis, any_fl.f.k % basis.m, any_fl.f.r),
-                    _skip_check=True)
-            else:
-                base = any_fl
+            # canonical translate: central coordinates reduced to [0, m)
+            base = Flattening(
+                ExtElement(basis, any_fl.e.k % basis.m, any_fl.e.r),
+                ExtElement(basis, any_fl.f.k % basis.m, any_fl.f.r),
+                _skip_check=True)
             total = 0
             for n, fl in group:
                 p = (fl.e.k - base.e.k) // basis.m
@@ -153,16 +149,17 @@ class ExtBlochSum:
         return f"EBS({body}; chi={self.chi_part!r})"
 
     def nu_hat(self):
-        """The wedge of the combination; a chi term chi(e) contributes the
-        wedge of e with the central generator (the difference of the wedges
-        of its two defining flattenings)."""
+        """The wedge of the combination, as wedge_is_zero's terms (n, e, f);
+        a chi term chi(e) contributes the wedge of e with the central
+        generator (the difference of the wedges of its two defining
+        flattenings)."""
         terms = [(n, fl.e, fl.f) for n, fl in self.terms]
         if not self.chi_part.is_zero():
             terms.append((1, self.chi_part, self.basis.iota()))
-        return WedgeElement(self.basis, terms)
+        return terms
 
     def is_in_Bhat(self):
-        return self.nu_hat().is_zero()
+        return self.basis.wedge_is_zero(self.nu_hat())
 
     def project(self):
         """The underlying plain combination of cross-ratios (chi terms have
@@ -362,7 +359,7 @@ def change_torsion_generator(s, new_basis):
 # ---------------------------------------------------------------------------
 # Galois action
 
-def galois_apply(tau, s, basis=None):
+def galois_apply(tau, s):
     """Apply a field automorphism (given by the image of the generator)
     termwise.  For extension-level sums the coordinates are re-expressed by
     lifting the images of the basis generators over the same basis."""

@@ -11,10 +11,11 @@ Subcommands:
     cycle invariant TRIANGULATION.json
 
 Only `torsion generators` (optionally) and `torsion order` (always) take
---prime P.  Common flags: --precision N (decimal digits, >= 20, default
-50), --tolerance E (exponent of the comparison tolerance), --symmetric-range
-(display regulators with real part in [-2*pi^2, 2*pi^2) instead of
-[0, 4*pi^2)), --json.
+--prime P, a prime.  Common flags: --precision N (digits of embeddings,
+regulators and certified orders, >= 20, default 50), --tolerance E
+(exponent of the comparison tolerance, -(N + guard digits) < E < 0),
+--symmetric-range (display regulators with real part in [-2*pi^2, 2*pi^2)
+instead of [0, 4*pi^2)), --json.
 
 Exit codes: 0 success, 2 input error, 3 mathematical failure, 4 precision
 exhausted (including a field member that did not reconstruct at escalated
@@ -30,7 +31,7 @@ import warnings
 from mpmath import mp
 
 from .field import (FieldError, NumberField, PrecisionExhausted,
-                    element_in_field, guard_digits, tolerance)
+                    element_in_field, guard_digits, is_prime, tolerance)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -134,8 +135,7 @@ def cmd_field_info(data, args, cfg):
             if not ctx.is_real:
                 approxes.append(ctx.conjugated().root())
     for approx in approxes:
-        if element_in_field(list(field.poly), approx, field,
-                            min(cfg.precision, 48)) is not None:
+        if element_in_field(list(field.poly), approx, field) is not None:
             autos += 1
     digits = min(cfg.precision, 30)
     with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
@@ -197,7 +197,7 @@ def cmd_fiveterm_check(data, args, cfg):
 
 def cmd_torsion_table(data, args, cfg):
     field = _field_of(data)
-    profile = torsion_profile(field, min(cfg.precision, 48))
+    profile = torsion_profile(field)
     return {
         "m": profile.m,
         "w": profile.w,
@@ -208,13 +208,13 @@ def cmd_torsion_table(data, args, cfg):
 
 def cmd_torsion_generators(data, args, cfg):
     field = _field_of(data)
-    profile = torsion_profile(field, min(cfg.precision, 48))
+    profile = torsion_profile(field)
     primes = [args.prime] if args.prime else \
         [p for p in profile.primes if profile.nu[p] > 0]
     out = {}
     for p in primes:
         try:
-            b = beta_p(field, p, min(cfg.precision, 48))
+            b = beta_p(field, p)
         except NotApplicable:
             out[str(p)] = "none"
             continue
@@ -225,7 +225,7 @@ def cmd_torsion_generators(data, args, cfg):
 
 def cmd_torsion_order(data, args, cfg):
     field = _field_of(data)
-    s = flattened_torsion(field, args.prime, min(cfg.precision, 48))
+    s = flattened_torsion(field, args.prime)
     order = certify_order(s, cfg.precision, tolerance=cfg.tolerance_value)
     return {"prime": args.prime, "order": order}
 
@@ -272,6 +272,13 @@ def _render(payload, cfg, stream):
             print(f"{key}: {value}", file=stream)
 
 
+def prime(text):
+    """The argparse type of --prime: a prime integer."""
+    if not is_prime(int(text)):
+        raise argparse.ArgumentTypeError(f"{text} is not prime")
+    return int(text)
+
+
 def _add_common(parser):
     parser.add_argument("--precision", type=int, default=50,
                         help="working decimal digits (>= 20)")
@@ -288,6 +295,10 @@ class RunConfig:
         if self.precision < 20:
             raise InputError("precision must be at least 20")
         self.tolerance = args.tolerance
+        floor = -(self.precision + guard_digits(self.precision))
+        if self.tolerance is not None and not floor < self.tolerance < 0:
+            raise InputError(f"tolerance exponent must lie strictly between "
+                             f"{floor} and 0 at precision {self.precision}")
         self.symmetric_range = args.symmetric_range
         self.json = args.json
 
@@ -318,15 +329,15 @@ def build_parser():
         description="Extended Bloch group computations over number fields")
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name, handler, prime in COMMANDS:
+    for group, name, handler, takes_prime in COMMANDS:
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(
                 dest="sub", required=True)
         p = groups[group].add_parser(name)
         p.add_argument("fixture")
-        if prime:
-            p.add_argument("--prime", type=int,
-                           required=(prime == "required"))
+        if takes_prime:
+            p.add_argument("--prime", type=prime,
+                           required=(takes_prime == "required"))
         _add_common(p)
         p.set_defaults(handler=handler)
     return parser

@@ -599,32 +599,35 @@ class ManifoldInvariant:
                                        self.dilogarithm_sums))
 
 
+def _translate_coefficients(cycle, reps):
+    """Rows p_0, q_0, p_1, q_1, ...: the central units that one unit of
+    each translate adds to the edge sum of each 1-cell in reps.  A unit of
+    p on simplex t raises its e (and lowers g = f - e) by the central unit,
+    one of q lowers -f (and raises g), all weighted by the sign of t."""
+    coeffs = []
+    for t in range(cycle.num_simplices):
+        sign = cycle.orientations[t]
+        for unit in ({"e": 1, "g": -1}, {"g": 1, "f": -1}):
+            row = dict.fromkeys(reps, 0)
+            for edge, kind in _EDGE_PARAM.items():
+                row[cycle.edge_class(t, *edge)] += sign * unit.get(kind, 0)
+            coeffs.append([row[rep] for rep in reps])
+    return coeffs
+
+
 def _search_translates(cycle, basis, build, precision, search_bound):
     """Lexicographically first translate assignment whose edge sums vanish.
 
     The sums depend on the translates only through integer multiples of the
     central unit, so the scan only needs the base lifts per 1-cell and the
-    integer coefficient of each translate, both computed once.
+    integer coefficient of each translate (_translate_coefficients).
     """
     n = cycle.num_simplices
-
-    def totals_of(pqs):
-        return edge_conditions(cycle, build(pqs)).totals
-
-    zero = [(0, 0)] * n
-    base = totals_of(zero)
+    base = edge_conditions(cycle, build([(0, 0)] * n)).totals
     if any(not tot.pi().is_one() for tot in base.values()):
         return None
     reps = sorted(base)
-    m = basis.m
-    coeffs = []
-    for t in range(n):
-        for slot in (0, 1):
-            pqs = list(zero)
-            pqs[t] = (1, 0) if slot == 0 else (0, 1)
-            bumped = totals_of(pqs)
-            coeffs.append([(bumped[rep].k - base[rep].k) // m
-                           for rep in reps])
+    coeffs = _translate_coefficients(cycle, reps)
     # the base lift of each class total is an integer multiple of the lift
     # of the central unit; the translates must cancel exactly that multiple
     targets = None

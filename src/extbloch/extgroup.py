@@ -137,12 +137,10 @@ class _BasisCommon:
 
     def half(self):
         """The element 1/2; exists because m is even."""
-        if self.m % 2:
-            raise ExtGroupError("torsion order is odd; no half available")
         return ExtElement(self, self.m // 2)
 
     def pi(self, e):
-        out = self.torsion_gen ** (e.k % self.m if self.m else e.k)
+        out = self.torsion_gen ** (e.k % self.m)
         for j, exp in e.r:
             out = out * self.gen_value(j) ** exp
         return out
@@ -183,23 +181,6 @@ def _wedge_vanishes(terms, torsion_modulus):
     return True
 
 
-class WedgeElement:
-    """A formal integer combination of wedges, held unexpanded.  Zero-ness is
-    decided only by the basis decision procedure, never by naive expansion."""
-
-    def __init__(self, basis, terms):
-        self.basis = basis
-        self.terms = tuple((int(n), e, f) for n, e, f in terms)
-
-    def __add__(self, other):
-        if not isinstance(other, WedgeElement) or other.basis is not self.basis:
-            return NotImplemented
-        return WedgeElement(self.basis, self.terms + other.terms)
-
-    def is_zero(self):
-        return self.basis.wedge_is_zero(self.terms)
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -211,6 +192,9 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+EXP_BOUND = 64   # largest |exponent| log_lift recovers per free generator
 
 
 class MultBasis(_BasisCommon):
@@ -259,11 +243,10 @@ class MultBasis(_BasisCommon):
     def num_gens(self):
         return len(self.free_gens)
 
-    def _log_moduli(self, precision=None):
-        precision = precision or self.precision
-        with mp.workdps(precision + guard_digits(precision)):
+    def _log_moduli(self):
+        with mp.workdps(self.precision + guard_digits(self.precision)):
             rows = []
-            for ctx in self.field.embeddings(precision):
+            for ctx in self.field.embeddings(self.precision):
                 rows.append([mp.log(abs(ctx.evaluate(p)))
                              for p in self.free_gens])
             return rows
@@ -280,21 +263,22 @@ class MultBasis(_BasisCommon):
             det = mp.det(gram)
             return abs(det) > rounding_tolerance(self.precision)
 
-    def log_lift(self, z, exp_bound=64):
+    def log_lift(self, z):
         """Coordinates (k, r) of a field element lying in the subgroup
         generated by the basis; exact verification is the authority.
 
-        Free exponents are recovered by least squares on log-moduli across
-        all embeddings (exact small-prime factorization over Q), then k by
-        exact matching of the remaining root of unity."""
+        Free exponents, at most EXP_BOUND in absolute value, are recovered
+        by least squares on log-moduli across all embeddings (exact
+        small-prime factorization over Q), then k by exact matching of the
+        remaining root of unity."""
         if not isinstance(z, FieldElement) or z.field != self.field:
             raise FieldError("element belongs to a different field")
         if z.is_zero():
             raise NotInSubgroup("zero is not in the multiplicative group")
         if self.field.degree == 1:
-            r = self._factor_rational(z.as_fraction(), exp_bound)
+            r = self._factor_rational(z.as_fraction())
         else:
-            r = self._free_exponents(z, exp_bound)
+            r = self._free_exponents(z)
         rest = z
         for j, e in enumerate(r):
             if e:
@@ -312,7 +296,7 @@ class MultBasis(_BasisCommon):
         would be a root of unity of order 2m)."""
         return self._caveat(_wedge_vanishes(terms, self.m), "nonzero wedge")
 
-    def _free_exponents(self, z, exp_bound):
+    def _free_exponents(self, z):
         with mp.workdps(self.precision + guard_digits(self.precision)):
             rows = self._log_moduli()
             rhs = [mp.log(abs(ctx.evaluate(z)))
@@ -323,12 +307,12 @@ class MultBasis(_BasisCommon):
         out = []
         for x in sol:
             e = int(mp.nint(x))
-            if abs(e) > exp_bound:
+            if abs(e) > EXP_BOUND:
                 raise NotInSubgroup("recovered exponent exceeds the bound")
             out.append(e)
         return out
 
-    def _factor_rational(self, q, exp_bound):
+    def _factor_rational(self, q):
         """Exact exponent recovery over Q: factor |q| over the basis values,
         which must be rational, by repeated exact division."""
         out = [0] * len(self.free_gens)
@@ -339,10 +323,10 @@ class MultBasis(_BasisCommon):
                 raise NotInSubgroup("rational factorization needs integer "
                                     "basis values greater than one")
             pv = pv.numerator
-            while num % pv == 0 and out[j] < exp_bound:
+            while num % pv == 0 and out[j] < EXP_BOUND:
                 num //= pv
                 out[j] += 1
-            while den % pv == 0 and -out[j] < exp_bound:
+            while den % pv == 0 and -out[j] < EXP_BOUND:
                 den //= pv
                 out[j] -= 1
         if num != 1 or den != 1:

@@ -19,10 +19,10 @@ of the field, a prime with a degree-one prime ideal above it.  A "yes"
 comes from exact integer lattice reduction (LLL) against powers of the
 generator in one embedding, at the root of q that Newton's method reaches
 from the caller's approximation, followed by exact verification.  The
-steps: the first few split primes; one reconstruction at the requested
-precision; the rest of the split primes; reconstruction at escalating
+steps: the first few split primes; one reconstruction at MEMBERSHIP_DIGITS
+digits; the rest of the split primes; reconstruction at escalating
 precision.  A failed verification is an error (PrecisionExhausted), never
-a wrong answer.
+a wrong answer, so membership takes no precision from the caller.
 """
 from __future__ import annotations
 
@@ -243,7 +243,7 @@ def cos2pi_minpoly(n):
     d_cur = (Fraction(0), Fraction(1))
     out = tuple([phi[h]])
     for k in range(1, h + 1):
-        out = _padd(out, _pmul((phi[h + k],), d_cur if k == 1 else d_cur))
+        out = _padd(out, _pmul((phi[h + k],), d_cur))
         if k < h:
             d_prev, d_cur = d_cur, _padd(_pmul((Fraction(0), Fraction(1)), d_cur), _pneg(d_prev))
     return out
@@ -301,13 +301,17 @@ def discriminant(poly):
     return (-1) ** (d * (d - 1) // 2) * res
 
 
+def is_prime(n):
+    """Whether the integer n is prime, by trial division.
+
+    >>> [n for n in (-3, 0, 1, 2, 4, 7) if is_prime(n)]
+    [2, 7]
+    """
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def _primes():
-    found = []
-    for n in itertools.count(2):
-        small = itertools.takewhile(lambda p: p * p <= n, found)
-        if all(n % p for p in small):
-            found.append(n)
-            yield n
+    return filter(is_prime, itertools.count(2))
 
 
 def _fp_trim(a):
@@ -382,7 +386,7 @@ def nonmembership_prime(q, nf, start=0, stop=SPLIT_PRIMES):
 # ---------------------------------------------------------------------------
 # lattice reduction (LLL) over the integers, used for reconstruction
 
-def lll_reduce(basis, delta=Fraction(99, 100)):
+def lll_reduce(basis):
     """LLL-reduce a list of linearly independent integer vectors (rows).
     Returns new rows spanning the same lattice.
 
@@ -390,14 +394,14 @@ def lll_reduce(basis, delta=Fraction(99, 100)):
     are kept as integers, d[i] the Gram determinant of the first i rows and
     lam[k][j] = d[j+1] * mu_kj, so nothing is rounded but the size-reduction
     multipliers.  The result is size-reduced (|mu_kj| <= 1/2) and satisfies
-    the Lovasz condition with the rational delta.
+    the Lovasz condition with delta = 99/100.
 
     >>> lll_reduce([(1, 1, 1), (-1, 0, 2), (3, 5, 6)])
     [(0, 1, 0), (1, 0, 1), (-1, 0, 2)]
     """
     b = [list(v) for v in basis]
     n = len(b)
-    delta = Fraction(delta)
+    delta = Fraction(99, 100)
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
 
@@ -931,11 +935,11 @@ def reconstruct_at(nf, value, root_index, precision, den_bound=10 ** 6,
     raise ReconstructionFailed("no short lattice vector yields a candidate")
 
 
-ESCALATIONS = 3   # precision doublings after the first reconstruction
+MEMBERSHIP_DIGITS = 48   # digits of the first reconstruction
+ESCALATIONS = 3          # precision doublings after the first reconstruction
 
 
-def element_in_field(min_poly_coeffs, approx, nf, precision=None,
-                     den_bound=10 ** 6):
+def element_in_field(min_poly_coeffs, approx, nf):
     """Search for an element of nf with the given minimal polynomial over Q.
 
     The target is described by its minimal polynomial q (dense, low-to-high)
@@ -946,13 +950,14 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
     nf leaves q without a root (`nonmembership_prime`).
 
     The order of the search: the first SIEVE_FIRST split primes; one
-    reconstruction by lattice reduction at `precision` and `den_bound`; the
-    remaining split primes, up to SPLIT_PRIMES; then reconstruction with the
-    bound raised to the field's `denominator_bound` and the precision
-    doubled, up to 2^ESCALATIONS times the request.  A verified root makes
-    the remaining primes moot, since none of them can exclude a member.  If
-    every escalation fails too, PrecisionExhausted is raised: a numeric
-    failure never reads as absence.
+    reconstruction by lattice reduction at MEMBERSHIP_DIGITS digits with
+    the denominator bound 10^6; the remaining split primes, up to
+    SPLIT_PRIMES; then reconstruction with the bound raised to the field's
+    `denominator_bound` and the precision doubled, up to 2^ESCALATIONS
+    times MEMBERSHIP_DIGITS.  A verified root makes the remaining primes
+    moot, since none of them can exclude a member.  If every escalation
+    fails too, PrecisionExhausted is raised: a numeric failure never reads
+    as absence.
     """
     q = _trim([Fraction(c) for c in min_poly_coeffs])
     if len(q) < 2:
@@ -965,23 +970,23 @@ def element_in_field(min_poly_coeffs, approx, nf, precision=None,
         return nf.rational(-q[0])
     if nonmembership_prime(q, nf, 0, SIEVE_FIRST) is not None:
         return None
-    precision = precision or 48
     try:
-        found = _reconstruct_root(q, approx, nf, precision, den_bound)
+        found = _reconstruct_root(q, approx, nf, MEMBERSHIP_DIGITS, 10 ** 6)
     except PrecisionExhausted:
         found = None
     if found is not None:
         return found
     if nonmembership_prime(q, nf, SIEVE_FIRST) is not None:
         return None
-    den_bound = max(den_bound, nf.denominator_bound * integral_model(q)[0])
+    den_bound = max(10 ** 6, nf.denominator_bound * integral_model(q)[0])
     for step in range(1, ESCALATIONS + 1):
-        found = _reconstruct_root(q, approx, nf, precision << step, den_bound)
+        found = _reconstruct_root(q, approx, nf, MEMBERSHIP_DIGITS << step,
+                                  den_bound)
         if found is not None:
             return found
     raise PrecisionExhausted(
         f"no root of [{', '.join(map(str, q))}] reconstructed in {nf!r} up "
-        f"to {precision << ESCALATIONS} digits, and none of its "
+        f"to {MEMBERSHIP_DIGITS << ESCALATIONS} digits, and none of its "
         f"{SPLIT_PRIMES} split primes excludes one")
 
 
@@ -1018,19 +1023,17 @@ def _peval_field(poly, a):
     return acc
 
 
-def detect_roots_of_unity(nf, precision=44):
+def detect_roots_of_unity(nf):
     """The pair (m, w): m the order of the group of roots of unity of the
     field and w a verified generator (a root of the m-th cyclotomic
     polynomial, which certifies its exact order).  Every larger candidate
     order is excluded by an exact certificate (see element_in_field)."""
     d = nf.degree
-    candidates = [m for m in range(2, 2 * d * d + 3, 2) if euler_phi(m) <= d]
-    for m in sorted(candidates, reverse=True):
-        if m == 2:
-            return (2, nf.rational(-1))
-        with mp.workdps(precision):
-            approx = mp.expjpi(mp.mpf(2) / m)
-        w = element_in_field(cyclotomic(m), approx, nf, precision)
-        if w is not None:
-            return (m, w)
-    return (2, nf.rational(-1))  # pragma: no cover
+    for m in range(2 * d * d + 2, 2, -2):
+        if euler_phi(m) <= d:
+            with mp.workdps(MEMBERSHIP_DIGITS):
+                approx = mp.expjpi(mp.mpf(2) / m)
+            w = element_in_field(cyclotomic(m), approx, nf)
+            if w is not None:
+                return (m, w)
+    return (2, nf.rational(-1))

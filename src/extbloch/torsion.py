@@ -18,6 +18,7 @@ For p = 2 the flattened generator is the half-sum over k = 1..n/2 plus an
 explicit chi correction; the correction is what makes the wedge vanish and
 the regulator land on pi^2/4-type values.  Orders are certified through the
 regulator: rational reconstruction of each embedding's value against 4*pi^2.
+Cosine membership is exact (field.element_in_field) and takes no precision.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field as dc_field
 
 from mpmath import mp
 
-from .field import (NumberField, _primes, cos2pi_minpoly, element_in_field,
-                    euler_phi, guard_digits)
+from .field import (MEMBERSHIP_DIGITS, NumberField, _primes, cos2pi_minpoly,
+                    element_in_field, euler_phi, guard_digits, is_prime)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -42,21 +43,21 @@ class NotApplicable(TorsionError):
     pass
 
 
-def two_cos(nf, n, precision=48):
+def two_cos(nf, n):
     """2*cos(2*pi/n) as an element of nf, or None if it does not lie there.
 
     None is an exact certificate (see field.element_in_field); a value that
     lies in nf but does not reconstruct raises PrecisionExhausted.  Results
-    are memoized on the field per (n, precision).  The returned element is
-    only pinned down up to Galois conjugacy (any primitive branch serves the
+    are memoized on the field per n.  The returned element is only pinned
+    down up to Galois conjugacy (any primitive branch serves the
     constructions below equally)."""
-    key = ("two_cos", n, precision)
+    key = ("two_cos", n)
     if key not in nf.memo:
-        nf.memo[key] = _two_cos(nf, n, precision)
+        nf.memo[key] = _two_cos(nf, n)
     return nf.memo[key]
 
 
-def _two_cos(nf, n, precision):
+def _two_cos(nf, n):
     if n == 1:
         return nf.rational(2)
     if n == 2:
@@ -64,25 +65,25 @@ def _two_cos(nf, n, precision):
     coeffs = cos2pi_minpoly(n)
     if len(coeffs) - 1 > nf.degree:
         return None
-    with mp.workdps(precision + guard_digits(precision)):
+    with mp.workdps(MEMBERSHIP_DIGITS + guard_digits(MEMBERSHIP_DIGITS)):
         approx = 2 * mp.cos(2 * mp.pi / n)
-    return element_in_field(coeffs, approx, nf, precision)
+    return element_in_field(coeffs, approx, nf)
 
 
-def nu_p(nf, p, precision=48):
+def nu_p(nf, p):
     """Largest nu with 2*cos(2*pi/p^nu) in the field.
 
     >>> nu_p(NumberField([-2, 0, 1]), 2)
     3
     """
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if not is_prime(p):
         raise TorsionError(f"{p} is not prime")
     nu = 0
     while True:
         n = p ** (nu + 1)
         if n > 2 and euler_phi(n) // 2 > nf.degree:
             return nu
-        if two_cos(nf, n, precision) is None:
+        if two_cos(nf, n) is None:
             return nu
         nu += 1
 
@@ -99,14 +100,14 @@ class TorsionProfile:
     primes: tuple = dc_field(default=())
 
 
-def torsion_profile(nf, precision=48):
+def torsion_profile(nf):
     """nu_p for every prime that could contribute (p - 1 <= 2*degree),
     plus w and the reduced exponents."""
     m = nf.torsion[0]
     nu = {}
     bound = max(5, 2 * nf.degree + 1)
     for p in itertools.takewhile(lambda q: q <= bound, _primes()):
-        nu[p] = nu_p(nf, p, precision)
+        nu[p] = nu_p(nf, p)
     w = 2
     nu_prime = {}
     for p, v in nu.items():
@@ -130,28 +131,28 @@ def _recurrence(c, first, second, length):
     return seq
 
 
-def _cosine_sequence(nf, p, precision):
+def _cosine_sequence(nf, p):
     """(c, seq, span) for the largest power n = p^nu with c = 2cos(2pi/n)
     in nf: the b-sequence up to b_{n/2+1} (p = 2) or the a-sequence up to
     a_{n+1} (odd p), and the indices k of the generator's terms."""
-    nu = nu_p(nf, p, precision)
+    nu = nu_p(nf, p)
     if nu == 0:
         raise NotApplicable(f"no p-power cosines beyond nu = 0 for p = {p}")
     n = p ** nu
-    c = two_cos(nf, n, precision)
+    c = two_cos(nf, n)
     if p == 2:
         seq = _recurrence(c, nf.rational(-1), nf.rational(1), n // 2 + 2)
         return c, seq, range(1, n // 2 + 1)
     return c, _recurrence(c, nf.rational(2), c, n + 2), range(1, n + 1)
 
 
-def beta_p(nf, p, precision=48):
+def beta_p(nf, p):
     """The in-field torsion generator of the plain Bloch group at p.
 
     >>> beta_p(NumberField([0, 1]), 3).terms[0][0]
     2
     """
-    _, seq, span = _cosine_sequence(nf, p, precision)
+    _, seq, span = _cosine_sequence(nf, p)
     terms = []
     for k in span:
         if seq[k].is_zero() or seq[k + 1].is_zero() or seq[k - 1].is_zero():
@@ -163,7 +164,7 @@ def beta_p(nf, p, precision=48):
     return BlochSum(nf, terms)
 
 
-def flattened_torsion(nf, p, precision=48):
+def flattened_torsion(nf, p):
     """The flattened torsion generator over a fresh symbolic log basis.
 
     Odd p: sum over k = 1..n of flattenings
@@ -173,7 +174,7 @@ def flattened_torsion(nf, p, precision=48):
     plus the chi part l(c+2) + half; without that correction the wedge of
     the half-sum does not vanish.  The wedge is verified before returning.
     """
-    c, seq, span = _cosine_sequence(nf, p, precision)
+    c, seq, span = _cosine_sequence(nf, p)
     basis = SymbolicBasis(nf)
     lifts = [basis.symbol_signed(v) for v in seq]
     a_plus = basis.symbol_signed(c + nf.rational(2))
@@ -191,13 +192,13 @@ def flattened_torsion(nf, p, precision=48):
     return out
 
 
-def certify_order(s, precision=50, max_den=10 ** 4, tolerance=None):
+def certify_order(s, precision=50, tolerance=None):
     """Certified order of a torsion element: the lcm over all embeddings of
     the order of its regulator value in C modulo 4*pi^2.  `tolerance`
     overrides the default of the precision (field.tolerance)."""
     orders = []
     for v in reg_vector(s, precision, tolerance):
-        k = torsion_order(v, max_den=max_den, tolerance=tolerance)
+        k = torsion_order(v, tolerance=tolerance)
         if k is None:
             raise NotTorsion("a regulator value admits no rational "
                              "reconstruction against 4*pi^2")

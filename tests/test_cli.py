@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from mpmath import mp
 
 from extbloch.cli import main
+from extbloch.field import NumberField
+from extbloch.regulator import RealSlotNotReal
+from extbloch.torsion import certify_order, flattened_torsion
 
 FIXTURES = "tests/fixtures"
 
@@ -169,15 +173,46 @@ def test_field_info_automorphisms_of_a_non_galois_field(capsys, tmp_path):
     assert json.loads(out)["result"]["automorphisms"] == expected
 
 
-def test_torsion_order_honours_tolerance(capsys):
+def test_torsion_order_honours_tolerance(capsys, monkeypatch):
     # at 50 digits the regulator's imaginary part at the real embeddings
     # is ~1e-61: within the default 1e-40, not within 1e-200
     argv = ["torsion", "order", f"{FIXTURES}/field_sqrt2.json",
             "--prime", "2"]
     assert run(capsys, argv)[0] == 0
-    code, out, err = run(capsys, argv + ["--tolerance", "-200"])
-    assert code == 3 and out == ""
-    assert "math error" in err
+    with pytest.raises(RealSlotNotReal):
+        certify_order(flattened_torsion(NumberField([-2, 0, 1]), 2), 50,
+                      tolerance=mp.mpf(10) ** -200)
+    # the CLI hands --tolerance to certify_order
+    seen = []
+
+    def recording(s, precision, tolerance=None):
+        seen.append(tolerance)
+        return certify_order(s, precision, tolerance)
+
+    monkeypatch.setattr("extbloch.cli.certify_order", recording)
+    code, out, _ = run(capsys, argv + ["--tolerance", "-45"])
+    assert code == 0 and "order: 16" in out
+    assert seen == [mp.mpf(10) ** -45]
+
+
+@pytest.mark.parametrize("exponent", ["5", "0", "-200"])
+def test_tolerance_out_of_range_is_input_error(capsys, exponent):
+    # at 50 digits the exponent must lie strictly between -60 and 0
+    code, out, err = run(capsys, ["torsion", "order",
+                                  f"{FIXTURES}/field_sqrt2.json",
+                                  "--prime", "2", "--tolerance", exponent])
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("command", [["torsion", "generators"],
+                                     ["torsion", "order"]], ids="-".join)
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+def test_non_prime_is_usage_error(capsys, command, prime):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [f"{FIXTURES}/field_sqrt2.json", "--prime", prime])
+    assert exc.value.code == 2
+    assert f"argument --prime: {prime} is not prime" in capsys.readouterr().err
 
 
 def test_torsion_table_takes_no_prime(capsys):

@@ -3,8 +3,10 @@ exactly the recorded output (tests/fixtures/golden_cli.json).
 
 The corpus is every fixture command plus `field info`, `torsion table`,
 `torsion generators` and `torsion order --prime 2` on six base fields at the
-rescalings c = 1 and c = 1000, each with and without --json.  A change that
-is meant to alter output re-records the file:
+rescalings c = 1 and c = 1000, and at c = 1000 once more with --precision 20,
+each with and without --json.  The low-precision lines pin that membership
+decisions (roots of unity, cosines, automorphisms) do not depend on
+--precision.  A change that is meant to alter output re-records the file:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py --record
 
@@ -31,7 +33,8 @@ BASE_FIELDS = {
     "Q": [0, 1], "sqrt2": [-2, 0, 1], "i": [1, 0, 1], "sqrt-3": [1, 1, 1],
     "quartic": [1, -2, 2, -1, 1], "x4+1": [1, 0, 0, 0, 1],
 }
-SCALES = (1, 1000)
+# (rescaling c, extra flags) of the field command lines
+FIELD_RUNS = ((1, []), (1000, []), (1000, ["--precision", "20"]))
 
 FIXTURE_COMMANDS = [
     ["field", "info", f"{FIXTURES}/field_example.json"],
@@ -62,11 +65,12 @@ def corpus():
     lines = [(" ".join(argv[:2] + [os.path.basename(argv[2])] + argv[3:]),
               argv, None) for argv in FIXTURE_COMMANDS]
     for name, poly in BASE_FIELDS.items():
-        for c in SCALES:
+        for c, extra in FIELD_RUNS:
             for command in FIELD_COMMANDS:
                 prime = ["--prime", "2"] if command[1] == "order" else []
-                lines.append((f"{' '.join(command)} {name}@{c}",
-                              command + ["FIELD"] + prime, scaled(poly, c)))
+                lines.append((" ".join([*command, f"{name}@{c}", *extra]),
+                              command + ["FIELD"] + prime + extra,
+                              scaled(poly, c)))
     return [(f"{ident}{mode}", argv + flag, poly)
             for ident, argv, poly in lines
             for mode, flag in (("", []), (" --json", ["--json"]))]

@@ -7,14 +7,14 @@ from mpmath import mp
 
 from extbloch.field import NumberField
 from extbloch.extgroup import SymbolicBasis
-from extbloch.bloch import chi, normalize
+from extbloch.bloch import Flattening, chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
 from extbloch.cochain import (CochainError, EdgeConditionFailed, IdealCochain,
                               LiftedCochain, ManifoldInvariant, NotACocycle,
                               NotGeneralPosition, NotIdeal,
-                              Triangulated3Cycle, cyclic_cochain,
-                              cyclic_cycle, edge_conditions,
+                              Triangulated3Cycle, _translate_coefficients,
+                              cyclic_cochain, cyclic_cycle, edge_conditions,
                               flag_boundary_check, flag_lambda,
                               is_lifted_five_term, lambda_sl2,
                               manifold_invariant, sigma_hat, z2_twist)
@@ -412,6 +412,50 @@ def test_searched_rational_cycle():
                              search_bound=4)
     assert inv.matches
     assert inv.imaginary_parts[0] == 0
+
+
+def _trial_coefficients(cycle, field, shapes):
+    """The translate coefficients read off edge_conditions: one pass at zero
+    translates, then one per translate with a single unit set."""
+    basis = SymbolicBasis(field)
+    sz = [basis.symbol_signed(z) for z in shapes]
+    s1z = [basis.symbol_signed(field.one - z) for z in shapes]
+    n = cycle.num_simplices
+
+    def totals_of(pqs):
+        return edge_conditions(cycle, [
+            Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
+            for t, (p, q) in enumerate(pqs)]).totals
+
+    zero = [(0, 0)] * n
+    base = totals_of(zero)
+    coeffs = []
+    for t in range(n):
+        for unit in ((1, 0), (0, 1)):
+            pqs = list(zero)
+            pqs[t] = unit
+            bumped = totals_of(pqs)
+            coeffs.append([(bumped[rep].k - base[rep].k) // basis.m
+                           for rep in sorted(base)])
+    return coeffs
+
+
+@pytest.mark.parametrize("source", ["figure_eight", 6, 12, 24])
+def test_translate_coefficients_match_the_trial_passes(source):
+    if source == "figure_eight":
+        with open("tests/fixtures/figure_eight.json") as fh:
+            data = json.load(fh)
+        field = NumberField(data["field"])
+        cycle = Triangulated3Cycle(data["tets"], data["gluings"],
+                                   data.get("orientations"))
+        shapes = [field.element(c) for c in data["shapes"]]
+    else:
+        field, cycle = RATIONALS, cyclic_cycle(source)
+        shapes = [RATIONALS.rational(Fraction(v))
+                  for v in (-2, -2, Fraction(1, 4))] * (source // 3)
+    reps = sorted(cycle.edge_classes())
+    assert _translate_coefficients(cycle, reps) == \
+        _trial_coefficients(cycle, field, shapes)
 
 
 def test_violated_edge_conditions_rejected():

@@ -8,7 +8,7 @@ from mpmath import mp
 from extbloch.field import NumberField
 from extbloch.extgroup import (BranchInvalid, ExtGroupError, MultBasis,
                                NotInSubgroup, SymbolicBasis,
-                               UnsaturatedBasis, WedgeElement, cover_to_C)
+                               UnsaturatedBasis, cover_to_C)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_wedge_warns_on_unsaturated_basis(rationals):
     basis = MultBasis(rationals, [rationals.rational(2)])
     e = basis.element(0, {0: 1})
     with pytest.warns(UnsaturatedBasis):
-        WedgeElement(basis, [(1, e, e)]).is_zero()
+        basis.wedge_is_zero([(1, e, e)])
 
 
 def test_fstar_wedge_uses_torsion_order(basis23, wedge_bases):

@@ -7,7 +7,8 @@ are dense low-to-high coefficient tuples.
 
 Numeric embeddings evaluate elements at the complex roots of p at a
 requested decimal precision.  The roots are isolated once per field at low
-precision and refined by Newton's method; the field keeps its most precise
+precision by the Aberth-Ehrlich iteration and refined by Newton's method,
+both in fixed-point integer arithmetic; the field keeps its most precise
 refinement, rounds it for a request that needs no more digits and refines
 it further for one that needs more.  The refined roots must be separated
 (disjoint Newton disks) and leave a small residue, or the roots are
@@ -33,6 +34,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 
 class FieldError(Exception):
@@ -455,22 +457,179 @@ def lll_reduce(basis):
 
 # ---------------------------------------------------------------------------
 # roots: isolated once at low precision, then refined by Newton's method
+#
+# Both run on Python integers.  A complex number is a fixed-point triple
+# (x, y, b), the value (x + iy) / 2^b: its real and imaginary parts share
+# the binary point b.  Newton's method sets b from the magnitude of each
+# root, so that large and small roots alike carry the requested digits; the
+# Aberth-Ehrlich iteration moves all roots together on one binary point,
+# set below the smallest root.  A root becomes an mpmath number only where
+# it leaves this layer (NumberField.roots, _newton).
 
 ISOLATION_DIGITS = 20     # digits of the first isolation of a field's roots
 ISOLATION_DOUBLINGS = 5   # re-isolations at doubled digits before giving up
 NEWTON_STEPS = 64         # Newton steps allowed per root and refinement
 
 
+def _bits(digits):
+    """Binary digits that carry `digits` decimal digits, plus 16 guard
+    bits."""
+    return math.ceil(digits * math.log2(10)) + 16
+
+
+def _shift(v, n):
+    return v << n if n >= 0 else v >> -n
+
+
+def _exponent(x, y, b):
+    """The binary exponent of the fixed-point number (x, y, b): the least e
+    with max(|x|, |y|) < 2^(b + e); 0 for zero."""
+    return max(abs(x).bit_length(), abs(y).bit_length()) - b if x or y else 0
+
+
+def _fixed(z):
+    """An approximation as a fixed-point triple: a triple is kept, an
+    mpmath or Python number is converted exactly."""
+    if isinstance(z, tuple):
+        return z
+    z = mp.convert(z)
+    parts = [(-m if s else m, e) for s, m, e, _ in
+             (z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero))]
+    b = max(0, *(-e for _, e in parts))
+    return (*(m << (e + b) for m, e in parts), b)
+
+
+def _mpc(z):
+    """The fixed-point number z as an mpmath number at the working
+    precision."""
+    x, y, b = z
+    return mp.make_mpc((from_man_exp(x, -b, mp.prec, round_nearest),
+                        from_man_exp(y, -b, mp.prec, round_nearest)))
+
+
+def _integer_poly(poly):
+    """(D, the coefficients of D * poly from the highest) for a rational
+    poly (low to high), with D the least common denominator."""
+    den = math.lcm(*(c.denominator for c in poly))
+    return den, [int(c * den) for c in reversed(poly)]
+
+
+def _horner(coeffs, x, y, b):
+    """p(z) and p'(z), as (re p, im p, re p', im p') on the binary point b,
+    at z = (x + iy) / 2^b for the integer coefficients of p from the
+    highest."""
+    fr = fi = dr = di = 0
+    for c in coeffs:
+        dr, di = ((dr * x - di * y) >> b) + fr, ((dr * y + di * x) >> b) + fi
+        fr, fi = ((fr * x - fi * y) >> b) + (c << b), (fr * y + fi * x) >> b
+    return fr, fi, dr, di
+
+
+def _cdiv(ar, ai, br, bi, b):
+    """The quotient (ar + i ai) / (br + i bi) of two numbers on one binary
+    point, on the binary point b."""
+    n = br * br + bi * bi
+    return ((ar * br + ai * bi) << b) // n, ((ai * br - ar * bi) << b) // n
+
+
 def _isolate_roots(poly, digits):
-    """Approximations of all roots of the rational poly (low to high) by
-    mpmath.polyroots at `digits` digits, or None if it does not converge."""
-    with mp.workdps(digits):
-        try:
-            return [mp.mpc(z) for z in mpmath.polyroots(
-                [mp.mpf(c.numerator) / c.denominator for c in reversed(poly)],
-                maxsteps=500, extraprec=3 * digits)]
-        except mpmath.libmp.NoConvergence:
-            return None
+    """Approximations of all roots of the rational poly (low to high) to
+    `digits` digits, as fixed-point triples, or None if they do not
+    converge.
+
+    The Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) moves
+    each approximation z_i by w = N / (1 - N * sum_{j != i} 1/(z_i - z_j)),
+    with N = p(z_i) / p'(z_i), and uses each new z_i at once.  A root is
+    done when |w| <= 2^-_bits(digits) |z_i|; all must be done within 100
+    sweeps.  The iteration works at twice the digits, on a binary point
+    below Fujiwara's lower bound on the roots, and starts from points
+    spread on the circle whose radius is the geometric mean of the root
+    moduli.  A root 0 of poly is split off exactly, and parts below
+    2^-_bits(digits) |z_i| are cleared, so that real and imaginary roots
+    stay so under Newton's method."""
+    coeffs = _integer_poly(poly)[1]
+    zeros = []
+    while not coeffs[-1]:
+        coeffs.pop()
+        zeros.append((0, 0, 0))
+    d = len(coeffs) - 1
+    if d == 0:
+        return zeros
+    logs = [math.log2(abs(c)) if c else None for c in coeffs]
+    lower = -1 - max((logs[d - k] - logs[d]) / k
+                     for k in range(1, d + 1) if logs[d - k] is not None)
+    b = max(0, _bits(2 * digits) - math.floor(lower))
+    # start on the circle |z| = |a_0 / a_d|^(1/d); r = log2(radius 2^b)
+    r = (logs[d] - logs[0]) / d + b
+    e = math.floor(r) - 52
+    z = [(_shift(round(math.cos(a) * 2.0 ** (r - e)), e),
+          _shift(round(math.sin(a) * 2.0 ** (r - e)), e))
+         for a in (2 * math.pi * k / d + 0.4 for k in range(d))]
+    t = 2 * _bits(digits)
+    done = [False] * d
+    for _ in range(100):
+        for i, (x, y) in enumerate(z):
+            if done[i]:
+                continue
+            fr, fi, dr, di = _horner(coeffs, x, y, b)
+            if not (dr or di):
+                return None
+            nr, ni = _cdiv(fr, fi, dr, di, b)
+            ar = ai = 0
+            for j, (u, v) in enumerate(z):
+                if j != i:
+                    u, v = x - u, y - v
+                    n = u * u + v * v
+                    if not n:
+                        return None
+                    ar += (u << 2 * b) // n
+                    ai -= (v << 2 * b) // n
+            qr = (1 << b) - ((nr * ar - ni * ai) >> b)
+            qi = -((nr * ai + ni * ar) >> b)
+            if not (qr or qi):
+                return None
+            wr, wi = _cdiv(nr, ni, qr, qi, b)
+            x, y = x - wr, y - wi
+            z[i] = (x, y)
+            done[i] = (wr * wr + wi * wi) << t <= x * x + y * y
+        if all(done):
+            break
+    else:
+        return None
+    out = []
+    for x, y in z:
+        m = x * x + y * y
+        if (y * y) << t <= m:
+            y = 0
+        elif (x * x) << t <= m:
+            x = 0
+        out.append((x, y, b))
+    return zeros + out
+
+
+def _newton_fixed(poly, z, start, target):
+    """Newton's method of _newton on a fixed-point approximation z; returns
+    the root and the last step as fixed-point triples.  Each step works on
+    the binary point that gives z `dps` digits and guard bits."""
+    coeffs = _integer_poly(poly)[1]
+    x, y, b = _fixed(z)
+    dps = min(start, target)
+    for _ in range(NEWTON_STEPS):
+        nb = max(0, _bits(dps) - _exponent(x, y, b))
+        x, y, b = _shift(x, nb - b), _shift(y, nb - b), nb
+        fr, fi, dr, di = _horner(coeffs, x, y, b)
+        if not (dr or di):
+            break
+        sr, si = _cdiv(fr, fi, dr, di, b)
+        x, y = x - sr, y - si
+        # |step| <= |z| 10^-(dps // 2)
+        if (sr * sr + si * si) * 100 ** (dps // 2) <= x * x + y * y:
+            if dps == target:
+                return (x, y, b), (sr, si, b)
+            dps = min(2 * dps, target)
+    raise PrecisionExhausted(f"Newton's method did not converge to a root "
+                             f"of [{', '.join(map(str, poly))}] at {dps} "
+                             f"digits")
 
 
 def _newton(poly, z, start, target):
@@ -478,46 +637,35 @@ def _newton(poly, z, start, target):
     to high) by Newton's method to `target` digits.  The working precision
     starts at `start` digits and doubles each time a step falls below
     10^(-dps/2) relative to z, as z then has about dps correct digits.
-    Returns the root and the size of the last step; raises
-    PrecisionExhausted after NEWTON_STEPS steps without convergence."""
-    dps = min(start, target)
-    for _ in range(NEWTON_STEPS):
-        with mp.workdps(dps):
-            z = mp.mpc(z)
-            f = df = mp.mpc(0)
-            for c in reversed(poly):
-                df = df * z + f
-                f = f * z + mp.mpf(c.numerator) / c.denominator
-            if df == 0:
-                break
-            step = abs(f / df)
-            z -= f / df
-            converged = step <= abs(z) * mp.mpf(10) ** (-(dps // 2))
-        if converged:
-            if dps == target:
-                return z, step
-            dps = min(2 * dps, target)
-    raise PrecisionExhausted(f"Newton's method did not converge to a root "
-                             f"of [{', '.join(map(str, poly))}] at {dps} "
-                             f"digits")
+    Returns the root and the size of the last step, as mpmath numbers at
+    `target` digits; raises PrecisionExhausted after NEWTON_STEPS steps
+    without convergence."""
+    root, (sr, si, b) = _newton_fixed(poly, z, start, target)
+    with mp.workdps(target):
+        return _mpc(root), mp.ldexp(math.isqrt(sr * sr + si * si), -b)
 
 
 def _refine_roots(poly, approx, start, target):
     """Newton-refine the approximations `approx` of all d roots of poly to
-    `target` digits, or None if one does not converge or two are not
-    separated.  Separated means that the disks of radius (d+1)*|last step|
-    around the refined roots are pairwise disjoint: each disk holds a root
-    of poly (one of radius d*|p/p'| around the point before the last step
-    does), so disjoint disks hold d different roots."""
+    `target` digits, as fixed-point triples, or None if one does not
+    converge or two are not separated.  Separated means that the disks of
+    radius (d+1)*|last step| around the refined roots are pairwise
+    disjoint: each disk holds a root of poly (one of radius d*|p/p'| around
+    the point before the last step does), so disjoint disks hold d
+    different roots.  The test is exact, with each |last step| rounded up."""
     d = len(poly) - 1
     try:
-        refined = [_newton(poly, z, start, target) for z in approx]
+        refined = [_newton_fixed(poly, z, start, target) for z in approx]
     except PrecisionExhausted:
         return None
-    with mp.workdps(target):
-        for (z, r), (w, s) in itertools.combinations(refined, 2):
-            if abs(z - w) <= (d + 1) * (r + s):
-                return None
+    for ((x, y, b), (rx, ry, _)), ((u, v, c), (sx, sy, _)) in \
+            itertools.combinations(refined, 2):
+        e = max(b, c)
+        dx, dy = (x << e - b) - (u << e - c), (y << e - b) - (v << e - c)
+        radius = (d + 1) * (((math.isqrt(rx * rx + ry * ry) + 1) << e - b)
+                            + ((math.isqrt(sx * sx + sy * sy) + 1) << e - c))
+        if dx * dx + dy * dy <= radius * radius:
+            return None
     return [z for z, _ in refined]
 
 
@@ -836,14 +984,16 @@ class NumberField:
         field keeps its most precise refinement of all d roots: a request
         that needs no more digits rounds it (their separation is already
         proven), one that needs more refines it by Newton's method.  The
-        first request isolates the roots (mpmath.polyroots at
+        first request isolates the roots (the Aberth-Ehrlich iteration at
         ISOLATION_DIGITS digits) and refines them.  The refined roots must
         be separated (`_refine_roots`); if they are not, the roots are
         isolated again at doubled precision, up to ISOLATION_DOUBLINGS
         times, and then PrecisionExhausted is raised.  Order: the real
         roots ascending, then one representative per conjugate pair
         (positive imaginary part) by real part, then imaginary part.  Every
-        root must leave a residue |p(z)| <= 10^-precision.
+        root must leave a residue |p(z)| <= 10^-precision.  Ordering and
+        the residue run on the fixed-point roots; the roots are returned as
+        mpmath numbers at 2*precision + 40 digits.
         """
         if precision in self._root_cache:
             return self._root_cache[precision]
@@ -866,27 +1016,26 @@ class NumberField:
                     f"roots of {self!r} not separated after isolation at "
                     f"{ISOLATION_DIGITS << ISOLATION_DOUBLINGS} digits")
             self._refined = (target, raw)
+        # order and verify the roots on their finest binary point b
+        b = max(c for _, _, c in raw)
+        raw = sorted(((x << b - c, y << b - c) for x, y, c in raw),
+                     key=lambda z: abs(z[1]))
+        reals = sorted((x, 0) for x, _ in raw[:r1])
+        # one representative per conjugate pair; real parts that agree
+        # to `precision` digits count as equal, so that rounding noise
+        # cannot reorder two pairs with the same real part
+        scale, half = 10 ** precision, (1 << b) >> 1
+        upper = sorted(((x, abs(y)) for x, y in raw[r1:]),
+                       key=lambda z: ((z[0] * scale + half) >> b, z[1]))
+        ordered = reals + upper[::2]
+        den, coeffs = _integer_poly(self.poly)
+        for x, y in ordered:
+            # |p(z)| <= 10^-precision, p(z) = (fr + i fi) / (den 2^b)
+            fr, fi = _horner(coeffs, x, y, b)[:2]
+            if (fr * fr + fi * fi) * 100 ** precision > (den << b) ** 2:
+                raise PrecisionExhausted("root verification residue too large")
         with mp.workdps(target):
-            coeffs_high_first = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                                 for c in reversed(self.poly)]
-            raw = sorted(raw, key=lambda z: abs(mp.im(z)))
-            reals = sorted((mp.mpc(mp.re(z)) for z in raw[:r1]),
-                           key=lambda z: mp.re(z))
-            upper = [z if mp.im(z) > 0 else mpmath.conj(z) for z in raw[r1:]]
-            # one representative per conjugate pair; real parts that agree
-            # to `precision` digits count as equal, so that rounding noise
-            # cannot reorder two pairs with the same real part
-            scale = mp.mpf(10) ** precision
-            upper = sorted(upper, key=lambda z: (mp.nint(mp.re(z) * scale),
-                                                 mp.im(z)))
-            reps = upper[::2]
-            ordered = [+z for z in reals + reps]
-            for z in ordered:
-                acc = mp.mpc(0)
-                for c in coeffs_high_first:
-                    acc = acc * z + c
-                if abs(acc) > mp.mpf(10) ** (-precision):
-                    raise PrecisionExhausted("root verification residue too large")
+            ordered = [_mpc((x, y, b)) for x, y in ordered]
         self._root_cache[precision] = ordered
         return ordered
 

@@ -39,7 +39,7 @@ class NotTorsion(RegulatorError):
 
 
 def _li2_series(z):
-    """Power series sum z^k / k^2; caller guarantees |z| <= 0.7."""
+    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2."""
     tol = mp.mpf(10) ** (-mp.dps - 3)
     term = z
     acc = z
@@ -77,6 +77,27 @@ def _li2_log_series(z):
     return acc
 
 
+def _li2(z):
+    """Principal-branch dilogarithm at the working precision, unrounded."""
+    z = mp.mpc(z)
+    if z == 0:
+        return mp.mpc(0)
+    if z == 1:
+        return mp.mpc(mp.pi ** 2 / 6)
+    if abs(z) <= mp.mpf("0.5"):
+        return _li2_series(z)
+    if abs(z) >= 2:
+        # inversion; the principal logarithm of -z also gives the limit
+        # from below on the cut [1, oo)
+        inner = _li2_series(1 / z) if abs(1 / z) <= mp.mpf("0.5") else \
+            _li2(1 / z)
+        return -inner - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+    if abs(1 - z) <= mp.mpf("0.5"):
+        return (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
+                - _li2_series(1 - z))
+    return _li2_log_series(z)
+
+
 def li2(z, precision=50):
     """Principal-branch dilogarithm at the given decimal precision.
 
@@ -86,24 +107,7 @@ def li2(z, precision=50):
     True
     """
     with mp.workdps(precision + guard_digits(precision)):
-        z = mp.mpc(z)
-        if z == 0:
-            out = mp.mpc(0)
-        elif z == 1:
-            out = mp.mpc(mp.pi ** 2 / 6)
-        elif abs(z) <= mp.mpf("0.5"):
-            out = _li2_series(z)
-        elif abs(z) >= 2:
-            # inversion; the principal logarithm of -z also gives the
-            # limit from below on the cut [1, oo)
-            inner = _li2_series(1 / z) if abs(1 / z) <= mp.mpf("0.5") else \
-                mp.mpc(li2(1 / z, precision))
-            out = -inner - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
-        elif abs(1 - z) <= mp.mpf("0.5"):
-            out = (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
-                   - _li2_series(1 - z))
-        else:
-            out = _li2_log_series(z)
+        out = _li2(z)
         with mp.workdps(precision):
             return +out
 
@@ -115,8 +119,7 @@ def bloch_wigner(z, precision=50):
         z = mp.mpc(z)
         if z == 0 or z == 1 or mp.im(z) == 0:
             return mp.mpf(0)
-        out = mp.im(li2(z, precision + guard_digits(precision))) \
-            + mp.arg(1 - z) * mp.log(abs(z))
+        out = mp.im(_li2(z)) + mp.arg(1 - z) * mp.log(abs(z))
         with mp.workdps(precision):
             return +out
 
@@ -236,16 +239,24 @@ def reg_vector(s, precision=50, tolerance=None):
 def torsion_order(v, max_den=10 ** 4, tolerance=None):
     """Order of a regulator value as a torsion point of C/4pi^2: rational
     reconstruction of value / 4pi^2 by continued fractions.  Returns the
-    denominator, or None when no reconstruction fits."""
+    denominator, or None when no reconstruction fits the default tolerance
+    of the precision.  A fit within the default tolerance but not within a
+    finer `tolerance` raises PrecisionExhausted, naming both."""
     prec = v.precision
     with mp.workdps(prec + guard_digits(prec)):
-        tolerance = _tolerance(prec, tolerance)
-        if abs(mp.im(v.value)) > tolerance:
-            return None
+        default, tol = _tolerance(prec), _tolerance(prec, tolerance)
         x = mp.re(v.value) / (4 * mp.pi ** 2)
         frac = _rational_reconstruct(x, max_den)
-        if abs(x - mp.mpf(frac.numerator) / frac.denominator) > tolerance:
-            return None
+        for what, r in (("imaginary part", abs(mp.im(v.value))),
+                        ("reconstruction residual",
+                         abs(x - mp.mpf(frac.numerator) / frac.denominator))):
+            if r > tol:
+                if r > default:
+                    return None
+                raise PrecisionExhausted(
+                    f"torsion order: {what} {mp.nstr(r, 3)} passes the "
+                    f"tolerance {mp.nstr(default, 3)} of {prec} digits but "
+                    f"not the requested {mp.nstr(tol, 3)}")
         return frac.denominator
 
 

@@ -195,6 +195,28 @@ def test_torsion_order_honours_tolerance(capsys, monkeypatch):
     assert seen == [mp.mpf(10) ** -45]
 
 
+@pytest.mark.parametrize("exponent", ["-45", "-50"])
+def test_torsion_order_within_a_finer_tolerance(capsys, exponent):
+    # at 50 digits the reconstruction residual is ~3.6e-54
+    code, out, _ = run(capsys, ["torsion", "order",
+                                f"{FIXTURES}/field_sqrt2.json",
+                                "--prime", "2", "--tolerance", exponent])
+    assert code == 0 and "order: 16" in out
+
+
+@pytest.mark.parametrize("exponent", ["-55", "-59"])
+def test_tolerance_finer_than_reached_is_precision_exhausted(capsys,
+                                                             exponent):
+    # the residual passes the default 1e-40 of 50 digits but not 10^E: the
+    # precision is too low for the request, which is not a math error
+    code, out, err = run(capsys, ["torsion", "order",
+                                  f"{FIXTURES}/field_sqrt2.json",
+                                  "--prime", "2", "--tolerance", exponent])
+    assert code == 4 and out == ""
+    assert "precision exhausted" in err
+    assert "residual 3.65e-54" in err and f"1.0e{exponent}" in err
+
+
 @pytest.mark.parametrize("exponent", ["5", "0", "-200"])
 def test_tolerance_out_of_range_is_input_error(capsys, exponent):
     # at 50 digits the exponent must lie strictly between -60 and 0

@@ -1,6 +1,7 @@
 """Exact integral LLL and Newton-refined roots, against independent checks:
 Gram-Schmidt data recomputed in Fractions, and mpmath.polyroots at three
 times the precision."""
+import math
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import extbloch.field as field_mod
-from extbloch.field import (NumberField, PrecisionExhausted, _newton,
-                            lll_reduce)
+from extbloch.field import (NotSquarefree, NumberField, PrecisionExhausted,
+                            _newton, lll_reduce)
 
 DELTA = Fraction(99, 100)
 
@@ -113,16 +114,20 @@ FIELDS = {
 }
 
 
-def _reference_roots(poly, dps):
+def _reference_roots(poly, dps, precision=None):
     """Roots by mpmath.polyroots in the documented order: the real ones
-    ascending, then those with positive imaginary part by (re, im)."""
+    ascending, then those with positive imaginary part by (re, im), real
+    parts that agree to `precision` digits (if given) counting as equal."""
+    den = math.lcm(*(Fraction(c).denominator for c in poly))
     with mp.workdps(dps):
-        raw = mpmath.polyroots(list(reversed(poly)), maxsteps=800,
-                               extraprec=4 * dps)
+        raw = mpmath.polyroots([int(c * den) for c in reversed(poly)],
+                               maxsteps=800, extraprec=4 * dps)
         tiny = mp.mpf(10) ** (-dps // 2)
         reals = sorted(mp.re(z) for z in raw if abs(mp.im(z)) < tiny)
+        scale = mp.mpf(10) ** precision if precision else 1
         upper = sorted((z for z in raw if mp.im(z) >= tiny),
-                       key=lambda z: (mp.re(z), mp.im(z)))
+                       key=lambda z: (mp.nint(mp.re(z) * scale)
+                                      if precision else mp.re(z), mp.im(z)))
         return [mp.mpc(x) for x in reals] + upper
 
 
@@ -177,17 +182,17 @@ def test_pairs_with_equal_real_parts_keep_their_order():
 
 
 def test_close_roots_are_isolated_again(monkeypatch):
-    # (x - 1)(x - 1 - 10^-30): polyroots at 20 digits cannot separate them
+    # (x - 1)(x - 1 - 10^-30): an isolation at 20 digits cannot separate them
     eps = Fraction(1, 10 ** 30)
     nf = NumberField([1 + eps, -(2 + eps), 1])
     isolations = []
-    polyroots = mpmath.polyroots
+    isolate = field_mod._isolate_roots
 
-    def spy(*args, **kwargs):
-        isolations.append(mp.dps)
-        return polyroots(*args, **kwargs)
+    def spy(poly, digits):
+        isolations.append(digits)
+        return isolate(poly, digits)
 
-    monkeypatch.setattr(mpmath, "polyroots", spy)
+    monkeypatch.setattr(field_mod, "_isolate_roots", spy)
     roots = nf.roots(44)
     assert len(isolations) >= 2
     assert isolations[0] == field_mod.ISOLATION_DIGITS
@@ -223,3 +228,64 @@ def test_newton_step_budget_raises():
     poly = tuple(Fraction(c) for c in (1, 0, 1))
     with pytest.raises(PrecisionExhausted):
         _newton(poly, mp.mpf("0.5"), 30, 30)
+
+
+def test_roots_never_call_polyroots(monkeypatch):
+    # mpmath.polyroots is the independent reference of these tests and of
+    # the benchmark's oracles, so the library must find roots without it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
+
+    monkeypatch.setattr(mpmath, "polyroots", forbidden)
+    monkeypatch.setattr(mp, "polyroots", forbidden)
+    eps = Fraction(1, 10 ** 30)
+    for poly in [*FIELDS.values(), [1 + eps, -(2 + eps), 1]]:
+        nf = NumberField(poly)
+        for precision in (20, 50, 200):
+            assert len(nf.roots(precision)) == sum(nf.signature)
+    assert NumberField(FIELDS["sqrt-3"]).torsion[0] == 6
+
+
+@st.composite
+def squarefree_polys(draw):
+    """(poly, a): an integer polynomial of degree 1-8 (low to high) as
+    drawn or rescaled to p(x/c) c^d with 1 <= c <= 10^8, and a = None; or
+    one of degree 0-6 times (x - a)(x - a - 10^-30).  NumberField rejects
+    the ones that are not squarefree."""
+    kind = draw(st.sampled_from(["plain", "rescaled", "close pair"]))
+    d = draw(st.integers(0 if kind == "close pair" else 1,
+                         6 if kind == "close pair" else 8))
+    poly = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+    poly.append(draw(st.integers(1, 20)))
+    a = None
+    if kind == "rescaled":
+        c = draw(st.integers(1, 10 ** 8))
+        poly = [b * c ** (d - k) for k, b in enumerate(poly)]
+    elif kind == "close pair":
+        a = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 9)))
+        eps = Fraction(1, 10 ** 30)
+        poly = field_mod._pmul(poly, [a * (a + eps), -(2 * a + eps), 1])
+    return [Fraction(c) for c in poly], a
+
+
+@given(case=squarefree_polys(), precision=st.sampled_from([20, 48, 50, 200]))
+@settings(max_examples=10, deadline=None)
+def test_roots_match_polyroots_on_squarefree_polynomials(case, precision):
+    poly, a = case
+    try:
+        nf = NumberField(poly)
+    except NotSquarefree:
+        assume(False)
+    ours = nf.roots(precision)
+    # 3P digits resolve 10^-(2P+30) only from P = 30 on
+    ref = _reference_roots(poly, max(3 * precision, 2 * precision + 60),
+                           precision)
+    assert len(ours) == len(ref) == sum(nf.signature)
+    with mp.workdps(3 * precision + 60):
+        for z, w in zip(ours, ref):
+            # a root of the close pair has condition ~10^30: Newton's
+            # convergence test, step <= 10^-(dps/2) |z|, then leaves an
+            # error up to ~10^30 step^2, so it is held to 10^-2P
+            tol = 2 * precision + (0 if a is not None and abs(w - a) < 1e-20
+                                   else 30)
+            assert abs(z - w) < mp.mpf(10) ** -tol, (z, w)

@@ -1,3 +1,6 @@
+import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +59,40 @@ def test_bloch_wigner_antisymmetry(re, im):
             < mp.mpf(10) ** -28
         assert abs(bloch_wigner(z, 35) + bloch_wigner(1 / z, 35)) \
             < mp.mpf(10) ** -28
+
+
+def _li2_branch_points(seed, per_branch):
+    """Seeded points off the real axis in each region of li2: |z| <= 1/2
+    (series), |z| >= 2 (inversion), |1 - z| <= 1/2 (reflection) and the
+    annulus between them (expansion in -log(1 - z))."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < 4 * per_branch:
+        kind = len(points) % 4
+        angle = rng.uniform(0.05, 2 * math.pi - 0.05)
+        if kind == 0:
+            z = cmath.rect(rng.uniform(0.05, 0.5), angle)
+        elif kind == 1:
+            z = cmath.rect(rng.uniform(2, 50), angle)
+        elif kind == 2:
+            z = 1 + cmath.rect(rng.uniform(0.05, 0.5), angle)
+        else:
+            z = cmath.rect(rng.uniform(0.5, 2), angle)
+        in_annulus = 0.5 < abs(z) < 2
+        if kind < 2 or in_annulus and (abs(1 - z) <= 0.5) == (kind == 2):
+            points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("precision, per_branch",
+                         [(20, 3), (50, 3), (200, 1)])
+def test_bloch_wigner_matches_polylog_on_every_branch(precision, per_branch):
+    for z in _li2_branch_points(precision, per_branch):
+        ours = bloch_wigner(z, precision)
+        with mp.workdps(2 * precision):
+            z = mp.mpc(z)
+            ref = mp.im(mpmath.polylog(2, z)) + mp.arg(1 - z) * mp.log(abs(z))
+            assert abs(ours - ref) < mp.mpf(10) ** -precision, z
 
 
 def test_bloch_wigner_vanishes_on_reals():

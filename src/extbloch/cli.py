@@ -17,21 +17,36 @@ regulators and certified orders, >= 20, default 50), --tolerance E
 --symmetric-range (display regulators with real part in [-2*pi^2, 2*pi^2)
 instead of [0, 4*pi^2)), --json.
 
-Exit codes: 0 success, 2 input error, 3 mathematical failure, 4 precision
-exhausted (including a field member that did not reconstruct at escalated
-precision).  Output is deterministic for a fixed configuration.
+Exit codes: 0 success; 2 input error: a usage error (argparse exits with
+SystemExit(2)) or an InputError, raised for an unreadable fixture, a
+fixture key that is missing or has a value of the wrong shape, a constant
+or repeated-root defining polynomial, or an out-of-range --precision or
+--tolerance; 3 mathematical failure; 4 precision exhausted (including a
+field member that did not reconstruct at escalated precision).  Any other
+exception propagates: it is a bug, not bad input.  Output is deterministic
+for a fixed configuration.
+
+From Python, `main(argv)` runs one command line and returns its exit code
+(usage errors and --help raise SystemExit).  The argparse tree is built on
+the first call and reused by every later call in the process
+(`build_parser`); each call still reads its own fixture, builds its own
+field and renders its own output.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 from mpmath import mp
 
-from .field import (FieldError, NumberField, PrecisionExhausted,
-                    element_in_field, guard_digits, is_prime, tolerance)
+from .field import (DegreeZero, NotSquarefree, NumberField,
+                    PrecisionExhausted, element_in_field, guard_digits,
+                    is_prime, tolerance)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -60,37 +75,119 @@ def _load_fixture(path):
     return data
 
 
+# ---------------------------------------------------------------------------
+# Fixture values, checked where a command reads them: a value of the wrong
+# shape is an InputError naming its key.
+
+def _bad(key, what):
+    return InputError(f"fixture key {key!r}: {what}")
+
+
+def _required(data, key):
+    if key not in data:
+        raise InputError(f"fixture lacks the key {key!r}")
+    return data[key]
+
+
+def _convert(kind, value, key):
+    """kind(value) for a scalar of the fixture."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise _bad(key, exc) from None
+
+
+def _list(value, key, length=None):
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise _bad(key, "expected a list" if length is None
+                   else f"expected a list of {length} entries")
+    return value
+
+
+def _ints(value, key, length=None):
+    return [_convert(int, v, key) for v in _list(value, key, length)]
+
+
+def _coeffs(value, key, degree=None):
+    """A coefficient list, constant term first, of at most `degree`
+    entries if given."""
+    coeffs = [_convert(Fraction, c, key) for c in _list(value, key)]
+    if degree is not None and len(coeffs) > degree:
+        raise _bad(key, f"more than {degree} coordinates")
+    return coeffs
+
+
+@contextlib.contextmanager
+def _defining_polynomial():
+    """A constant or repeated-root defining polynomial, rejected where the
+    fixture's field is built, as an InputError."""
+    try:
+        yield
+    except (NotSquarefree, DegreeZero) as exc:
+        raise _bad("field", exc) from None
+
+
 def _field_of(data):
-    if "field" not in data:
-        raise InputError("fixture lacks a defining polynomial")
-    return NumberField(data["field"])
+    coeffs = _coeffs(_required(data, "field"), "field")
+    with _defining_polynomial():
+        return NumberField(coeffs)
 
 
 def _basis_of(field, data, precision):
-    desc = data.get("basis")
-    if desc is None:
-        raise InputError("fixture lacks a generator basis")
-    gens = [field.element(c) for c in desc.get("free_gens", [])]
+    desc = _required(data, "basis")
+    if not isinstance(desc, dict):
+        raise _bad("basis", "expected an object")
+    gens = [field.element(_coeffs(c, "free_gens", field.degree))
+            for c in _list(desc.get("free_gens", []), "free_gens")]
     torsion_gen = None
     if "torsion_gen" in desc:
-        torsion_gen = field.element(desc["torsion_gen"])
+        torsion_gen = field.element(
+            _coeffs(desc["torsion_gen"], "torsion_gen", field.degree))
     return MultBasis(field, gens, saturated=bool(desc.get("saturated")),
                      precision=precision, torsion_gen=torsion_gen)
 
 
-def _ext_element(basis, coords):
-    k, pairs = coords
-    return basis.element(k, {int(j): int(e) for j, e in pairs})
+def _ext_element(basis, coords, key):
+    """The element of E written [k, [[generator, exponent], ...]]."""
+    k, pairs = _list(coords, key, 2)
+    exponents = dict(_ints(pair, key, 2) for pair in _list(pairs, key))
+    if not all(0 <= j < len(basis.free_gens) for j in exponents):
+        raise _bad(key, "generator index out of range")
+    return basis.element(_convert(int, k, key), exponents)
 
 
 def _element_of(data, precision):
     field = _field_of(data)
     basis = _basis_of(field, data, precision)
-    terms = [(int(n), Flattening(_ext_element(basis, e),
-                                 _ext_element(basis, f)))
-             for n, e, f in data.get("terms", [])]
-    chi_part = _ext_element(basis, data["chi"]) if "chi" in data else None
+    terms = []
+    for term in _list(data.get("terms", []), "terms"):
+        n, e, f = _list(term, "terms", 3)
+        terms.append((_convert(int, n, "terms"),
+                      Flattening(_ext_element(basis, e, "terms"),
+                                 _ext_element(basis, f, "terms"))))
+    chi_part = (_ext_element(basis, data["chi"], "chi") if "chi" in data
+                else None)
     return ExtBlochSum(basis, terms, chi_part)
+
+
+def _triangulation_of(data):
+    """The triangulation keys with their values checked and converted."""
+    field = _coeffs(_required(data, "field"), "field")
+    degree = max((i for i, c in enumerate(field) if c), default=0)
+    tets = _convert(int, _required(data, "tets"), "tets")
+    gluings = [_list(g, "gluings", 5)
+               for g in _list(_required(data, "gluings"), "gluings")]
+    out = {"field": field, "tets": tets,
+           "gluings": [_ints(g[:4], "gluings") + [_ints(g[4], "gluings", 3)]
+                       for g in gluings],
+           "shapes": [_coeffs(z, "shapes", degree) for z in
+                      _list(_required(data, "shapes"), "shapes", tets)]}
+    if data.get("orientations") is not None:
+        out["orientations"] = _ints(data["orientations"], "orientations")
+    if data.get("flattenings"):
+        out["flattenings"] = [_ints(pq, "flattenings", 2) for pq in
+                              _list(data["flattenings"], "flattenings", tets)]
+    return out
 
 
 def _fmt_real(x, digits):
@@ -179,8 +276,8 @@ def cmd_bloch_regulator(data, args, cfg):
 def cmd_fiveterm_check(data, args, cfg):
     field = _field_of(data)
     basis = _basis_of(field, data, cfg.precision)
-    x = field.element(data["x"])
-    y = field.element(data["y"])
+    x, y = (field.element(_coeffs(_required(data, key), key, field.degree))
+            for key in ("x", "y"))
     fl0 = Flattening(basis.log_lift(x), basis.log_lift(field.one - x))
     fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y))
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
@@ -231,7 +328,9 @@ def cmd_torsion_order(data, args, cfg):
 
 
 def cmd_cycle_invariant(data, args, cfg):
-    inv = manifold_invariant(data, cfg.precision, cfg.tolerance_value)
+    with _defining_polynomial():
+        inv = manifold_invariant(_triangulation_of(data), cfg.precision,
+                                 cfg.tolerance_value)
     digits = min(cfg.precision, 30)
     with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
         im = [_fmt_real(x, digits) for x in inv.imaginary_parts]
@@ -323,7 +422,14 @@ COMMANDS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree of the CLI, built on the first call and shared by
+    every later one; `main` keeps no other state between calls.  The
+    handlers are bound into it when it is first built, from COMMANDS, so
+    patching a `cmd_*` name does not reach `main`: to change what a command
+    computes (in a test, say), patch the library function that its handler
+    calls, such as `extbloch.cli.certify_order`."""
     parser = argparse.ArgumentParser(
         prog="extbloch",
         description="Extended Bloch group computations over number fields")
@@ -344,15 +450,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args)
         payload = args.handler(_load_fixture(args.fixture), args, cfg)
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4
-    except (InputError, FieldError, KeyError, ValueError, TypeError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ExtGroupError, BlochError, RegulatorError, TorsionError,

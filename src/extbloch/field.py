@@ -991,7 +991,8 @@ class NumberField:
         times, and then PrecisionExhausted is raised.  Order: the real
         roots ascending, then one representative per conjugate pair
         (positive imaginary part) by real part, then imaginary part.  Every
-        root must leave a residue |p(z)| <= 10^-precision.  Ordering and
+        root must leave a residue |p(z)| <= 10^-precision times the larger
+        of 1 and the sum of the |a_i| |z|^i that p(z) adds up.  Ordering and
         the residue run on the fixed-point roots; the roots are returned as
         mpmath numbers at 2*precision + 40 digits.
         """
@@ -1030,9 +1031,13 @@ class NumberField:
         ordered = reals + upper[::2]
         den, coeffs = _integer_poly(self.poly)
         for x, y in ordered:
-            # |p(z)| <= 10^-precision, p(z) = (fr + i fi) / (den 2^b)
+            # |p(z)| <= 10^-precision max(1, sum |a_i| |z|^i), with
+            # p(z) = (fr + i fi) / (den 2^b) and the sum s / (den 2^b)
             fr, fi = _horner(coeffs, x, y, b)[:2]
-            if (fr * fr + fi * fi) * 100 ** precision > (den << b) ** 2:
+            r, s = math.isqrt(x * x + y * y) + 1, 0
+            for c in coeffs:
+                s = (s * r >> b) + (abs(c) << b)
+            if (fr * fr + fi * fi) * 100 ** precision > max(den << b, s) ** 2:
                 raise PrecisionExhausted("root verification residue too large")
         with mp.workdps(target):
             ordered = [_mpc((x, y, b)) for x, y in ordered]

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import pytest
 from mpmath import mp
 
-from extbloch.cli import main
-from extbloch.field import NumberField
+import test_cli_golden
+from extbloch.cli import build_parser, main
+from extbloch.field import DivisionByZero, NumberField
 from extbloch.regulator import RealSlotNotReal
 from extbloch.torsion import certify_order, flattened_torsion
 
@@ -243,3 +245,164 @@ def test_torsion_table_takes_no_prime(capsys):
               "--prime", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --prime 3" in capsys.readouterr().err
+
+
+def _fixture(name):
+    with open(f"{FIXTURES}/{name}") as fh:
+        return json.load(fh)
+
+
+def _changed(name, **changes):
+    """The fixture with keys replaced, or removed where the value is
+    None."""
+    data = dict(_fixture(name), **changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+def _with_basis(**changes):
+    return _changed("element_example.json",
+                    basis=dict(_fixture("element_example.json")["basis"],
+                               **changes))
+
+
+# (command, fixture, the key the error must name)
+MALFORMED_KEYS = {
+    "field-string": (["torsion", "table"], {"field": "x"}, "field"),
+    "field-entry": (["field", "info"], {"field": [1, None, 1]}, "field"),
+    "field-constant": (["torsion", "table"], {"field": [3]}, "field"),
+    "field-repeated-root": (["torsion", "table"], {"field": [1, 2, 1]},
+                            "field"),
+    "basis-missing": (["bloch", "verify"],
+                      _changed("element_example.json", basis=None), "basis"),
+    "basis-list": (["bloch", "verify"],
+                   _changed("element_example.json", basis=[2]), "basis"),
+    "free-gens-number": (["bloch", "verify"], _with_basis(free_gens=2),
+                         "free_gens"),
+    "free-gens-too-long": (["bloch", "verify"],
+                           _with_basis(free_gens=[[1, 2, 3, 4, 5]]),
+                           "free_gens"),
+    "torsion-gen-string": (["bloch", "verify"], _with_basis(torsion_gen="w"),
+                           "torsion_gen"),
+    "terms-number": (["bloch", "verify"],
+                     _changed("element_example.json", terms=5), "terms"),
+    "term-short": (["bloch", "verify"],
+                   _changed("element_example.json", terms=[[1, [0, []]]]),
+                   "terms"),
+    "term-generator": (["bloch", "verify"],
+                       _changed("element_example.json",
+                                terms=[[1, [0, [[5, 1]]], [0, [[0, 1]]]]]),
+                       "terms"),
+    "chi-number": (["bloch", "regulator"],
+                   _changed("element_example.json", chi=3), "chi"),
+    "x-missing": (["fiveterm", "check"],
+                  _changed("fiveterm_rational.json", x=None), "x"),
+    "y-string": (["fiveterm", "check"],
+                 _changed("fiveterm_rational.json", y="9"), "y"),
+    "tets-missing": (["cycle", "invariant"],
+                     _changed("figure_eight.json", tets=None), "tets"),
+    "tets-string": (["cycle", "invariant"],
+                    _changed("figure_eight.json", tets="two"), "tets"),
+    "gluing-short": (["cycle", "invariant"],
+                     _changed("figure_eight.json", gluings=[[0, 0, 1, 0]]),
+                     "gluings"),
+    "shapes-count": (["cycle", "invariant"],
+                     _changed("figure_eight.json", shapes=[[0, 1]]),
+                     "shapes"),
+    "orientations-signs": (["cycle", "invariant"],
+                           _changed("figure_eight.json",
+                                    orientations=["+", "-"]),
+                           "orientations"),
+    "flattenings-pair": (["cycle", "invariant"],
+                         _changed("figure_eight.json",
+                                  flattenings=[[0], [0, 0]]),
+                         "flattenings"),
+    "triangulation-field": (["cycle", "invariant"],
+                            _changed("figure_eight.json", field=[1, 2, 1]),
+                            "field"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_KEYS)
+def test_malformed_key_is_input_error_naming_it(capsys, tmp_path, case):
+    command, data, key = MALFORMED_KEYS[case]
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run(capsys, command + [str(fixture)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and repr(key) in err
+
+
+@pytest.mark.parametrize("error", [KeyError("m"), ValueError("bug"),
+                                   TypeError("bug"),
+                                   DivisionByZero("cannot invert zero")],
+                         ids=lambda e: type(e).__name__)
+def test_library_exception_in_a_handler_propagates(monkeypatch, error):
+    # only InputError means bad input; anything else is a bug and surfaces
+    def broken(field):
+        raise error
+
+    monkeypatch.setattr("extbloch.cli.torsion_profile", broken)
+    with pytest.raises(type(error)):
+        main(["torsion", "table", f"{FIXTURES}/field_sqrt2.json"])
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser cache before and after the test."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_consecutive_calls_build_the_parser_once(capsys, monkeypatch,
+                                                 fresh_parser):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    argv = ["torsion", "table", f"{FIXTURES}/field_sqrt2.json"]
+    first = run(capsys, argv)
+    # the program, five command groups and eight commands
+    assert first[0] == 0 and len(built) == 14
+    for _ in range(4):
+        assert run(capsys, argv) == first
+    assert len(built) == 14
+
+
+def test_shared_parser_keeps_every_answer(capsys, tmp_path, fresh_parser):
+    field = f"{FIXTURES}/field_sqrt2.json"
+    assert run(capsys, ["torsion", "table", field])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "order", field, "--prime", "4"])
+    assert exc.value.code == 2
+    assert "--prime: 4 is not prime" in capsys.readouterr().err
+    assert run(capsys, ["torsion", "order", field, "--prime", "2"])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: extbloch" in capsys.readouterr().out
+    assert run(capsys, ["field", "info", field])[0] == 0
+    code, _, err = run(capsys, ["field", "info", "/no/such/file.json"])
+    assert code == 2 and "input error" in err
+    golden = test_cli_golden._golden()
+    for _ in range(2):
+        for ident, argv, poly in test_cli_golden.CORPUS:
+            code, out = test_cli_golden.run(argv, poly, str(tmp_path))
+            assert {"code": code, "stdout": out} == golden[ident], ident
+
+
+def test_field_with_large_root_residues(capsys, tmp_path):
+    # a degree-9 polynomial rescaled by 10^8: |p(z)| at its correct roots
+    # is far above 10^-P, within 10^-P of the terms of p(z)
+    poly = [907787, 64169, -549746, -921366, -819756, -90580, -123030,
+            -853503, -495294, 1]
+    fixture = tmp_path / "large.json"
+    fixture.write_text(json.dumps(
+        {"field": [a * 10 ** (8 * (9 - k)) for k, a in enumerate(poly)]}))
+    for command in (["field", "info"], ["torsion", "table"]):
+        code, out, err = run(capsys, command + [str(fixture), "--json"])
+        assert code == 0, err
+    assert json.loads(out)["result"]["m"] == 2

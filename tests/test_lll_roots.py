@@ -289,3 +289,36 @@ def test_roots_match_polyroots_on_squarefree_polynomials(case, precision):
             tol = 2 * precision + (0 if a is not None and abs(w - a) < 1e-20
                                    else 30)
             assert abs(z - w) < mp.mpf(10) ** -tol, (z, w)
+
+
+# Integer polynomials (low to high) whose rescalings p(x/c) c^d by
+# c = 10^8 the absolute residue test |p(z)| <= 10^-P rejected at P <= 50:
+# |p'(z)| there reaches 10^90 and more.  The first is from a reported
+# failure, the other two from a seeded search (random.Random(2026),
+# degree 9-12, coefficients up to 10^6).
+LARGE_POLYS = [
+    [907787, 64169, -549746, -921366, -819756, -90580, -123030, -853503,
+     -495294, 1],
+    [876546, 260452, 303346, 167188, -117907, 642853, 200763, 148843,
+     766644, 532051, 1],
+    [575015, 621251, 230023, -74957, -496822, -994685, 288079, -830711,
+     -767769, -397614, 712872, -794371, 1],
+]
+
+
+def _rescaled(poly, c):
+    d = len(poly) - 1
+    return [a * c ** (d - k) for k, a in enumerate(poly)]
+
+
+@pytest.mark.parametrize("poly", LARGE_POLYS, ids=lambda p: f"deg{len(p) - 1}")
+def test_roots_of_large_polynomials_pass_the_relative_residue(poly):
+    poly = _rescaled(poly, 10 ** 8)
+    nf = NumberField(poly)
+    ref = _reference_roots(poly, 300)
+    for precision in (20, 30, 48, 50, 100):
+        ours = nf.roots(precision)
+        assert len(ours) == len(ref) == sum(nf.signature)
+        with mp.workdps(300):
+            for z, w in zip(ours, ref):
+                assert abs(z - w) < abs(w) * mp.mpf(10) ** -(2 * precision + 30)

@@ -9,9 +9,9 @@ Normalization merges, per cross-ratio, all translates onto one base
 flattening and accumulates the difference in the chi part, giving a
 deterministic normal form.
 
-The PSL variant allows half-central translates and signs; a PSL-level
-element lifts if and only if an explicit field element is a square, which
-over a saturated basis means all its exponents are even.
+The PSL variant allows half-central translates; a PSL-level element lifts
+if and only if an explicit field element is a square, which over a
+saturated basis means all its exponents are even.
 """
 from __future__ import annotations
 
@@ -272,51 +272,15 @@ def rho_hat(lifted):
 # ---------------------------------------------------------------------------
 # PSL variant
 
-class PSLFlattening:
-    """A pair over doubled coordinates (allowing half-central translates)
-    together with signs (s_e, s_f) recording s_e*pi(e) + s_f*pi(f) = 1."""
-
-    __slots__ = ("e2", "f2", "signs", "basis")
-
-    def __init__(self, basis, e2, f2, signs):
-        # e2, f2 are coordinates of 2*e and 2*f, so halves stay integral
-        self.basis = basis
-        self.e2 = e2
-        self.f2 = f2
-        self.signs = signs
-
-    def __eq__(self, other):
-        return (isinstance(other, PSLFlattening) and self.e2 == other.e2
-                and self.f2 == other.f2 and self.signs == other.signs)
-
-    def __hash__(self):
-        return hash((self.e2, self.f2, self.signs))
-
-    def __repr__(self):
-        return f"PSLFl({self.e2!r}/2, {self.f2!r}/2, {self.signs})"
-
-
-class PSLSum:
-    """Image of an ExtBlochSum at the PSL level: the chi part collapses to a
-    single central coefficient modulo the central generator (the transfer
-    relation makes chi of the half-unit vanish, and doubling identifies
-    chi(2e) with twice the PSL-level chi of e)."""
-
-    def __init__(self, basis, terms, chi_part):
-        self.basis = basis
-        self.terms = tuple(terms)
-        self.chi_part = ExtElement(basis, chi_part.k % basis.m, chi_part.r)
-
-    def __eq__(self, other):
-        return (isinstance(other, PSLSum) and self.terms == other.terms
-                and self.chi_part == other.chi_part)
-
-
 def psl_project(s):
-    """Project an ExtBlochSum to the PSL level."""
-    terms = [(n, PSLFlattening(s.basis, 2 * fl.e, 2 * fl.f, (1, 1)))
-             for n, fl in s.terms]
-    return PSLSum(s.basis, terms, s.chi_part)
+    """Project an ExtBlochSum to the PSL level, as the comparable pair of
+    its terms (n, 2e, 2f) in doubled coordinates, so that half-central
+    translates stay integral, and its chi part with the central
+    coefficient taken modulo the central generator (the transfer relation
+    makes chi of the half-unit vanish, and doubling identifies chi(2e)
+    with twice the PSL-level chi of e)."""
+    chi_part = ExtElement(s.basis, s.chi_part.k % s.basis.m, s.chi_part.r)
+    return tuple((n, 2 * fl.e, 2 * fl.f) for n, fl in s.terms), chi_part
 
 
 def psl_lift_obstruction(x, basis):
@@ -335,17 +299,19 @@ def change_torsion_generator(s, new_basis):
     If the new generator raised to a gives the old one, coordinates map by
     (k, r) -> (a*k, r); the chi part additionally picks up the factor a,
     because the covering takes the old central unit to a times the new one.
-    The regulator vector is unchanged.
+    The regulator vector is unchanged.  Both generators must have the same
+    order m; otherwise the old central unit is not a times the new one.
     """
     old = s.basis
     if new_basis.field != old.field:
         raise BlochError("transport requires the same field")
+    if new_basis.m != old.m:
+        raise BlochError("transport requires torsion generators of the "
+                         "same order")
     if [new_basis.gen_value(j) for j in range(new_basis.num_gens())] != \
             [old.gen_value(j) for j in range(old.num_gens())]:
         raise BlochError("transport requires identical free generators")
-    m = old.m
-    a = next((k for k in range(1, m + 1)
-              if new_basis.torsion_gen ** k == old.torsion_gen), None)
+    a = new_basis.torsion_log(old.torsion_gen)
     if a is None:
         raise BlochError("new torsion generator does not reach the old one")
 
@@ -368,9 +334,10 @@ def galois_apply(tau, s):
     if not isinstance(s, ExtBlochSum):
         raise BlochError("unsupported operand for the Galois action")
     basis = s.basis
-    m = basis.m
-    w_img = basis.torsion_gen.substitute(tau)
-    k_img = next(k for k in range(m) if basis.torsion_gen ** k == w_img)
+    k_img = basis.torsion_log(basis.torsion_gen.substitute(tau))
+    if k_img is None:
+        raise BlochError("the image of the torsion generator is not a "
+                         "power of it")
     gen_imgs = {}
 
     def push(e):

@@ -46,7 +46,7 @@ from mpmath import mp
 
 from .field import (DegreeZero, NotSquarefree, NumberField,
                     PrecisionExhausted, element_in_field, guard_digits,
-                    is_prime, tolerance)
+                    is_prime, tolerance, working)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -133,7 +133,7 @@ def _field_of(data):
         return NumberField(coeffs)
 
 
-def _basis_of(field, data, precision):
+def _basis_of(field, data):
     desc = _required(data, "basis")
     if not isinstance(desc, dict):
         raise _bad("basis", "expected an object")
@@ -144,7 +144,7 @@ def _basis_of(field, data, precision):
         torsion_gen = field.element(
             _coeffs(desc["torsion_gen"], "torsion_gen", field.degree))
     return MultBasis(field, gens, saturated=bool(desc.get("saturated")),
-                     precision=precision, torsion_gen=torsion_gen)
+                     torsion_gen=torsion_gen)
 
 
 def _ext_element(basis, coords, key):
@@ -156,9 +156,9 @@ def _ext_element(basis, coords, key):
     return basis.element(_convert(int, k, key), exponents)
 
 
-def _element_of(data, precision):
+def _element_of(data):
     field = _field_of(data)
-    basis = _basis_of(field, data, precision)
+    basis = _basis_of(field, data)
     terms = []
     for term in _list(data.get("terms", []), "terms"):
         n, e, f = _list(term, "terms", 3)
@@ -206,7 +206,7 @@ def _fmt_complex(z, digits):
 def _reg_strings(vec, cfg):
     digits = min(cfg.precision, 30)
     out = []
-    with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
+    with working(cfg.precision):
         for v in vec:
             rep = v.symmetric() if cfg.symmetric_range else v.canonical()
             out.append(_fmt_complex(rep, digits))
@@ -225,7 +225,7 @@ def cmd_field_info(data, args, cfg):
     field = _field_of(data)
     m, w = field.torsion
     autos = 0
-    with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
+    with working(cfg.precision):
         approxes = []
         for ctx in field.embeddings(cfg.precision):
             approxes.append(ctx.root())
@@ -235,7 +235,7 @@ def cmd_field_info(data, args, cfg):
         if element_in_field(list(field.poly), approx, field) is not None:
             autos += 1
     digits = min(cfg.precision, 30)
-    with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
+    with working(cfg.precision):
         table = [_fmt_complex(ctx.root(), digits)
                  for ctx in field.embeddings(cfg.precision)]
     return {
@@ -250,7 +250,7 @@ def cmd_field_info(data, args, cfg):
 
 
 def cmd_bloch_verify(data, args, cfg):
-    s = _element_of(data, cfg.precision)
+    s = _element_of(data)
     caveats = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -268,21 +268,21 @@ def cmd_bloch_verify(data, args, cfg):
 
 
 def cmd_bloch_regulator(data, args, cfg):
-    s = _element_of(data, cfg.precision)
+    s = _element_of(data)
     vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
     return {"regulator": _reg_strings(vec, cfg)}
 
 
 def cmd_fiveterm_check(data, args, cfg):
     field = _field_of(data)
-    basis = _basis_of(field, data, cfg.precision)
+    basis = _basis_of(field, data)
     x, y = (field.element(_coeffs(_required(data, key), key, field.degree))
             for key in ("x", "y"))
     fl0 = Flattening(basis.log_lift(x), basis.log_lift(field.one - x))
     fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y))
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
     vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
-    with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
+    with working(cfg.precision):
         tol = tolerance(cfg.precision, cfg.tolerance_value)
         reg_zero = all(v.distance(0) < tol for v in vec)
     return {
@@ -332,7 +332,7 @@ def cmd_cycle_invariant(data, args, cfg):
         inv = manifold_invariant(_triangulation_of(data), cfg.precision,
                                  cfg.tolerance_value)
     digits = min(cfg.precision, 30)
-    with mp.workdps(cfg.precision + guard_digits(cfg.precision)):
+    with working(cfg.precision):
         im = [_fmt_real(x, digits) for x in inv.imaginary_parts]
         ds = [_fmt_real(x, digits) for x in inv.dilogarithm_sums]
     return {

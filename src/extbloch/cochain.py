@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .field import (FieldElement, NumberField, guard_digits,
-                    rounding_tolerance, tolerance as _tolerance)
+from .field import (FieldElement, NumberField, rounding_tolerance,
+                    tolerance as _tolerance, working)
 from .extgroup import SymbolicBasis, cover_to_C
 from .bloch import ExtBlochSum, Flattening, NotAFlattening, chi, normalize
 from .regulator import bloch_wigner, reg_vector
@@ -298,7 +298,7 @@ def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
     if precision is not None:
         lifts = [cover_to_C(basis, ctx)
                  for ctx in basis.field.embeddings(precision)]
-        with mp.workdps(precision + guard_digits(precision)):
+        with working(precision):
             tol = _tolerance(precision, tolerance)
             for rep, tot in totals.items():
                 if exact[rep]:
@@ -592,7 +592,7 @@ class ManifoldInvariant:
     def matches(self):
         """Whether Im(regulator) equals the Bloch-Wigner sum at every
         embedding, within the tolerance (field.tolerance)."""
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(self.precision):
             tol = _tolerance(self.precision, self.tolerance)
             return all(abs(a - b) < tol
                        for a, b in zip(self.imaginary_parts,
@@ -631,7 +631,7 @@ def _search_translates(cycle, basis, build, precision, search_bound):
     # the base lift of each class total is an integer multiple of the lift
     # of the central unit; the translates must cancel exactly that multiple
     targets = None
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         tol = rounding_tolerance(precision)
         for ctx in basis.field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
@@ -731,7 +731,7 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
     regulator = reg_vector(element, precision, tolerance)
     imaginary_parts = []
     dsums = []
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         for ctx in field.embeddings(precision):
             dsum = mp.mpf(0)
             for t, z in enumerate(shapes):

@@ -26,13 +26,14 @@ m is even so the torsion lift is not 2-divisible, and saturation excludes
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 from mpmath import mp
 
-from .field import (FieldElement, FieldError, guard_digits,
-                    rounding_tolerance)
+from .field import (FieldElement, FieldError, prime_factors,
+                    rounding_tolerance, working)
 
 
 class ExtGroupError(Exception):
@@ -139,8 +140,25 @@ class _BasisCommon:
         """The element 1/2; exists because m is even."""
         return ExtElement(self, self.m // 2)
 
+    @functools.cached_property
+    def _torsion_powers(self):
+        """w^0, ..., w^(m-1) for the torsion generator w, built on first
+        use."""
+        powers = [self.field.one]
+        for _ in range(self.m - 1):
+            powers.append(powers[-1] * self.torsion_gen)
+        return powers
+
+    def torsion_log(self, x):
+        """The k in [0, m) with w^k = x for the torsion generator w, or None
+        if x is not a power of w."""
+        try:
+            return self._torsion_powers.index(x)
+        except ValueError:
+            return None
+
     def pi(self, e):
-        out = self.torsion_gen ** (e.k % self.m)
+        out = self._torsion_powers[e.k % self.m]
         for j, exp in e.r:
             out = out * self.gen_value(j) ** exp
         return out
@@ -181,41 +199,27 @@ def _wedge_vanishes(terms, torsion_modulus):
     return True
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-EXP_BOUND = 64   # largest |exponent| log_lift recovers per free generator
+EXP_BOUND = 64        # largest |exponent| log_lift recovers per free generator
+EXPONENT_DIGITS = 50  # digits of the numeric exponent recovery and rank check
 
 
 class MultBasis(_BasisCommon):
     """Torsion generator plus a fixed list of multiplicatively independent
     free generators of a subgroup of F*."""
 
-    def __init__(self, field, free_gens, saturated=False, precision=50,
-                 torsion_gen=None):
+    def __init__(self, field, free_gens, saturated=False, torsion_gen=None):
         self.field = field
         self.m, self.torsion_gen = field.torsion
         if torsion_gen is not None:
             # any primitive generator of the roots of unity may serve
             if not (torsion_gen ** self.m).is_one() or any(
                     (torsion_gen ** (self.m // q)).is_one()
-                    for q in set(_prime_factors(self.m))):
+                    for q in set(prime_factors(self.m))):
                 raise ExtGroupError("supplied torsion generator does not "
                                     f"have exact order {self.m}")
             self.torsion_gen = torsion_gen
         self.free_gens = list(free_gens)
         self.saturated = bool(saturated)
-        self.precision = precision
         for p in self.free_gens:
             if p.is_zero():
                 raise ExtGroupError("free generator is zero")
@@ -244,9 +248,9 @@ class MultBasis(_BasisCommon):
         return len(self.free_gens)
 
     def _log_moduli(self):
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(EXPONENT_DIGITS):
             rows = []
-            for ctx in self.field.embeddings(self.precision):
+            for ctx in self.field.embeddings(EXPONENT_DIGITS):
                 rows.append([mp.log(abs(ctx.evaluate(p)))
                              for p in self.free_gens])
             return rows
@@ -256,12 +260,12 @@ class MultBasis(_BasisCommon):
         g = len(self.free_gens)
         if len(rows) < g:
             return False
-        with mp.workdps(self.precision):
+        with mp.workdps(EXPONENT_DIGITS):
             mat = mp.matrix(rows)
             # Gram matrix determinant bounded away from zero at working scale
             gram = mat.T * mat
             det = mp.det(gram)
-            return abs(det) > rounding_tolerance(self.precision)
+            return abs(det) > rounding_tolerance(EXPONENT_DIGITS)
 
     def log_lift(self, z):
         """Coordinates (k, r) of a field element lying in the subgroup
@@ -283,10 +287,10 @@ class MultBasis(_BasisCommon):
         for j, e in enumerate(r):
             if e:
                 rest = rest / self.gen_value(j) ** e
-        for k in range(self.m):
-            if self.torsion_gen ** k == rest:
-                return ExtElement(self, k, {j: e for j, e in enumerate(r) if e})
-        raise NotInSubgroup(f"{z!r} is not a product of basis generators")
+        k = self.torsion_log(rest)
+        if k is None:
+            raise NotInSubgroup(f"{z!r} is not a product of basis generators")
+        return ExtElement(self, k, {j: e for j, e in enumerate(r) if e})
 
     def fstar_wedge_is_zero(self, terms):
         """Decision in the exterior square of F* itself, where the torsion
@@ -297,10 +301,10 @@ class MultBasis(_BasisCommon):
         return self._caveat(_wedge_vanishes(terms, self.m), "nonzero wedge")
 
     def _free_exponents(self, z):
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(EXPONENT_DIGITS):
             rows = self._log_moduli()
             rhs = [mp.log(abs(ctx.evaluate(z)))
-                   for ctx in self.field.embeddings(self.precision)]
+                   for ctx in self.field.embeddings(EXPONENT_DIGITS)]
             mat = mp.matrix(rows)
             b = mp.matrix(rhs)
             sol = mp.lu_solve(mat.T * mat, mat.T * b)
@@ -394,15 +398,13 @@ class LogLift:
 
     def lambda_p(self, j):
         if j not in self._lambda_p:
-            prec = self.ctx.precision
-            with mp.workdps(prec + guard_digits(prec)):
+            with working(self.ctx.precision):
                 self._lambda_p[j] = mp.log(self.ctx.evaluate(
                     self.basis.gen_value(j)))
         return self._lambda_p[j]
 
     def lift(self, e):
-        prec = self.ctx.precision
-        with mp.workdps(prec + guard_digits(prec)):
+        with working(self.ctx.precision):
             acc = e.k * self.lambda_w
             for j, exp in e.r:
                 acc += exp * self.lambda_p(j)
@@ -415,7 +417,7 @@ def cover_to_C(basis, ctx, branch=None):
     for the torsion generator may be supplied and is verified."""
     prec = ctx.precision
     m = basis.m
-    with mp.workdps(prec + guard_digits(prec)):
+    with working(prec):
         sigma_w = ctx.evaluate(basis.torsion_gen)
         if branch is None:
             lambda_w = mp.log(sigma_w)

@@ -66,6 +66,12 @@ def guard_digits(precision):
     return max(10, precision // 5)
 
 
+def working(precision):
+    """The mpmath context of a computation whose result carries
+    `precision` digits: precision + guard digits."""
+    return mp.workdps(precision + guard_digits(precision))
+
+
 def tolerance(precision, override=None):
     """Tolerance for comparing values computed at `precision` digits:
     `override` if given, else 10^(10 - precision).  Evaluate it at the
@@ -151,15 +157,17 @@ def _pderiv(a):
     return _trim([i * c for i, c in enumerate(a)][1:])
 
 
-def _peval_frac(a, t):
-    acc = Fraction(0)
-    for c in reversed(a):
+def _peval(poly, t, zero):
+    """poly(t) by Horner's rule for a dense poly (low to high), summing from
+    `zero`, the zero of the ring where the value lies."""
+    acc = zero
+    for c in reversed(poly):
         acc = acc * t + c
     return acc
 
 
 def _sign_at(a, t):
-    v = _peval_frac(a, t)
+    v = _peval(a, t, Fraction(0))
     return (v > 0) - (v < 0)
 
 
@@ -207,19 +215,37 @@ def cyclotomic(n):
     return tuple(poly)
 
 
+def prime_factors(n):
+    """The prime factors of n >= 1, ascending and with multiplicity, by
+    lazy trial division.
+
+    >>> list(prime_factors(360)), list(prime_factors(1))
+    ([2, 2, 2, 3, 3, 5], [])
+    """
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            yield d
+            n //= d
+        d += 1
+    if n > 1:
+        yield n
+
+
+def is_prime(n):
+    """Whether the integer n is prime.
+
+    >>> [n for n in (-3, 0, 1, 2, 4, 7) if is_prime(n)]
+    [2, 7]
+    """
+    return n >= 2 and next(prime_factors(n)) == n
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(n):
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p in set(prime_factors(n)):
+        out -= out // p
     return out
 
 
@@ -301,15 +327,6 @@ def discriminant(poly):
         a, b = b, r
     res *= b[0] ** (len(a) - 1)
     return (-1) ** (d * (d - 1) // 2) * res
-
-
-def is_prime(n):
-    """Whether the integer n is prime, by trial division.
-
-    >>> [n for n in (-3, 0, 1, 2, 4, 7) if is_prime(n)]
-    [2, 7]
-    """
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def _primes():
@@ -828,10 +845,7 @@ class FieldElement:
     def substitute(self, image):
         """The image of this element under the field endomorphism sending the
         generator to `image` (an element of the same field)."""
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * image + self.field.rational(c)
-        return acc
+        return _peval(self.coeffs, image, self.field.zero)
 
 
 def _solve_rational(rows, rhs):
@@ -894,12 +908,10 @@ class EmbeddingContext:
     def evaluate(self, a):
         if a.field != self.field:
             raise FieldError("element belongs to a different field")
-        with mp.workdps(self.precision + guard_digits(self.precision)):
-            t = self.root()
-            acc = mp.mpc(0)
-            for c in reversed(a.coeffs):
-                acc = acc * t + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-            return +acc
+        with working(self.precision):
+            coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                      for c in a.coeffs]
+            return +_peval(coeffs, self.root(), mp.mpc(0))
 
     def conjugated(self):
         return EmbeddingContext(self.field, self.root_index, self.precision,
@@ -980,21 +992,21 @@ class NumberField:
     def roots(self, precision):
         """All d roots in the deterministic order, at the given precision.
 
-        Each precision needs the roots to 2*precision + 40 digits.  The
-        field keeps its most precise refinement of all d roots: a request
-        that needs no more digits rounds it (their separation is already
-        proven), one that needs more refines it by Newton's method.  The
-        first request isolates the roots (the Aberth-Ehrlich iteration at
-        ISOLATION_DIGITS digits) and refines them.  The refined roots must
-        be separated (`_refine_roots`); if they are not, the roots are
-        isolated again at doubled precision, up to ISOLATION_DOUBLINGS
-        times, and then PrecisionExhausted is raised.  Order: the real
-        roots ascending, then one representative per conjugate pair
-        (positive imaginary part) by real part, then imaginary part.  Every
-        root must leave a residue |p(z)| <= 10^-precision times the larger
-        of 1 and the sum of the |a_i| |z|^i that p(z) adds up.  Ordering and
-        the residue run on the fixed-point roots; the roots are returned as
-        mpmath numbers at 2*precision + 40 digits.
+        Newton's method refines the roots towards 2*precision + 40 digits;
+        the field keeps its most precise refinement and rounds it for a
+        request with no higher target.  The first request isolates the
+        roots (the Aberth-Ehrlich iteration at ISOLATION_DIGITS digits).
+        A refinement proves only that each returned root lies within
+        (d+1)*|last Newton step| of a root of p, a different one for each
+        (`_refine_roots`); roots in a tight cluster carry fewer digits than
+        the target.  If those disks overlap, the roots are isolated again
+        at doubled precision, up to ISOLATION_DOUBLINGS times, and then
+        PrecisionExhausted is raised.  Order: the real roots ascending,
+        then one representative per conjugate pair (positive imaginary
+        part) by real part, then imaginary part.  Every root must leave a
+        residue |p(z)| <= 10^-precision times the larger of 1 and the sum
+        of the |a_i| |z|^i that p(z) adds up.  Ordering and the residue run
+        on the fixed-point roots, returned as mpmath numbers.
         """
         if precision in self._root_cache:
             return self._root_cache[precision]
@@ -1063,7 +1075,7 @@ def reconstruct_at(nf, value, root_index, precision, den_bound=10 ** 6,
     `value`, by lattice reduction against powers of the generator.  The
     result is a candidate only; callers must verify it exactly."""
     d = nf.degree
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         ctx = EmbeddingContext(nf, root_index, precision, conjugate=conjugate)
         t = ctx.root()
         powers = [mp.mpc(1)]
@@ -1165,16 +1177,9 @@ def _reconstruct_root(q, approx, nf, precision, den_bound):
                                       den_bound, conjugate=conj)
             except ReconstructionFailed:
                 continue
-            if _peval_field(q, cand).is_zero() and cand.min_poly() == q:
+            if _peval(q, cand, nf.zero).is_zero() and cand.min_poly() == q:
                 return cand
     return None
-
-
-def _peval_field(poly, a):
-    acc = a.field.zero
-    for c in reversed(poly):
-        acc = acc * a + a.field.rational(c)
-    return acc
 
 
 def detect_roots_of_unity(nf):

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .field import (PrecisionExhausted, guard_digits, rounding_tolerance,
-                    tolerance as _tolerance)
+from .field import (PrecisionExhausted, rounding_tolerance,
+                    tolerance as _tolerance, working)
 from .extgroup import cover_to_C
 
 
@@ -106,7 +106,7 @@ def li2(z, precision=50):
     ...     abs(li2(1, 30) - mp.pi**2/6) < 1e-29
     True
     """
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         out = _li2(z)
         with mp.workdps(precision):
             return +out
@@ -115,7 +115,7 @@ def li2(z, precision=50):
 def bloch_wigner(z, precision=50):
     """The single-valued imaginary-part combination
     D(z) = Im Li2(z) + arg(1-z) * log|z|; zero on the reals."""
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         z = mp.mpc(z)
         if z == 0 or z == 1 or mp.im(z) == 0:
             return mp.mpf(0)
@@ -133,7 +133,7 @@ class RegulatorValue:
 
     def _reduced(self, shift):
         """Representative with real part in [-shift, 1 - shift) * 4*pi^2."""
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(self.precision):
             mod = 4 * mp.pi ** 2
             re = mp.re(self.value)
             re -= mp.floor(re / mod + shift) * mod
@@ -148,31 +148,18 @@ class RegulatorValue:
         return self._reduced(mp.mpf("0.5"))
 
     def __add__(self, other):
-        if isinstance(other, RegulatorValue):
-            return RegulatorValue(self.value + other.value,
-                                  min(self.precision, other.precision))
+        """The value shifted by a plain complex number."""
         return RegulatorValue(self.value + other, self.precision)
-
-    def __sub__(self, other):
-        if isinstance(other, RegulatorValue):
-            return RegulatorValue(self.value - other.value,
-                                  min(self.precision, other.precision))
-        return RegulatorValue(self.value - other, self.precision)
-
-    def __mul__(self, n):
-        return RegulatorValue(n * self.value, self.precision)
-
-    __rmul__ = __mul__
 
     def distance(self, other):
         """Distance to another value (or plain complex) modulo 4*pi^2."""
         o = other.value if isinstance(other, RegulatorValue) else other
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(self.precision):
             d = RegulatorValue(self.value - o, self.precision)
             return abs(d.symmetric())
 
     def close_to(self, other, tolerance=None):
-        with mp.workdps(self.precision + guard_digits(self.precision)):
+        with working(self.precision):
             return self.distance(other) < _tolerance(self.precision,
                                                      tolerance)
 
@@ -183,7 +170,7 @@ class RegulatorValue:
 def reg_flattening(fl, lift):
     """Regulator of one flattening under a covering at one embedding."""
     prec = lift.ctx.precision
-    with mp.workdps(prec + guard_digits(prec)):
+    with working(prec):
         w0 = lift.lift(fl.e)
         w1 = lift.lift(fl.f)
         z = lift.ctx.evaluate(fl.z)
@@ -205,7 +192,7 @@ def reg_sum(s, lift):
     """Regulator of a normalized combination: term regulators plus the chi
     contribution -pi*i * k_unit * lift(chi_part)."""
     prec = lift.ctx.precision
-    with mp.workdps(prec + guard_digits(prec)):
+    with working(prec):
         acc = mp.mpc(0)
         for n, fl in s.terms:
             acc += n * reg_flattening(fl, lift).value
@@ -220,7 +207,7 @@ def reg_vector(s, precision=50, tolerance=None):
     basis = s.basis
     field = basis.field
     out = []
-    with mp.workdps(precision + guard_digits(precision)):
+    with working(precision):
         tolerance = _tolerance(precision, tolerance)
         for ctx in field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
@@ -243,7 +230,7 @@ def torsion_order(v, max_den=10 ** 4, tolerance=None):
     of the precision.  A fit within the default tolerance but not within a
     finer `tolerance` raises PrecisionExhausted, naming both."""
     prec = v.precision
-    with mp.workdps(prec + guard_digits(prec)):
+    with working(prec):
         default, tol = _tolerance(prec), _tolerance(prec, tolerance)
         x = mp.re(v.value) / (4 * mp.pi ** 2)
         frac = _rational_reconstruct(x, max_den)

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from mpmath import mp
 
 from .field import (MEMBERSHIP_DIGITS, NumberField, _primes, cos2pi_minpoly,
-                    element_in_field, euler_phi, guard_digits, is_prime)
+                    element_in_field, euler_phi, is_prime, prime_factors,
+                    working)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -65,7 +67,7 @@ def _two_cos(nf, n):
     coeffs = cos2pi_minpoly(n)
     if len(coeffs) - 1 > nf.degree:
         return None
-    with mp.workdps(MEMBERSHIP_DIGITS + guard_digits(MEMBERSHIP_DIGITS)):
+    with working(MEMBERSHIP_DIGITS):
         approx = 2 * mp.cos(2 * mp.pi / n)
     return element_in_field(coeffs, approx, nf)
 
@@ -108,16 +110,9 @@ def torsion_profile(nf):
     bound = max(5, 2 * nf.degree + 1)
     for p in itertools.takewhile(lambda q: q <= bound, _primes()):
         nu[p] = nu_p(nf, p)
-    w = 2
-    nu_prime = {}
-    for p, v in nu.items():
-        w *= p ** v
-        vp = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            vp += 1
-        nu_prime[p] = v - vp
+    w = 2 * math.prod(p ** v for p, v in nu.items())
+    v_m = Counter(prime_factors(m))
+    nu_prime = {p: v - v_m[p] for p, v in nu.items()}
     return TorsionProfile(nu=nu, nu_prime=nu_prime, w=w, m=m,
                           primes=tuple(sorted(nu)))
 

@@ -19,7 +19,8 @@ rescaled by 10^8; every fixture command; malformed fixtures for every
 command.  Each line runs with and without --json at --precision 20, 30, 50
 and 100.  An exception that escapes `main` is recorded as the exit code
 "raised NAME" with its message on standard error.  pytest does not collect
-this file.
+this file; tests/test_cli_golden.py imports its base fields, `scaled` and
+`run`, which it calls with strict=True.
 """
 import contextlib
 import io
@@ -34,6 +35,8 @@ from extbloch.cli import main
 FIXTURES = "tests/fixtures"
 PRECISIONS = ("20", "30", "50", "100")
 SCALES = (1, 2, 3, 7, 10, 1000, 3 * 10 ** 7)
+# the defining polynomials of Q, Q(sqrt2), Q(i), Q(sqrt-3), the quartic
+# fixture and Q(zeta_8)
 BASE_FIELDS = {
     "Q": [0, 1], "sqrt2": [-2, 0, 1], "i": [1, 0, 1], "sqrt-3": [1, 1, 1],
     "quartic": [1, -2, 2, -1, 1], "x4+1": [1, 0, 0, 0, 1],
@@ -91,7 +94,7 @@ MALFORMED = [
 ]
 
 
-def _scaled(poly, c):
+def scaled(poly, c):
     """c^d p(x/c): the same field, generator multiplied by c."""
     d = len(poly) - 1
     return [a * c ** (d - k) for k, a in enumerate(poly)]
@@ -100,7 +103,7 @@ def _scaled(poly, c):
 def matrix():
     """(id, argv, fixture text or None): FIELD in argv stands for a file
     holding the fixture text."""
-    fields = {f"{name}@{c}": _scaled(poly, c)
+    fields = {f"{name}@{c}": scaled(poly, c)
               for name, poly in BASE_FIELDS.items() for c in SCALES}
     fields.update(OTHER_FIELDS)
     lines = [(" ".join([*argv[:2], name, *argv[2:]]),
@@ -118,9 +121,11 @@ def matrix():
             for mode, flag in (("", []), (" --json", ["--json"]))]
 
 
-def run(argv, text, workdir):
+def run(argv, text, workdir, strict=False):
     """Exit code, standard output and standard error of the CLI on argv;
-    the work directory reads as WORKDIR in the output."""
+    the work directory reads as WORKDIR in the output.  With strict, an
+    exception or SystemExit from `main` propagates, and the output is
+    returned exactly as printed."""
     path = os.path.join(workdir, "fixture.json")
     if text is not None:
         if os.path.exists(path):
@@ -134,14 +139,19 @@ def run(argv, text, workdir):
         try:
             code = main(argv)
         except SystemExit as exc:
+            if strict:
+                raise
             code = exc.code
         except Exception as exc:
+            if strict:
+                raise
             code = f"raised {type(exc).__name__}"
             print(exc, file=err)
+    got = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if strict:
+        return got
     return {name: value.replace(workdir, "WORKDIR") if isinstance(value, str)
-            else value
-            for name, value in (("code", code), ("stdout", out.getvalue()),
-                                ("stderr", err.getvalue()))}
+            else value for name, value in got.items()}
 
 
 def run_all():

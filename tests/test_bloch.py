@@ -6,8 +6,8 @@ from mpmath import mp
 
 from extbloch.field import NumberField
 from extbloch.extgroup import MultBasis, SymbolicBasis
-from extbloch.bloch import (BlochSum, DegenerateTuple, ExtBlochSum,
-                            Flattening, NotAFlattening, chi,
+from extbloch.bloch import (BlochError, BlochSum, DegenerateTuple,
+                            ExtBlochSum, Flattening, NotAFlattening, chi,
                             change_torsion_generator, five_term,
                             galois_apply, lift_five_term, normalize,
                             psl_lift_obstruction, psl_project, rho_hat)
@@ -169,6 +169,28 @@ def test_galois_on_ext_sum():
         sorted([(-r - one).coeffs, (sqrt2.rational(2) + r).coeffs])
 
 
+def test_galois_rejects_a_non_automorphism():
+    # on Q(i), x -> 2x sends the torsion generator i to 2i, not a power of i
+    gaussian = NumberField([1, 0, 1])
+    basis = MultBasis(gaussian, [], saturated=True)
+    s = ExtBlochSum(basis, (), basis.element(1))
+    with pytest.raises(BlochError):
+        galois_apply(2 * gaussian.gen, s)
+
+
+@pytest.mark.parametrize("poly", [[1, 0, 1], [1, 0, 0, 0, 1]],
+                         ids=["Q(i)", "Q(zeta8)"])
+def test_change_torsion_generator_rejects_another_order(poly):
+    # the symbolic basis has m = 2, the multiplicative one m = 4 or 8: the
+    # old central unit is not a times the new one, so the chi part has no
+    # transport by the factor a
+    field = NumberField(poly)
+    sym = SymbolicBasis(field)
+    s = ExtBlochSum(sym, (), sym.element(1))
+    with pytest.raises(BlochError):
+        change_torsion_generator(s, MultBasis(field, [], saturated=True))
+
+
 def test_change_torsion_generator_roundtrip():
     f = NumberField([1, -2, 2, -1, 1])
     x = f.element([0, 1])
@@ -190,9 +212,16 @@ def test_change_torsion_generator_roundtrip():
 
 
 def test_psl_projection_collapses_half_chi(basis23):
-    s = chi(basis23.half())
-    t = chi(basis23.half() + basis23.iota())
-    assert psl_project(s) == psl_project(t)
+    # a chi-only sum, and one with flattening terms, whose term list the
+    # projection keeps
+    flattenings = [(2, fl_of(basis23, Fraction(3))),
+                   (-1, fl_of(basis23, Fraction(9)))]
+    for terms in ((), flattenings):
+        s = normalize(basis23, terms, basis23.half())
+        t = normalize(basis23, terms, basis23.half() + basis23.iota())
+        assert s != t
+        assert psl_project(s) == psl_project(t)
+        assert [n for n, _, _ in psl_project(s)[0]] == [n for n, _ in s.terms]
 
 
 def test_psl_lift_obstruction(basis23, rationals):
@@ -200,3 +229,4 @@ def test_psl_lift_obstruction(basis23, rationals):
     assert psl_lift_obstruction(rationals.rational(Fraction(9, 16)), basis23)
     assert not psl_lift_obstruction(rationals.rational(2), basis23)
     assert not psl_lift_obstruction(rationals.rational(-4), basis23)
+

@@ -389,9 +389,10 @@ def test_shared_parser_keeps_every_answer(capsys, tmp_path, fresh_parser):
     assert code == 2 and "input error" in err
     golden = test_cli_golden._golden()
     for _ in range(2):
-        for ident, argv, poly in test_cli_golden.CORPUS:
-            code, out = test_cli_golden.run(argv, poly, str(tmp_path))
-            assert {"code": code, "stdout": out} == golden[ident], ident
+        for ident, argv, text in test_cli_golden.CORPUS:
+            got = test_cli_golden.run(argv, text, str(tmp_path))
+            assert {"code": got["code"], "stdout": got["stdout"]} == \
+                golden[ident], ident
 
 
 def test_field_with_large_root_residues(capsys, tmp_path):

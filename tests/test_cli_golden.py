@@ -11,28 +11,22 @@ decisions (roots of unity, cosines, automorphisms) do not depend on
     PYTHONPATH=src python3 tests/test_cli_golden.py --record
 
 run from the root of a checkout of the code whose output is the reference.
+The base fields, their rescaling and the in-process runner are those of
+tests/cli_matrix.py; the runner is strict here, so an exception from the
+CLI fails the test with its traceback and the output is compared exactly
+as printed.
 """
-import contextlib
-import io
 import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 import pytest
 
-from extbloch.cli import main
+from cli_matrix import BASE_FIELDS, FIXTURES, run, scaled
 
-FIXTURES = "tests/fixtures"
 GOLDEN = os.path.join(FIXTURES, "golden_cli.json")
 
-# base fields: the defining polynomials of Q, Q(sqrt2), Q(i), Q(sqrt-3), the
-# quartic fixture and Q(zeta_8)
-BASE_FIELDS = {
-    "Q": [0, 1], "sqrt2": [-2, 0, 1], "i": [1, 0, 1], "sqrt-3": [1, 1, 1],
-    "quartic": [1, -2, 2, -1, 1], "x4+1": [1, 0, 0, 0, 1],
-}
 # (rescaling c, extra flags) of the field command lines
 FIELD_RUNS = ((1, []), (1000, []), (1000, ["--precision", "20"]))
 
@@ -53,15 +47,9 @@ FIELD_COMMANDS = [["field", "info"], ["torsion", "table"],
                   ["torsion", "generators"], ["torsion", "order"]]
 
 
-def scaled(poly, c):
-    """c^d p(x/c): the same field, generator multiplied by c."""
-    d = len(poly) - 1
-    return [int(Fraction(a) * c ** (d - i)) for i, a in enumerate(poly)]
-
-
 def corpus():
-    """(id, argv, field polynomial or None): the argv of a field command
-    names the fixture as FIELD, to be replaced by a file holding it."""
+    """(id, argv, fixture text or None): the argv of a field command names
+    the fixture as FIELD, to be replaced by a file holding the text."""
     lines = [(" ".join(argv[:2] + [os.path.basename(argv[2])] + argv[3:]),
               argv, None) for argv in FIXTURE_COMMANDS]
     for name, poly in BASE_FIELDS.items():
@@ -70,23 +58,10 @@ def corpus():
                 prime = ["--prime", "2"] if command[1] == "order" else []
                 lines.append((" ".join([*command, f"{name}@{c}", *extra]),
                               command + ["FIELD"] + prime + extra,
-                              scaled(poly, c)))
-    return [(f"{ident}{mode}", argv + flag, poly)
-            for ident, argv, poly in lines
+                              json.dumps({"field": scaled(poly, c)})))
+    return [(f"{ident}{mode}", argv + flag, text)
+            for ident, argv, text in lines
             for mode, flag in (("", []), (" --json", ["--json"]))]
-
-
-def run(argv, poly, workdir):
-    """Exit code and standard output of the CLI on argv."""
-    if poly is not None:
-        path = os.path.join(workdir, "field.json")
-        with open(path, "w") as fh:
-            json.dump({"field": poly}, fh)
-        argv = [path if a == "FIELD" else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
 
 
 def _golden():
@@ -97,12 +72,12 @@ def _golden():
 CORPUS = corpus()
 
 
-@pytest.mark.parametrize("ident, argv, poly", CORPUS,
+@pytest.mark.parametrize("ident, argv, text", CORPUS,
                          ids=[ident for ident, _, _ in CORPUS])
-def test_output_matches_the_recording(ident, argv, poly, tmp_path):
+def test_output_matches_the_recording(ident, argv, text, tmp_path):
     want = _golden()[ident]
-    code, out = run(argv, poly, str(tmp_path))
-    assert (code, out) == (want["code"], want["stdout"])
+    got = run(argv, text, str(tmp_path), strict=True)
+    assert (got["code"], got["stdout"]) == (want["code"], want["stdout"])
 
 
 def test_recording_covers_the_corpus():
@@ -111,9 +86,9 @@ def test_recording_covers_the_corpus():
 
 def record(workdir):
     golden = {}
-    for ident, argv, poly in CORPUS:
-        code, out = run(argv, poly, workdir)
-        golden[ident] = {"code": code, "stdout": out}
+    for ident, argv, text in CORPUS:
+        got = run(argv, text, workdir, strict=True)
+        golden[ident] = {"code": got["code"], "stdout": got["stdout"]}
     with open(GOLDEN, "w") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")

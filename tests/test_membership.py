@@ -140,6 +140,23 @@ def test_late_witness_still_excludes(monkeypatch):
     assert attempts and set(attempts) == {48}
 
 
+def test_exhausted_first_reconstruction_leaves_the_sieve_to_decide(
+        monkeypatch):
+    # a PrecisionExhausted from the one reconstruction before the full
+    # sieve is caught, and the later split primes exclude sqrt(285)
+    nf = NumberField([1, 0, 1])
+    attempts = []
+
+    def exhausted(q, approx, nf, precision, den_bound):
+        attempts.append(precision)
+        raise PrecisionExhausted("forced")
+
+    monkeypatch.setattr(field_mod, "_reconstruct_root", exhausted)
+    with mp.workdps(48):
+        assert element_in_field([-285, 0, 1], mp.sqrt(285), nf) is None
+    assert attempts == [field_mod.MEMBERSHIP_DIGITS]
+
+
 def test_member_tests_only_the_first_split_primes(monkeypatch):
     nf = NumberField([-2, 0, 1])
     q = (-8, 0, 1)   # 2*sqrt2

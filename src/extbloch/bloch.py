@@ -16,7 +16,7 @@ saturated basis means all its exponents are even.
 from __future__ import annotations
 
 from .extgroup import ExtElement, NotInSubgroup
-from .field import FieldElement
+from .field import FieldElement, _peval
 
 
 class BlochError(Exception):
@@ -328,16 +328,19 @@ def change_torsion_generator(s, new_basis):
 def galois_apply(tau, s):
     """Apply a field automorphism (given by the image of the generator)
     termwise.  For extension-level sums the coordinates are re-expressed by
-    lifting the images of the basis generators over the same basis."""
-    if isinstance(s, BlochSum):
-        return BlochSum(s.field, [(n, z.substitute(tau)) for n, z in s.terms])
-    if not isinstance(s, ExtBlochSum):
+    lifting the images of the basis generators over the same basis.  tau
+    must be a root of the defining polynomial, so that it gives an
+    automorphism; it then maps the torsion generator to a power of it."""
+    if not isinstance(s, (BlochSum, ExtBlochSum)):
         raise BlochError("unsupported operand for the Galois action")
+    field = s.field if isinstance(s, BlochSum) else s.basis.field
+    if not _peval(field.poly, tau, field.zero).is_zero():
+        raise BlochError("the image of the generator is not a root of the "
+                         "defining polynomial")
+    if isinstance(s, BlochSum):
+        return BlochSum(field, [(n, z.substitute(tau)) for n, z in s.terms])
     basis = s.basis
     k_img = basis.torsion_log(basis.torsion_gen.substitute(tau))
-    if k_img is None:
-        raise BlochError("the image of the torsion generator is not a "
-                         "power of it")
     gen_imgs = {}
 
     def push(e):

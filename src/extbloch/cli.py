@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .field import (DegreeZero, NotSquarefree, NumberField,
+from .field import (PRIME_LIMIT, DegreeZero, NotSquarefree, NumberField,
                     PrecisionExhausted, element_in_field, guard_digits,
                     is_prime, tolerance, working)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
@@ -52,7 +52,7 @@ from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
 from .regulator import RegulatorError, reg_vector
 from .torsion import (NotApplicable, TorsionError, beta_p, certify_order,
-                      flattened_torsion, torsion_profile)
+                      cosine_exponents, flattened_torsion, torsion_profile)
 from .cochain import CochainError, manifold_invariant
 
 
@@ -305,9 +305,8 @@ def cmd_torsion_table(data, args, cfg):
 
 def cmd_torsion_generators(data, args, cfg):
     field = _field_of(data)
-    profile = torsion_profile(field)
     primes = [args.prime] if args.prime else \
-        [p for p in profile.primes if profile.nu[p] > 0]
+        [p for p, nu in cosine_exponents(field).items() if nu > 0]
     out = {}
     for p in primes:
         try:
@@ -372,10 +371,15 @@ def _render(payload, cfg, stream):
 
 
 def prime(text):
-    """The argparse type of --prime: a prime integer."""
-    if not is_prime(int(text)):
+    """The argparse type of --prime: a prime integer below PRIME_LIMIT."""
+    n = int(text)
+    if n >= PRIME_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not below {PRIME_LIMIT}, the limit of the primality "
+            "test")
+    if not is_prime(n):
         raise argparse.ArgumentTypeError(f"{text} is not prime")
-    return int(text)
+    return n
 
 
 def _add_common(parser):

@@ -232,13 +232,38 @@ def prime_factors(n):
         yield n
 
 
-def is_prime(n):
-    """Whether the integer n is prime.
+# Miller-Rabin to the prime bases 2..41 has no strong pseudoprime below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017), so it proves
+# primality there; trial division stays the cheaper test below 10^6.
+PRIME_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-    >>> [n for n in (-3, 0, 1, 2, 4, 7) if is_prime(n)]
-    [2, 7]
+
+def is_prime(n):
+    """Whether the integer n < PRIME_LIMIT is prime; a larger n raises
+    ValueError.
+
+    >>> [n for n in (-3, 0, 1, 2, 4, 7, 2 ** 61 - 1) if is_prime(n)]
+    [2, 7, 2305843009213693951]
     """
-    return n >= 2 and next(prime_factors(n)) == n
+    if n < 10 ** 6:
+        return n >= 2 and next(prime_factors(n)) == n
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)

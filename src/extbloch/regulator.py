@@ -1,8 +1,14 @@
 """Arbitrary-precision dilogarithm and the regulator of flattenings.
 
 The dilogarithm uses the principal branch with cut along [1, oo), continuous
-from below.  The regulator of a flattening with logarithm values (w0, w1)
-over the cross-ratio z is
+from below.  Each region of the plane has its own series: the power series
+sum z^k/k^2 on |z| <= 1/2; inversion to 1/z on |z| >= 2; reflection to 1 - z
+on |1 - z| <= 1/2; elsewhere (the annulus) the expansion in u = -Log(1 - z)
+with Bernoulli coefficients.  A series stops at the first term below
+2^-(prec + 10), prec being the working binary precision.
+
+The regulator of a flattening with logarithm values (w0, w1) over the
+cross-ratio z is
 
     Li2(z) + (1/2) * w0 * (Log(1-z) - 2*q*pi*i) - pi^2/6,
 
@@ -38,43 +44,56 @@ class NotTorsion(RegulatorError):
     pass
 
 
+def _converged(term):
+    """The series stopping rule: the term is below 2^-(prec + 10), an
+    exponent test that needs no complex absolute value."""
+    return mp.mag(term) < -mp.prec - 10
+
+
 def _li2_series(z):
-    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2."""
-    tol = mp.mpf(10) ** (-mp.dps - 3)
-    term = z
+    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2, so the
+    tail after a term is smaller than that term."""
+    zk = z
     acc = z
     k = 1
-    while abs(term) > tol:
+    while True:
         k += 1
-        term *= z
-        acc += term / k ** 2
+        zk *= z
+        term = zk / (k * k)
+        acc += term
+        if _converged(term):
+            return acc
         if k > 100 * mp.dps + 1000:  # pragma: no cover
             raise PrecisionExhausted("dilogarithm series did not converge")
-    return acc
+
+
+# binary precision -> [B_2j / (2j+1)! for j = 1, 2, ...], grown on demand
+_BERNOULLI = {}
 
 
 def _li2_log_series(z):
-    """Expansion in u = -Log(1-z), convergent for |u| < 2*pi; used on the
-    annulus where neither z, 1/z nor 1-z is small."""
+    """Expansion sum B_n u^(n+1) / (n+1)! in u = -Log(1-z), convergent for
+    |u| < 2*pi; used on the annulus where neither z, 1/z nor 1-z is small.
+    B_1 = -1/2 and B_n = 0 for odd n > 1, so after u - u^2/4 the terms step
+    through even n in u^2, with coefficients from a table per precision."""
     u = -mp.log(1 - z)
-    tol = mp.mpf(10) ** (-mp.dps - 3)
-    acc = mp.mpc(0)
-    upow = mp.mpc(u)
-    fact = mp.mpf(1)
-    n = 0
+    u2 = u * u
+    coeffs = _BERNOULLI.setdefault(mp.prec, [])
+    acc = u - u2 / 4
+    upow = u
+    j = 0
     while True:
-        b = mp.bernoulli(n)
-        if b != 0:
-            term = b * upow / fact
-            acc += term
-            if n > 2 and abs(term) < tol:
-                break
-        n += 1
-        upow *= u
-        fact *= (n + 1)
-        if n > 100 * mp.dps + 1000:  # pragma: no cover
+        if j == len(coeffs):
+            n = 2 * j + 2
+            coeffs.append(mp.bernoulli(n) / mp.factorial(n + 1))
+        upow *= u2
+        term = coeffs[j] * upow
+        acc += term
+        j += 1
+        if _converged(term):
+            return acc
+        if j > 50 * mp.dps + 500:  # pragma: no cover
             raise PrecisionExhausted("dilogarithm expansion did not converge")
-    return acc
 
 
 def _li2(z):

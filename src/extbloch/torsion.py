@@ -30,8 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from mpmath import mp
 
 from .field import (MEMBERSHIP_DIGITS, NumberField, _primes, cos2pi_minpoly,
-                    element_in_field, euler_phi, is_prime, prime_factors,
-                    working)
+                    element_in_field, is_prime, prime_factors, working)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -83,7 +82,7 @@ def nu_p(nf, p):
     nu = 0
     while True:
         n = p ** (nu + 1)
-        if n > 2 and euler_phi(n) // 2 > nf.degree:
+        if n > 2 and p ** nu * (p - 1) // 2 > nf.degree:  # phi(n) / 2
             return nu
         if two_cos(nf, n) is None:
             return nu
@@ -102,14 +101,18 @@ class TorsionProfile:
     primes: tuple = dc_field(default=())
 
 
-def torsion_profile(nf):
-    """nu_p for every prime that could contribute (p - 1 <= 2*degree),
-    plus w and the reduced exponents."""
-    m = nf.torsion[0]
-    nu = {}
+def cosine_exponents(nf):
+    """{p: nu_p} for every prime that could contribute (p - 1 <= 2*degree,
+    and at least 2, 3 and 5), ascending."""
     bound = max(5, 2 * nf.degree + 1)
-    for p in itertools.takewhile(lambda q: q <= bound, _primes()):
-        nu[p] = nu_p(nf, p)
+    return {p: nu_p(nf, p)
+            for p in itertools.takewhile(lambda q: q <= bound, _primes())}
+
+
+def torsion_profile(nf):
+    """The cosine exponents, plus w and the reduced exponents."""
+    m = nf.torsion[0]
+    nu = cosine_exponents(nf)
     w = 2 * math.prod(p ** v for p, v in nu.items())
     v_m = Counter(prime_factors(m))
     nu_prime = {p: v - v_m[p] for p, v in nu.items()}

@@ -170,12 +170,21 @@ def test_galois_on_ext_sum():
 
 
 def test_galois_rejects_a_non_automorphism():
-    # on Q(i), x -> 2x sends the torsion generator i to 2i, not a power of i
+    # x -> 2x is no automorphism of Q(i) or Q(sqrt2): 2*gen is not a root of
+    # the defining polynomial, which both kinds of sum must check up front
     gaussian = NumberField([1, 0, 1])
     basis = MultBasis(gaussian, [], saturated=True)
-    s = ExtBlochSum(basis, (), basis.element(1))
-    with pytest.raises(BlochError):
-        galois_apply(2 * gaussian.gen, s)
+    cases = [(gaussian, ExtBlochSum(basis, (), basis.element(1)))]
+    sqrt2 = NumberField([-2, 0, 1])
+    r = sqrt2.gen
+    basis = MultBasis(sqrt2, [r, r - sqrt2.one], saturated=True)
+    z = r - sqrt2.one
+    fl = Flattening(basis.log_lift(z), basis.log_lift(sqrt2.one - z))
+    cases += [(sqrt2, BlochSum(sqrt2, [(1, z)])),
+              (sqrt2, ExtBlochSum(basis, [(1, fl)]))]
+    for field, s in cases:
+        with pytest.raises(BlochError):
+            galois_apply(2 * field.gen, s)
 
 
 @pytest.mark.parametrize("poly", [[1, 0, 1], [1, 0, 0, 0, 1]],

@@ -1,12 +1,13 @@
 import argparse
 import json
+import time
 
 import pytest
 from mpmath import mp
 
 import test_cli_golden
 from extbloch.cli import build_parser, main
-from extbloch.field import DivisionByZero, NumberField
+from extbloch.field import PRIME_LIMIT, DivisionByZero, NumberField
 from extbloch.regulator import RealSlotNotReal
 from extbloch.torsion import certify_order, flattened_torsion
 
@@ -237,6 +238,29 @@ def test_non_prime_is_usage_error(capsys, command, prime):
         main(command + [f"{FIXTURES}/field_sqrt2.json", "--prime", prime])
     assert exc.value.code == 2
     assert f"argument --prime: {prime} is not prime" in capsys.readouterr().err
+
+
+MERSENNE_61 = str(2 ** 61 - 1)
+
+
+def test_large_prime_answers_from_the_degree(capsys):
+    field = f"{FIXTURES}/field_sqrt2.json"
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["torsion", "order", field,
+                                "--prime", MERSENNE_61])
+    assert code == 3 and "nu = 0" in err
+    code, out, _ = run(capsys, ["torsion", "generators", field,
+                                "--prime", MERSENNE_61])
+    assert code == 0 and f"{MERSENNE_61}: none" in out
+    assert time.perf_counter() - start < 2
+
+
+def test_prime_beyond_the_primality_proof_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "generators", f"{FIXTURES}/field_sqrt2.json",
+              "--prime", str(PRIME_LIMIT + 2)])
+    assert exc.value.code == 2
+    assert f"is not below {PRIME_LIMIT}" in capsys.readouterr().err
 
 
 def test_torsion_table_takes_no_prime(capsys):

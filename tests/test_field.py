@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from extbloch.field import (FieldError, NumberField, cos2pi_minpoly,
-                            element_in_field, euler_phi, count_real_roots)
+from extbloch.field import (PRIME_LIMIT, FieldError, NumberField,
+                            cos2pi_minpoly, element_in_field, euler_phi,
+                            count_real_roots, is_prime)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,29 @@ def test_cos2pi_minpoly_has_the_right_root(n):
 def test_euler_phi_small():
     assert [euler_phi(n) for n in range(1, 13)] == \
         [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+# Carmichael numbers, strong pseudoprimes to base 2, the least strong
+# pseudoprimes to the bases 2..23 and 2..37, and primes next to 10^6
+HARD_INTEGERS = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                 321197185, 5394826801, 232250619601, 9746347772161,
+                 2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 3215031751,
+                 2152302898747, 3474749660383, 341550071728321,
+                 3825123056546413051, 318665857834031151167461,
+                 999983, 10 ** 6, 1000003, 999983 * 1000003]
+
+
+def test_is_prime_agrees_with_sympy():
+    rng = random.Random(11)
+    numbers = HARD_INTEGERS + [rng.randrange(10 ** rng.randint(1, 30))
+                               for _ in range(400)]
+    numbers += [sympy.nextprime(n) for n in numbers[-100:]]
+    for n in numbers:
+        if n < PRIME_LIMIT:
+            assert is_prime(n) == sympy.isprime(n), n
+        else:
+            with pytest.raises(ValueError):
+                is_prime(n)
 
 
 def test_count_real_roots():

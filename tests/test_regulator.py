@@ -95,6 +95,28 @@ def test_bloch_wigner_matches_polylog_on_every_branch(precision, per_branch):
             assert abs(ours - ref) < mp.mpf(10) ** -precision, z
 
 
+def _li2_boundary_points():
+    """Points where li2 changes branch: |z| = 1/2, |z| = 2 and
+    |1 - z| = 1/2 (at several angles), z = 0, z = 1, and real z > 1 on the
+    cut, where li2 takes the limit from below, as mpmath.polylog does."""
+    points = [0, 1, 1.25, 1.5, 1.75, 2, 3, 10]
+    for k in range(8):
+        angle = (k + 0.5) * math.pi / 4
+        points += [cmath.rect(0.5, angle), cmath.rect(2, angle),
+                   1 + cmath.rect(0.5, angle)]
+    return points
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+def test_li2_matches_polylog_on_every_branch(precision):
+    points = _li2_branch_points(precision, 3) + _li2_boundary_points()
+    for z in points:
+        ours = li2(z, precision)
+        with mp.workdps(2 * precision):
+            ref = mpmath.polylog(2, mp.mpc(z))
+            assert abs(ours - ref) < mp.mpf(10) ** -precision, z
+
+
 def test_bloch_wigner_vanishes_on_reals():
     assert bloch_wigner(mp.mpf("2.5"), 40) == 0
     assert bloch_wigner(mp.mpf("-0.3"), 40) == 0

@@ -61,11 +61,12 @@ class InputError(Exception):
 
 
 def _load_fixture(path):
-    """The JSON object in the fixture file; a bare list is read as the
-    defining polynomial of a field fixture."""
+    """The JSON object in the fixture file, its decimals read as exact
+    Fractions; a bare list is read as the defining polynomial of a field
+    fixture."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     if isinstance(data, list):

@@ -30,6 +30,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -686,7 +687,7 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
         data = source
     else:
         with open(source) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
     field = NumberField(data["field"])
     cycle = Triangulated3Cycle(data["tets"], data["gluings"],
                                data.get("orientations"))

@@ -713,9 +713,27 @@ def _refine_roots(poly, approx, start, target):
 
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
+def _element(field, coeffs):
+    """The element with coordinates `coeffs`, a tuple of field.degree
+    Fractions, taken as it is: the constructor of arithmetic results."""
+    el = object.__new__(FieldElement)
+    el.field = field
+    el.coeffs = coeffs
+    return el
+
+
 class FieldElement:
     """An element of a number field, stored as rational coordinates in the
-    power basis 1, x, ..., x^(d-1) of the generator."""
+    power basis 1, x, ..., x^(d-1) of the generator.
+
+    A product forms the 2d-1 schoolbook slots of the two coordinate
+    vectors, skipping zero coordinates, and folds slot d+k (k = 0..d-2)
+    into the low d through the field's row x^(d+k) mod p, computed once
+    per field; over Q it is one rational multiplication.  No product
+    divides polynomials."""
 
     __slots__ = ("field", "coeffs")
 
@@ -770,6 +788,8 @@ class FieldElement:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
+        if type(other) is FieldElement and other.field is self.field:
+            return other
         if isinstance(other, (int, Fraction)):
             return self.field.rational(other)
         if isinstance(other, FieldElement) and other.field == self.field:
@@ -780,7 +800,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.field, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
@@ -788,7 +808,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _element(self.field, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -797,22 +817,38 @@ class FieldElement:
         return other - self
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return _element(self.field, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = _pmul(_trim(self.coeffs), _trim(other.coeffs))
-        return FieldElement(self.field, _pdivmod(prod, self.field.poly)[1])
+        field, a, b = self.field, self.coeffs, other.coeffs
+        if field.degree == 1:
+            return _element(field, (a[0] * b[0],))
+        slots = [_ZERO] * (2 * field.degree - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        slots[i + j] += ai * bj
+        out = slots[:field.degree]
+        for top, row in zip(slots[field.degree:], field.reduction_rows):
+            if top:
+                for i, r in row:
+                    out[i] += top * r
+        return _element(field, tuple(out))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
+        field = self.field
+        if field.degree == 1:
+            return _element(field, (1 / self.coeffs[0],))
         # extended Euclid: find u with u*self = 1 mod p
-        a, b = self.field.poly, _trim(self.coeffs)
+        a, b = field.poly, _trim(self.coeffs)
         s0, s1 = (), (Fraction(1),)
         while b:
             q, r = _pdivmod(a, b)
@@ -821,8 +857,9 @@ class FieldElement:
         if len(a) != 1:
             raise FieldError("defining polynomial is not irreducible: "
                              "nontrivial gcd found during inversion")
-        inv = _pmul(s0, (Fraction(1) / a[0],))
-        return FieldElement(self.field, _pdivmod(inv, self.field.poly)[1])
+        # the Bezout coefficient s0 has degree < d: no reduction mod p
+        inv = tuple(c / a[0] for c in s0)
+        return _element(field, inv + (_ZERO,) * (field.degree - len(inv)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -943,6 +980,21 @@ class EmbeddingContext:
                                 conjugate=not self.conjugate)
 
 
+def _reduction_rows(p):
+    """x^d, ..., x^(2d-2) mod the monic p of degree d, each row as the
+    (index, coefficient) pairs of its nonzero coordinates."""
+    d = len(p) - 1
+    row = [-c for c in p[:-1]]
+    rows = []
+    for _ in range(d - 1):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [_ZERO] + row[:-1]
+        if top:
+            row = [c - top * q for c, q in zip(row, p)]
+    return tuple(rows)
+
+
 class NumberField:
     """The field Q[x]/(p(x)) for a squarefree rational polynomial p."""
 
@@ -957,6 +1009,7 @@ class NumberField:
             raise NotSquarefree("defining polynomial has repeated roots")
         self.poly = coeffs
         self.degree = len(coeffs) - 1
+        self.reduction_rows = _reduction_rows(coeffs)
         self._root_cache = {}
         self._refined = None     # (digits, roots): the most precise refinement
         self._split_primes = []  # split primes found so far, ascending

@@ -14,8 +14,9 @@ with PYTHONPATH pointing at one and compare with it pointing at the other.
 The matrix: `field info`, `torsion table`, `torsion generators` and
 `torsion order --prime 2|3` on the six base fields of the benchmark
 rescaled by c in {1, 2, 3, 7, 10, 1000, 3*10^7}, on x^3 - 2, x^3 - 3,
-x^3 + x + 1, x^4 + 3x^2 + 1 and its shift by 7, and on a degree-9 field
-rescaled by 10^8; every fixture command; malformed fixtures for every
+x^3 + x + 1, x^4 + 3x^2 + 1 and its shift by 7, on x^8 + 1 (Q(zeta_16),
+where a product folds seven slots) and on a degree-9 field rescaled by
+10^8; every fixture command; malformed fixtures for every
 command.  Each line runs with and without --json at --precision 20, 30, 50
 and 100.  An exception that escapes `main` is recorded as the exit code
 "raised NAME" with its message on standard error.  pytest does not collect
@@ -46,6 +47,7 @@ OTHER_FIELDS = {
     "x4+3x2+1": [1, 0, 3, 0, 1],
     # (x - 7)^4 + 3 (x - 7)^2 + 1
     "x4+3x2+1@x-7": [2549, -1414, 297, -28, 1],
+    "x8+1": [1, 0, 0, 0, 0, 0, 0, 0, 1],
     # rescaled by 10^8: its roots leave residues far above 10^-P
     "deg9@1e8": [907787 * 10 ** 72, 64169 * 10 ** 64, -549746 * 10 ** 56,
                  -921366 * 10 ** 48, -819756 * 10 ** 40, -90580 * 10 ** 32,

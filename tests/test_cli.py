@@ -143,6 +143,14 @@ def test_bare_list_is_a_field_fixture(capsys, tmp_path):
     assert "w: 48" in out
 
 
+def test_decimals_in_a_fixture_are_read_exactly(capsys, tmp_path):
+    fixture = tmp_path / "decimal.json"
+    fixture.write_text('{"field": [-0.1, 0, 1]}')
+    code, out, _ = run(capsys, ["field", "info", str(fixture)])
+    assert code == 0
+    assert "poly: [-1/10, 0, 1]" in out
+
+
 def test_low_precision_rejected(capsys):
     code, _, err = run(capsys, ["field", "info",
                                 f"{FIXTURES}/field_rationals.json",

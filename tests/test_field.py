@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from extbloch import field as field_module
 from extbloch.field import (PRIME_LIMIT, FieldError, NumberField,
                             cos2pi_minpoly, element_in_field, euler_phi,
                             count_real_roots, is_prime)
@@ -40,20 +41,104 @@ def test_signatures(sqrt2, example_field):
 
 small_rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12)
+# Q, Q(sqrt2) and the quartic fixture
+RING_FIELDS = {"Q": NumberField([0, 1]), "sqrt2": NumberField([-2, 0, 1]),
+               "quartic": NumberField([1, -2, 2, -1, 1])}
 
 
-@given(a=small_rationals, b=small_rationals, c=small_rationals)
-@settings(max_examples=60, deadline=None)
-def test_field_arithmetic_is_a_ring(a, b, c):
-    nf = NumberField([-2, 0, 1])
-    r = nf.element([a, b])
-    s = nf.element([b, c])
-    t = nf.element([c, a])
+@given(name=st.sampled_from(sorted(RING_FIELDS)),
+       coords=st.lists(small_rationals, min_size=12, max_size=12))
+@settings(max_examples=90, deadline=None)
+def test_field_arithmetic_is_a_ring(name, coords):
+    nf = RING_FIELDS[name]
+    d = nf.degree
+    r, s, t = (nf.element(coords[k * d:(k + 1) * d]) for k in range(3))
     assert r * (s + t) == r * s + r * t
     assert (r + s) * t == t * r + t * s
+    assert (r * s) * t == r * (s * t)
     assert r - r == nf.zero
+    assert -r + r == nf.zero
     if not r.is_zero():
         assert r * r.inverse() == nf.one
+
+
+def _irreducible(rng, degree, lead):
+    while True:
+        p = [rng.randint(-9, 9) for _ in range(degree)] + [lead]
+        if _as_sympy(p).is_irreducible:
+            return p
+
+
+def _oracle_field(kind, degree):
+    """A seeded irreducible polynomial of the degree: monic, non-monic, or
+    a monic one rescaled to p(x/c) c^d with c = 10^6."""
+    rng = random.Random(100 * degree + len(kind))
+    if kind == "non-monic":
+        return _irreducible(rng, degree, rng.choice([2, 3, -5, 7]))
+    p = _irreducible(rng, degree, 1)
+    if kind == "rescaled":
+        p = [a * 10 ** (6 * (degree - k)) for k, a in enumerate(p)]
+    return p
+
+
+def _as_sympy(coeffs):
+    """The polynomial over QQ with these coefficients, constant first."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], sympy.Symbol("x"),
+                      domain="QQ")
+
+
+def _from_sympy(poly, degree):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (degree - len(coeffs)))
+
+
+def _random_coords(rng, degree):
+    """Rational coordinates, about a third of them zero."""
+    return [Fraction(rng.randint(-10 ** 3, 10 ** 3), rng.randint(1, 50))
+            if rng.random() > 0.3 else Fraction(0) for _ in range(degree)]
+
+
+@pytest.mark.parametrize("kind, degree",
+                         [(kind, d) for d in range(1, 9)
+                          for kind in ("monic", "non-monic")]
+                         + [("rescaled", 4)])
+def test_product_and_inverse_match_sympy(kind, degree):
+    poly = _oracle_field(kind, degree)
+    nf = NumberField(poly)
+    p = _as_sympy(poly)
+    rng = random.Random(degree)
+    for _ in range(8):
+        a = nf.element(_random_coords(rng, degree))
+        b = nf.element(_random_coords(rng, degree))
+        want = (_as_sympy(a.coeffs) * _as_sympy(b.coeffs)).rem(p)
+        assert (a * b).coeffs == _from_sympy(want, degree)
+        if not a.is_zero():
+            want = sympy.invert(_as_sympy(a.coeffs), p)
+            assert a.inverse().coeffs == _from_sympy(want, degree)
+
+
+def test_product_divides_no_polynomials(monkeypatch):
+    cases = []
+    for poly in ([0, 1], [-2, 0, 1], [1, -2, 2, -1, 1],
+                 [1, 0, 0, 0, 0, 0, 0, 0, 1]):
+        nf = NumberField(poly)
+        p = _as_sympy(poly)
+        a = nf.element([Fraction(k + 1, 3) for k in range(nf.degree)])
+        b = nf.element([Fraction(-2, k + 1) for k in range(nf.degree)])
+        want = (_as_sympy(a.coeffs) * _as_sympy(b.coeffs)).rem(p)
+        cases.append((a, b, _from_sympy(want, nf.degree)))
+
+    def forbidden(*args):
+        raise AssertionError("a product called a polynomial helper")
+
+    for name in ("_pmul", "_pdivmod", "_trim"):
+        monkeypatch.setattr(field_module, name, forbidden)
+    for a, b, want in cases:
+        assert (a * b).coeffs == want
+        assert (a * 3).coeffs == (3 * a).coeffs == tuple(3 * c for c in a.coeffs)
+    q = RING_FIELDS["Q"].rational(Fraction(-4, 7))
+    assert q.inverse().coeffs == (Fraction(-7, 4),)
 
 
 def test_inverse_of_zero(sqrt2):

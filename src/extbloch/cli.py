@@ -176,15 +176,24 @@ def _triangulation_of(data):
     field = _coeffs(_required(data, "field"), "field")
     degree = max((i for i, c in enumerate(field) if c), default=0)
     tets = _convert(int, _required(data, "tets"), "tets")
-    gluings = [_list(g, "gluings", 5)
-               for g in _list(_required(data, "gluings"), "gluings")]
-    out = {"field": field, "tets": tets,
-           "gluings": [_ints(g[:4], "gluings") + [_ints(g[4], "gluings", 3)]
-                       for g in gluings],
+    if tets < 1:
+        raise _bad("tets", "expected at least one simplex")
+    gluings = []
+    for g in _list(_required(data, "gluings"), "gluings"):
+        t, f, t2, f2 = _ints(_list(g, "gluings", 5)[:4], "gluings")
+        vmap = _ints(g[4], "gluings", 3)
+        if min(t, f, t2, f2, *vmap) < 0 or max(t, t2) >= tets \
+                or max(f, f2, *vmap) > 3:
+            raise _bad("gluings", "simplex, face or vertex out of range")
+        gluings.append([t, f, t2, f2, vmap])
+    out = {"field": field, "tets": tets, "gluings": gluings,
            "shapes": [_coeffs(z, "shapes", degree) for z in
                       _list(_required(data, "shapes"), "shapes", tets)]}
     if data.get("orientations") is not None:
-        out["orientations"] = _ints(data["orientations"], "orientations")
+        out["orientations"] = _ints(data["orientations"], "orientations",
+                                    tets)
+        if any(s not in (-1, 1) for s in out["orientations"]):
+            raise _bad("orientations", "expected signs 1 and -1")
     if data.get("flattenings"):
         out["flattenings"] = [_ints(pq, "flattenings", 2) for pq in
                               _list(data["flattenings"], "flattenings", tets)]
@@ -192,8 +201,7 @@ def _triangulation_of(data):
 
 
 def _fmt_real(x, digits):
-    s = mp.nstr(x, digits, strip_zeros=False)
-    return s
+    return mp.nstr(x, digits, strip_zeros=False)
 
 
 def _fmt_complex(z, digits):
@@ -225,20 +233,12 @@ def _poly_string(coeffs):
 def cmd_field_info(data, args, cfg):
     field = _field_of(data)
     m, w = field.torsion
-    autos = 0
-    with working(cfg.precision):
-        approxes = []
-        for ctx in field.embeddings(cfg.precision):
-            approxes.append(ctx.root())
-            if not ctx.is_real:
-                approxes.append(ctx.conjugated().root())
-    for approx in approxes:
-        if element_in_field(list(field.poly), approx, field) is not None:
-            autos += 1
+    autos = sum(element_in_field(list(field.poly), approx, field) is not None
+                for approx in field.all_roots(cfg.precision))
     digits = min(cfg.precision, 30)
     with working(cfg.precision):
-        table = [_fmt_complex(ctx.root(), digits)
-                 for ctx in field.embeddings(cfg.precision)]
+        table = [_fmt_complex(root, digits)
+                 for root in field.roots(cfg.precision)]
     return {
         "poly": _poly_string(field.poly),
         "degree": field.degree,
@@ -252,7 +252,6 @@ def cmd_field_info(data, args, cfg):
 
 def cmd_bloch_verify(data, args, cfg):
     s = _element_of(data)
-    caveats = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         in_bhat = s.is_in_Bhat()
@@ -357,8 +356,7 @@ def _render(payload, cfg, stream):
         return
     print(" ".join(f"{k}={v}" for k, v in sorted(header.items())),
           file=stream)
-    for key in payload:
-        value = payload[key]
+    for key, value in payload.items():
         if isinstance(value, list):
             print(f"{key}:", file=stream)
             for i, item in enumerate(value):

@@ -27,10 +27,8 @@ recognizable lifted five-term relations, which certifies that it vanishes.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -88,6 +86,8 @@ class Triangulated3Cycle:
 
     def __init__(self, num_simplices, gluings, orientations=None):
         self.num_simplices = int(num_simplices)
+        if self.num_simplices < 1:
+            raise CochainError("a cycle needs at least one simplex")
         if orientations is None:
             orientations = [1] * self.num_simplices
         self.orientations = tuple(int(s) for s in orientations)
@@ -216,7 +216,7 @@ class LiftedCochain:
             else SymbolicBasis(cochain.field)
         if lifts is None:
             self.class_lifts = {
-                rep: self.basis.symbol_signed(cochain.class_values[rep])
+                rep: self.basis.symbol(cochain.class_values[rep])
                 for rep in sorted(cochain.class_values)}
         else:
             self.class_lifts = dict(lifts)
@@ -274,26 +274,33 @@ class EdgeReport:
         return not self.violations
 
 
-def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
-    """Signed log-parameter sums around every 1-cell.
-
-    Each simplex contributes e at edges 01 and 23, -f at 03 and 12, and
-    f - e at 02 and 13, weighted by its orientation sign.  A sum passes
-    exactly when it is the zero extension element; with a precision it may
-    instead pass by the two-part certificate: its value projection is 1 and
-    its logarithm vanishes at every embedding.
-    """
-    flattenings = list(flattenings)
-    basis = flattenings[0].basis
-    totals = {}
-    for t in range(cycle.num_simplices):
-        fl = flattenings[t]
-        params = {"e": fl.e, "f": -fl.f, "g": fl.f - fl.e}
+def _edge_sums(cycle, pairs, zero):
+    """The signed sum around every 1-cell of the log-parameters of the
+    pairs (e, f), one per simplex: each simplex contributes e at edges 01
+    and 23, -f at 03 and 12, and f - e at 02 and 13, weighted by its
+    orientation sign.  The sums start from `zero`."""
+    sums = {}
+    for t, (e, f) in enumerate(pairs):
+        params = {"e": e, "f": -f, "g": f - e}
         sign = cycle.orientations[t]
         for edge, kind in _EDGE_PARAM.items():
             rep = cycle.edge_class(t, *edge)
-            add = sign * params[kind]
-            totals[rep] = totals.get(rep, basis.element(0)) + add
+            sums[rep] = sums.get(rep, zero) + sign * params[kind]
+    return sums
+
+
+def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
+    """Signed log-parameter sums around every 1-cell (`_edge_sums` of the
+    flattenings).
+
+    A sum passes exactly when it is the zero extension element; with a
+    precision it may instead pass by the two-part certificate: its value
+    projection is 1 and its logarithm vanishes at every embedding.
+    """
+    flattenings = list(flattenings)
+    basis = flattenings[0].basis
+    totals = _edge_sums(cycle, [(fl.e, fl.f) for fl in flattenings],
+                        basis.element(0))
     exact = {rep: tot.is_zero() for rep, tot in totals.items()}
     numeric = {}
     if precision is not None:
@@ -302,11 +309,8 @@ def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
         with working(precision):
             tol = _tolerance(precision, tolerance)
             for rep, tot in totals.items():
-                if exact[rep]:
-                    numeric[rep] = True
-                    continue
-                numeric[rep] = tot.pi().is_one() and all(
-                    abs(lift.lift(tot)) < tol for lift in lifts)
+                numeric[rep] = exact[rep] or (tot.pi().is_one() and all(
+                    abs(lift.lift(tot)) < tol for lift in lifts))
     violations = [rep for rep in sorted(totals)
                   if not (exact[rep] or numeric.get(rep, False))]
     return EdgeReport(totals=totals, exact=exact, numeric=numeric,
@@ -434,7 +438,7 @@ def lambda_sl2(tuples, v, basis=None):
             if d.is_zero():
                 raise NotGeneralPosition("orbit vectors are pairwise "
                                          "dependent")
-            c[(i, j)] = basis.symbol_signed(d)
+            c[(i, j)] = basis.symbol(d)
         try:
             fl = _edge_flattening(c)
         except NotAFlattening as exc:
@@ -466,7 +470,7 @@ def _basis_flattening(basis, vectors, w, position):
         if d.is_zero():
             raise NotGeneralPosition("three of the chosen vectors are "
                                      "dependent")
-        c[(j, k)] = basis.symbol_signed(d)
+        c[(j, k)] = basis.symbol(d)
     try:
         return _edge_flattening(c)
     except NotAFlattening as exc:
@@ -603,16 +607,15 @@ class ManifoldInvariant:
 def _translate_coefficients(cycle, reps):
     """Rows p_0, q_0, p_1, q_1, ...: the central units that one unit of
     each translate adds to the edge sum of each 1-cell in reps.  A unit of
-    p on simplex t raises its e (and lowers g = f - e) by the central unit,
-    one of q lowers -f (and raises g), all weighted by the sign of t."""
+    p on simplex t raises its e by the central unit, one of q its f; the
+    sums follow by `_edge_sums`."""
     coeffs = []
     for t in range(cycle.num_simplices):
-        sign = cycle.orientations[t]
-        for unit in ({"e": 1, "g": -1}, {"g": 1, "f": -1}):
-            row = dict.fromkeys(reps, 0)
-            for edge, kind in _EDGE_PARAM.items():
-                row[cycle.edge_class(t, *edge)] += sign * unit.get(kind, 0)
-            coeffs.append([row[rep] for rep in reps])
+        for unit in ((1, 0), (0, 1)):
+            pairs = [(0, 0)] * cycle.num_simplices
+            pairs[t] = unit
+            sums = _edge_sums(cycle, pairs, 0)
+            coeffs.append([sums[rep] for rep in reps])
     return coeffs
 
 
@@ -674,20 +677,15 @@ def _search_translates(cycle, basis, build, precision, search_bound):
     return list(zip(flat[0::2], flat[1::2]))
 
 
-def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
-    """Assemble the element of a flattened triangulation file and evaluate
-    its regulator.
+def manifold_invariant(data, precision=50, tolerance=None, search_bound=4):
+    """Assemble the element of a flattened triangulation and evaluate its
+    regulator.
 
-    The file supplies the shape field, the gluing combinatorics, one shape
-    per simplex and optionally the integer translate pairs; missing
-    translates are searched lexicographically within the bound.  Edge
-    conditions are enforced.
+    `data` is the object of a triangulation fixture: it supplies the shape
+    field, the gluing combinatorics, one shape per simplex and optionally
+    the integer translate pairs; missing translates are searched
+    lexicographically within the bound.  Edge conditions are enforced.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source) as fh:
-            data = json.load(fh, parse_float=Fraction)
     field = NumberField(data["field"])
     cycle = Triangulated3Cycle(data["tets"], data["gluings"],
                                data.get("orientations"))
@@ -701,8 +699,8 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
         if z.is_zero() or z.is_one():
             raise NotIdeal("shape parameter hit 0 or 1")
         shapes.append(z)
-    sz = [basis.symbol_signed(z) for z in shapes]
-    s1z = [basis.symbol_signed(field.one - z) for z in shapes]
+    sz = [basis.symbol(z) for z in shapes]
+    s1z = [basis.symbol(field.one - z) for z in shapes]
 
     def build(pqs):
         return tuple(Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
@@ -710,11 +708,6 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
 
     if data.get("flattenings"):
         pqs = [tuple(pq) for pq in data["flattenings"]]
-        fls = build(pqs)
-        report = edge_conditions(cycle, fls, precision, tolerance)
-        if not report.ok:
-            raise EdgeConditionFailed(
-                f"edge sums do not vanish at {report.violations}")
     else:
         pqs = _search_translates(cycle, basis, build, precision,
                                  search_bound)
@@ -722,15 +715,14 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
             raise EdgeConditionFailed("no translate assignment within the "
                                       "search bound satisfies the edge "
                                       "conditions")
-        fls = build(pqs)
-        report = edge_conditions(cycle, fls, precision, tolerance)
-        if not report.ok:
-            raise EdgeConditionFailed("searched translates fail at full "
-                                      "precision")
+    fls = build(pqs)
+    report = edge_conditions(cycle, fls, precision, tolerance)
+    if not report.ok:
+        raise EdgeConditionFailed(
+            f"edge sums do not vanish at {report.violations}")
     element = normalize(basis, [(cycle.orientations[t], fls[t])
                                 for t in range(cycle.num_simplices)])
     regulator = reg_vector(element, precision, tolerance)
-    imaginary_parts = []
     dsums = []
     with working(precision):
         for ctx in field.embeddings(precision):
@@ -739,8 +731,7 @@ def manifold_invariant(source, precision=50, tolerance=None, search_bound=4):
                 dsum += cycle.orientations[t] * \
                     bloch_wigner(ctx.evaluate(z), precision)
             dsums.append(+dsum)
-        for val in regulator:
-            imaginary_parts.append(mp.im(mp.mpc(val.value)))
+        imaginary_parts = [mp.im(mp.mpc(val.value)) for val in regulator]
     return ManifoldInvariant(element=element, flattenings=fls,
                              regulator=regulator,
                              imaginary_parts=imaginary_parts,

@@ -67,9 +67,6 @@ class ExtElement:
             items = r
         self.r = tuple(sorted((j, int(e)) for j, e in items if e != 0))
 
-    def rdict(self):
-        return dict(self.r)
-
     def coord(self, j):
         """Coordinate at free generator j; j = -1 addresses the torsion slot."""
         if j == -1:
@@ -78,14 +75,12 @@ class ExtElement:
 
     def coords(self):
         """All coordinates as a dict keyed by generator index, torsion at -1."""
-        d = {-1: self.k}
-        d.update(dict(self.r))
-        return d
+        return {-1: self.k, **dict(self.r)}
 
     def __add__(self, other):
         if not isinstance(other, ExtElement) or other.basis is not self.basis:
             return NotImplemented
-        r = self.rdict()
+        r = dict(self.r)
         for j, e in other.r:
             r[j] = r.get(j, 0) + e
         return ExtElement(self.basis, self.k + other.k, r)
@@ -318,15 +313,12 @@ class MultBasis(_BasisCommon):
 
     def _factor_rational(self, q):
         """Exact exponent recovery over Q: factor |q| over the basis values,
-        which must be rational, by repeated exact division."""
+        integers greater than one (checked by the constructor), by repeated
+        exact division."""
         out = [0] * len(self.free_gens)
         num, den = abs(q.numerator), q.denominator
         for j, p in enumerate(self.free_gens):
-            pv = p.as_fraction()
-            if pv.denominator != 1 or pv <= 1:
-                raise NotInSubgroup("rational factorization needs integer "
-                                    "basis values greater than one")
-            pv = pv.numerator
+            pv = p.as_fraction().numerator
             while num % pv == 0 and out[j] < EXP_BOUND:
                 num //= pv
                 out[j] += 1
@@ -358,7 +350,10 @@ class SymbolicBasis(_BasisCommon):
         return len(self.values)
 
     def symbol(self, value):
-        """The basis element standing for a fixed logarithm of `value`."""
+        """The basis element standing for a fixed logarithm of `value`.  If
+        the negated value already has a symbol, it is reused shifted by the
+        torsion slot, so that the logarithms of v and -v always differ by
+        exactly one half-unit."""
         if not isinstance(value, FieldElement) or value.field != self.field:
             raise FieldError("element belongs to a different field")
         if value.is_zero():
@@ -369,19 +364,13 @@ class SymbolicBasis(_BasisCommon):
             return ExtElement(self, 1)
         j = self._index.get(value)
         if j is None:
+            j = self._index.get(-value)
+            if j is not None:
+                return ExtElement(self, 1, {j: 1})
             j = len(self.values)
             self.values.append(value)
             self._index[value] = j
         return ExtElement(self, 0, {j: 1})
-
-    def symbol_signed(self, value):
-        """Like symbol, but if the negated value already has a symbol, reuse
-        it shifted by the torsion slot, so that the logarithms of v and -v
-        always differ by exactly one half-unit."""
-        if isinstance(value, FieldElement) and not value.is_zero():
-            if value not in self._index and -value in self._index:
-                return self.symbol(-value) + ExtElement(self, 1)
-        return self.symbol(value)
 
 
 class LogLift:

@@ -143,16 +143,6 @@ def _pdivmod(a, b):
     return _trim(q), _trim(a)
 
 
-def _pgcd(a, b):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
 def _pderiv(a):
     return _trim([i * c for i, c in enumerate(a)][1:])
 
@@ -187,8 +177,12 @@ def _sign_changes(chain, t):
 
 
 def count_real_roots(p):
-    """Number of distinct real roots of a squarefree rational polynomial."""
+    """Number of distinct real roots of a squarefree rational polynomial.
+    The last entry of the Sturm chain is gcd(p, p'), up to a constant
+    factor, so a nonconstant one raises NotSquarefree."""
     chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        raise NotSquarefree("defining polynomial has repeated roots")
     bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 else 1
     bound = Fraction(bound).limit_denominator(1) + 2
     return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
@@ -411,12 +405,6 @@ def _fp_has_root(poly, ell):
     return len(_fp_gcd(m, _fp_trim([c % ell for c in power]), ell)) > 1
 
 
-def _fp_squarefree(poly, ell):
-    m = [c % ell for c in poly]
-    deriv = _fp_trim([i * c % ell for i, c in enumerate(m)][1:])
-    return bool(deriv) and len(_fp_gcd(m, deriv, ell)) == 1
-
-
 def nonmembership_prime(q, nf, start=0, stop=SPLIT_PRIMES):
     """A split prime of nf, from the start-th to the (stop-1)-th, at which
     the integral model of the monic rational polynomial q has no root, or
@@ -506,7 +494,7 @@ def lll_reduce(basis):
 # root, so that large and small roots alike carry the requested digits; the
 # Aberth-Ehrlich iteration moves all roots together on one binary point,
 # set below the smallest root.  A root becomes an mpmath number only where
-# it leaves this layer (NumberField.roots, _newton).
+# it leaves this layer (NumberField.roots, _reconstruct_root).
 
 ISOLATION_DIGITS = 20     # digits of the first isolation of a field's roots
 ISOLATION_DOUBLINGS = 5   # re-isolations at doubled digits before giving up
@@ -650,9 +638,14 @@ def _isolate_roots(poly, digits):
 
 
 def _newton_fixed(poly, z, start, target):
-    """Newton's method of _newton on a fixed-point approximation z; returns
-    the root and the last step as fixed-point triples.  Each step works on
-    the binary point that gives z `dps` digits and guard bits."""
+    """Refine an approximation z of a simple root of the rational poly (low
+    to high) by Newton's method to `target` digits.  The working precision
+    starts at `start` digits and doubles each time a step falls below
+    10^(-dps/2) relative to z, as z then has about dps correct digits.
+    Each step works on the binary point that gives z `dps` digits and
+    guard bits.  Returns the root and the last step as fixed-point
+    triples; raises PrecisionExhausted after NEWTON_STEPS steps without
+    convergence."""
     coeffs = _integer_poly(poly)[1]
     x, y, b = _fixed(z)
     dps = min(start, target)
@@ -672,19 +665,6 @@ def _newton_fixed(poly, z, start, target):
     raise PrecisionExhausted(f"Newton's method did not converge to a root "
                              f"of [{', '.join(map(str, poly))}] at {dps} "
                              f"digits")
-
-
-def _newton(poly, z, start, target):
-    """Refine an approximation z of a simple root of the rational poly (low
-    to high) by Newton's method to `target` digits.  The working precision
-    starts at `start` digits and doubles each time a step falls below
-    10^(-dps/2) relative to z, as z then has about dps correct digits.
-    Returns the root and the size of the last step, as mpmath numbers at
-    `target` digits; raises PrecisionExhausted after NEWTON_STEPS steps
-    without convergence."""
-    root, (sr, si, b) = _newton_fixed(poly, z, start, target)
-    with mp.workdps(target):
-        return _mpc(root), mp.ldexp(math.isqrt(sr * sr + si * si), -b)
 
 
 def _refine_roots(poly, approx, start, target):
@@ -912,36 +892,24 @@ class FieldElement:
 
 def _solve_rational(rows, rhs):
     """Solve the (possibly overdetermined) system rows * c = rhs exactly.
-    Returns the solution vector or None if inconsistent."""
+    Returns the solution vector, or None if it is inconsistent or has a
+    free column, which would make the solution non-unique."""
     m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
     nrows, ncols = len(m), len(m[0]) - 1
-    pivots = []
-    row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, nrows) if m[r][col] != 0), None)
         if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
             return None
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = m[r][ncols]
-    # free columns would make the solution non-unique; reject those
-    if len(pivots) < ncols:
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for r in range(nrows):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    if any(m[r][ncols] != 0 for r in range(ncols, nrows)):
         return None
-    return sol
+    return [m[r][ncols] for r in range(ncols)]
 
 
 class EmbeddingContext:
@@ -949,23 +917,20 @@ class EmbeddingContext:
 
     Real embeddings come first (roots ascending), then one representative per
     conjugate pair (positive imaginary part, ordered by real part then
-    imaginary part).  With conjugate=True evaluation returns the complex
-    conjugate embedding of a pair representative.
+    imaginary part).
     """
 
-    def __init__(self, field, root_index, precision, conjugate=False):
+    def __init__(self, field, root_index, precision):
         self.field = field
         self.root_index = root_index
         self.precision = precision
-        self.conjugate = conjugate
 
     @property
     def is_real(self):
         return self.root_index < self.field.signature[0]
 
     def root(self):
-        r = self.field.roots(self.precision)[self.root_index]
-        return mpmath.conj(r) if self.conjugate else r
+        return self.field.roots(self.precision)[self.root_index]
 
     def evaluate(self, a):
         if a.field != self.field:
@@ -974,10 +939,6 @@ class EmbeddingContext:
             coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
                       for c in a.coeffs]
             return +_peval(coeffs, self.root(), mp.mpc(0))
-
-    def conjugated(self):
-        return EmbeddingContext(self.field, self.root_index, self.precision,
-                                conjugate=not self.conjugate)
 
 
 def _reduction_rows(p):
@@ -1004,9 +965,7 @@ class NumberField:
             raise DegreeZero("defining polynomial must be nonconstant")
         lead = coeffs[-1]
         coeffs = tuple(c / lead for c in coeffs)
-        g = _pgcd(coeffs, _pderiv(coeffs))
-        if len(g) > 1:
-            raise NotSquarefree("defining polynomial has repeated roots")
+        r1 = count_real_roots(coeffs)
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self.reduction_rows = _reduction_rows(coeffs)
@@ -1014,7 +973,6 @@ class NumberField:
         self._refined = None     # (digits, roots): the most precise refinement
         self._split_primes = []  # split primes found so far, ascending
         self._split_search = None
-        r1 = count_real_roots(self.poly)
         self.signature = (r1, (self.degree - r1) // 2)
         self.one = self.rational(1)
         self.zero = self.rational(0)
@@ -1030,15 +988,18 @@ class NumberField:
         return detect_roots_of_unity(self)
 
     def split_primes(self, count=SPLIT_PRIMES):
-        """The first `count` primes at which the integral model of the
+        """The first `count` primes at which the integral model p_D of the
         defining polynomial is squarefree and has a root, found on first
-        use and kept."""
+        use and kept.  As p_D is monic, it is squarefree mod l exactly when
+        l does not divide disc(p_D), whose absolute value is
+        `denominator_bound`."""
         if len(self._split_primes) < count:
             if self._split_search is None:
                 p_int = integral_model(self.poly)[1]
                 self._split_search = (
                     ell for ell in _primes()
-                    if _fp_has_root(p_int, ell) and _fp_squarefree(p_int, ell))
+                    if self.denominator_bound % ell
+                    and _fp_has_root(p_int, ell))
             self._split_primes += itertools.islice(
                 self._split_search, count - len(self._split_primes))
         return tuple(self._split_primes[:count])
@@ -1068,7 +1029,8 @@ class NumberField:
     # -- embeddings --------------------------------------------------------
 
     def roots(self, precision):
-        """All d roots in the deterministic order, at the given precision.
+        """The r1 + r2 roots that define the embeddings, one per embedding,
+        in the deterministic order, at the given precision.
 
         Newton's method refines the roots towards 2*precision + 40 digits;
         the field keeps its most precise refinement and rounds it for a
@@ -1134,40 +1096,40 @@ class NumberField:
         self._root_cache[precision] = ordered
         return ordered
 
-    def embedding(self, index, precision):
-        if not 0 <= index < self.signature[0] + self.signature[1]:
-            raise FieldError("embedding index out of range")
-        return EmbeddingContext(self, index, precision)
+    def all_roots(self, precision):
+        """All d roots of p at the given precision: those of `roots`, in
+        their order, each non-real one followed by its complex conjugate,
+        which is rounded to precision + guard digits."""
+        out = []
+        with working(precision):
+            for i, root in enumerate(self.roots(precision)):
+                out.append(root)
+                if i >= self.signature[0]:
+                    out.append(mpmath.conj(root))
+        return out
 
     def embeddings(self, precision):
-        return [self.embedding(i, precision)
+        return [EmbeddingContext(self, i, precision)
                 for i in range(self.signature[0] + self.signature[1])]
 
 
 # ---------------------------------------------------------------------------
 # algebraic reconstruction
 
-def reconstruct_at(nf, value, root_index, precision, den_bound=10 ** 6,
-                   conjugate=False):
-    """Find a field element whose image at the given embedding approximates
-    `value`, by lattice reduction against powers of the generator.  The
-    result is a candidate only; callers must verify it exactly."""
+def reconstruct_at(nf, value, root, precision, den_bound=10 ** 6):
+    """Find a field element whose image under the generator's map to
+    `root`, a root of the defining polynomial, approximates `value`, by
+    lattice reduction against powers of the generator.  The result is a
+    candidate only; callers must verify it exactly."""
     d = nf.degree
     with working(precision):
-        ctx = EmbeddingContext(nf, root_index, precision, conjugate=conjugate)
-        t = ctx.root()
         powers = [mp.mpc(1)]
         for _ in range(d - 1):
-            powers.append(powers[-1] * t)
+            powers.append(powers[-1] * root)
         scale = mp.mpf(10) ** (precision - 8)
-        rows = []
-        for j in range(d):
-            rows.append([int(mp.nint(scale * mp.re(powers[j]))),
-                         int(mp.nint(scale * mp.im(powers[j])))]
-                        + [1 if i == j else 0 for i in range(d + 1)])
-        rows.append([int(mp.nint(scale * mp.re(value))),
-                     int(mp.nint(scale * mp.im(value)))]
-                    + [0] * d + [1])
+        rows = [[int(mp.nint(scale * part(v))) for part in (mp.re, mp.im)]
+                + [1 if i == j else 0 for i in range(d + 1)]
+                for j, v in enumerate(powers + [value])]
         reduced = lll_reduce(rows)
     for vec in reduced:
         denom = vec[2 + d]
@@ -1243,20 +1205,18 @@ def _reconstruct_root(q, approx, nf, precision, den_bound):
     If Newton's method does not converge within NEWTON_STEPS steps,
     PrecisionExhausted is raised."""
     digits = precision + guard_digits(precision)
-    root = _newton(q, approx, digits, digits)[0]
-    n_emb = nf.signature[0] + nf.signature[1]
+    with mp.workdps(digits):
+        root = _mpc(_newton_fixed(q, approx, digits, digits)[0])
     # q is a minimal polynomial, hence irreducible: if a root of q lies in
     # the field at all, every root of q is hit by some embedding, so scanning
-    # all embeddings for the one root approximated is complete.
-    for idx in range(n_emb):
-        for conj in ([False] if idx < nf.signature[0] else [False, True]):
-            try:
-                cand = reconstruct_at(nf, root, idx, precision,
-                                      den_bound, conjugate=conj)
-            except ReconstructionFailed:
-                continue
-            if _peval(q, cand, nf.zero).is_zero() and cand.min_poly() == q:
-                return cand
+    # all roots of p for the one root approximated is complete.
+    for t in nf.all_roots(precision):
+        try:
+            cand = reconstruct_at(nf, root, t, precision, den_bound)
+        except ReconstructionFailed:
+            continue
+        if _peval(q, cand, nf.zero).is_zero() and cand.min_poly() == q:
+            return cand
     return None
 
 

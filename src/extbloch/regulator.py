@@ -51,8 +51,8 @@ def _converged(term):
 
 
 def _li2_series(z):
-    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2, so the
-    tail after a term is smaller than that term."""
+    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2, up to one
+    rounding of 1/z, so the tail after a term is smaller than that term."""
     zk = z
     acc = z
     k = 1
@@ -108,9 +108,7 @@ def _li2(z):
     if abs(z) >= 2:
         # inversion; the principal logarithm of -z also gives the limit
         # from below on the cut [1, oo)
-        inner = _li2_series(1 / z) if abs(1 / z) <= mp.mpf("0.5") else \
-            _li2(1 / z)
-        return -inner - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+        return -_li2_series(1 / z) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
     if abs(1 - z) <= mp.mpf("0.5"):
         return (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
                 - _li2_series(1 - z))
@@ -166,21 +164,12 @@ class RegulatorValue:
         """Representative with real part in [-2*pi^2, 2*pi^2)."""
         return self._reduced(mp.mpf("0.5"))
 
-    def __add__(self, other):
-        """The value shifted by a plain complex number."""
-        return RegulatorValue(self.value + other, self.precision)
-
     def distance(self, other):
         """Distance to another value (or plain complex) modulo 4*pi^2."""
         o = other.value if isinstance(other, RegulatorValue) else other
         with working(self.precision):
             d = RegulatorValue(self.value - o, self.precision)
             return abs(d.symmetric())
-
-    def close_to(self, other, tolerance=None):
-        with working(self.precision):
-            return self.distance(other) < _tolerance(self.precision,
-                                                     tolerance)
 
     def __repr__(self):
         return f"RegulatorValue({self.symmetric()})"

@@ -174,12 +174,12 @@ def flattened_torsion(nf, p):
     """
     c, seq, span = _cosine_sequence(nf, p)
     basis = SymbolicBasis(nf)
-    lifts = [basis.symbol_signed(v) for v in seq]
-    a_plus = basis.symbol_signed(c + nf.rational(2))
+    lifts = [basis.symbol(v) for v in seq]
+    a_plus = basis.symbol(c + nf.rational(2))
     if p == 2:
         f_base, chi_part = a_plus, a_plus + basis.element(1)
     else:
-        f_base = a_plus + basis.symbol_signed(nf.rational(2) - c)
+        f_base = a_plus + basis.symbol(nf.rational(2) - c)
         chi_part = None
     terms = [(1, Flattening(lifts[k + 1] + lifts[k - 1] - 2 * lifts[k],
                             f_base - 2 * lifts[k]))

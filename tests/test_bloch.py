@@ -164,7 +164,7 @@ def test_galois_on_ext_sum():
     tau = sqrt2.element([0, -1])
     imaged = galois_apply(tau, s)
     assert imaged.is_in_Bhat()
-    # the images of the cross-ratios are the conjugated values
+    # the images of the cross-ratios are their Galois conjugates
     assert sorted(t[1].z.coeffs for t in imaged.terms) == \
         sorted([(-r - one).coeffs, (sqrt2.rational(2) + r).coeffs])
 

@@ -334,6 +334,25 @@ MALFORMED_KEYS = {
                      _changed("figure_eight.json", tets=None), "tets"),
     "tets-string": (["cycle", "invariant"],
                     _changed("figure_eight.json", tets="two"), "tets"),
+    "tets-zero": (["cycle", "invariant"],
+                  _changed("figure_eight.json", tets=0, gluings=[],
+                           shapes=[]), "tets"),
+    "tets-negative": (["cycle", "invariant"],
+                      _changed("figure_eight.json", tets=-1), "tets"),
+    "gluing-simplex": (["cycle", "invariant"],
+                       _changed("figure_eight.json",
+                                gluings=[[0, 0, 2, 0, [1, 2, 3]]]),
+                       "gluings"),
+    "gluing-negative-simplex": (["cycle", "invariant"],
+                                _changed("figure_eight.json",
+                                         gluings=[[-1, 0, 1, 0, [1, 2, 3]]]),
+                                "gluings"),
+    "gluing-face": (["cycle", "invariant"],
+                    _changed("figure_eight.json",
+                             gluings=[[0, 4, 1, 0, [1, 2, 3]]]), "gluings"),
+    "gluing-vertex": (["cycle", "invariant"],
+                      _changed("figure_eight.json",
+                               gluings=[[0, 0, 1, 0, [1, 2, 4]]]), "gluings"),
     "gluing-short": (["cycle", "invariant"],
                      _changed("figure_eight.json", gluings=[[0, 0, 1, 0]]),
                      "gluings"),
@@ -344,6 +363,13 @@ MALFORMED_KEYS = {
                            _changed("figure_eight.json",
                                     orientations=["+", "-"]),
                            "orientations"),
+    "orientations-not-signs": (["cycle", "invariant"],
+                               _changed("figure_eight.json",
+                                        orientations=[1, 2]),
+                               "orientations"),
+    "orientations-length": (["cycle", "invariant"],
+                            _changed("figure_eight.json", orientations=[1]),
+                            "orientations"),
     "flattenings-pair": (["cycle", "invariant"],
                          _changed("figure_eight.json",
                                   flattenings=[[0], [0, 0]]),
@@ -362,6 +388,25 @@ def test_malformed_key_is_input_error_naming_it(capsys, tmp_path, case):
     code, out, err = run(capsys, command + [str(fixture)])
     assert code == 2 and out == ""
     assert err.startswith("input error") and repr(key) in err
+
+
+# triangulations of the right shape that describe no closed cycle
+TRIANGULATION_MATH_ERRORS = {
+    "vertex-map-misses-face": {"gluings": [[0, 0, 1, 0, [0, 1, 2]]]},
+    "conflicting-gluings": {"gluings": [[0, 0, 1, 0, [1, 2, 3]],
+                                        [0, 0, 1, 1, [0, 2, 3]]]},
+    "open-cycle": {"gluings": []},
+}
+
+
+@pytest.mark.parametrize("case", TRIANGULATION_MATH_ERRORS)
+def test_triangulation_without_a_closed_cycle_is_math_error(capsys, tmp_path,
+                                                            case):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(_changed(
+        "figure_eight.json", **TRIANGULATION_MATH_ERRORS[case])))
+    code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])
+    assert code == 3 and out == "" and err.startswith("math error")
 
 
 @pytest.mark.parametrize("error", [KeyError("m"), ValueError("bug"),

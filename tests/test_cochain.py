@@ -44,6 +44,12 @@ def test_bad_vertex_map_rejected():
         Triangulated3Cycle(2, [(0, 0, 1, 0, (0, 1, 2))])  # 0 not in face 0
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_cycle_needs_a_simplex(count):
+    with pytest.raises(CochainError):
+        Triangulated3Cycle(count, [])
+
+
 def test_open_cycle():
     cyc = Triangulated3Cycle(1, [])
     assert not cyc.closed
@@ -245,7 +251,7 @@ def test_sl2_boundary_is_lifted_five_term():
     det = lambda u, w: u[0] * w[1] - u[1] * w[0]
 
     def raw_flattening(us):
-        c = {(i, j): basis.symbol_signed(det(us[i], us[j]))
+        c = {(i, j): basis.symbol(det(us[i], us[j]))
              for i in range(4) for j in range(i + 1, 4)}
         return Flattening(c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
                           c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
@@ -370,7 +376,7 @@ def test_face_point_shift_rule():
     assert shifted == expected
     # and the chi argument is exactly the signed sum of the six edge-point
     # logs on the face opposite vertex 0
-    L = lambda a, b, c: basis.symbol_signed(_det3(a, b, c))
+    L = lambda a, b, c: basis.symbol(_det3(a, b, c))
     F = bases
     edge_sum = (L(F[1][0], F[1][1], F[2][0]) - L(F[1][0], F[2][0], F[2][1])
                 + L(F[1][0], F[3][0], F[3][1]) - L(F[1][0], F[1][1], F[3][0])
@@ -381,8 +387,13 @@ def test_face_point_shift_rule():
 # ---------------------------------------------------------------------------
 # flattened triangulation files
 
+def _figure_eight():
+    with open("tests/fixtures/figure_eight.json") as fh:
+        return json.load(fh)
+
+
 def test_figure_eight_fixture():
-    inv = manifold_invariant("tests/fixtures/figure_eight.json", 50)
+    inv = manifold_invariant(_figure_eight(), 50)
     assert inv.matches
     with mp.workdps(40):
         assert abs(inv.imaginary_parts[0]
@@ -391,8 +402,7 @@ def test_figure_eight_fixture():
 
 
 def test_explicit_flattenings_path():
-    with open("tests/fixtures/figure_eight.json") as fh:
-        data = json.load(fh)
+    data = _figure_eight()
     data["flattenings"] = [[-2, -2], [-2, -2]]
     inv = manifold_invariant(data, 40)
     assert inv.matches
@@ -418,8 +428,8 @@ def _trial_coefficients(cycle, field, shapes):
     """The translate coefficients read off edge_conditions: one pass at zero
     translates, then one per translate with a single unit set."""
     basis = SymbolicBasis(field)
-    sz = [basis.symbol_signed(z) for z in shapes]
-    s1z = [basis.symbol_signed(field.one - z) for z in shapes]
+    sz = [basis.symbol(z) for z in shapes]
+    s1z = [basis.symbol(field.one - z) for z in shapes]
     n = cycle.num_simplices
 
     def totals_of(pqs):
@@ -443,8 +453,7 @@ def _trial_coefficients(cycle, field, shapes):
 @pytest.mark.parametrize("source", ["figure_eight", 6, 12, 24])
 def test_translate_coefficients_match_the_trial_passes(source):
     if source == "figure_eight":
-        with open("tests/fixtures/figure_eight.json") as fh:
-            data = json.load(fh)
+        data = _figure_eight()
         field = NumberField(data["field"])
         cycle = Triangulated3Cycle(data["tets"], data["gluings"],
                                    data.get("orientations"))

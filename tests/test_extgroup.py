@@ -220,17 +220,21 @@ def test_symbolic_basis_dedupes_values(rationals):
     assert basis.symbol(rationals.rational(-1)) == basis.element(1)
 
 
-def test_symbol_signed_ties_negatives(rationals):
+@pytest.mark.parametrize("first", [7, -7], ids=["v_first", "minus_v_first"])
+def test_symbol_ties_negatives(rationals, first):
     basis = SymbolicBasis(rationals)
-    a = basis.symbol_signed(rationals.rational(7))
-    b = basis.symbol_signed(rationals.rational(-7))
+    a = basis.symbol(rationals.rational(first))
+    b = basis.symbol(rationals.rational(-first))
+    # the second call reuses the first symbol, shifted by the torsion slot
     assert b - a == basis.element(1)
-    assert b.pi() == rationals.rational(-7)
+    assert a.pi() == rationals.rational(first)
+    assert b.pi() == rationals.rational(-first)
+    assert basis.num_gens() == 1
 
 
 def test_symbolic_pi(rationals):
     basis = SymbolicBasis(rationals)
-    a = basis.symbol_signed(rationals.rational(-6))
+    a = basis.symbol(rationals.rational(-6))
     assert a.pi() == rationals.rational(-6)
 
 

@@ -6,10 +6,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from cli_matrix import BASE_FIELDS, scaled
 from extbloch import field as field_module
-from extbloch.field import (PRIME_LIMIT, FieldError, NumberField,
-                            cos2pi_minpoly, element_in_field, euler_phi,
-                            count_real_roots, is_prime)
+from extbloch.field import (PRIME_LIMIT, FieldError, NotSquarefree,
+                            NumberField, cos2pi_minpoly, element_in_field,
+                            euler_phi, count_real_roots, integral_model,
+                            is_prime)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,23 @@ def test_embeddings_evaluate_generator_to_root(example_field):
         assert abs(val - ctx.root()) < mp.mpf(10) ** -35
 
 
+@pytest.mark.parametrize("poly", [[0, 1], [-2, 0, 1], [1, -2, 2, -1, 1],
+                                  [-2, 0, 0, 1]])
+def test_all_roots_lists_every_root_once(poly):
+    nf = NumberField(poly)
+    roots, r1 = nf.all_roots(40), nf.signature[0]
+    assert len(roots) == nf.degree
+    assert roots[:r1] == nf.roots(40)[:r1]
+    with mp.workdps(50):
+        # each non-real root of `roots` is followed by its conjugate
+        assert roots[r1::2] == nf.roots(40)[r1:]
+        for z, w in zip(roots[r1::2], roots[r1 + 1::2]):
+            assert abs(w - mp.conj(z)) < mp.mpf(10) ** -40
+        for i, z in enumerate(roots):
+            assert abs(mp.polyval(poly[::-1], z)) < mp.mpf(10) ** -35
+            assert all(abs(z - w) > mp.mpf("0.1") for w in roots[i + 1:])
+
+
 def test_embedding_respects_products(sqrt2):
     a = sqrt2.element([1, 2])
     b = sqrt2.element([-3, 1])
@@ -240,6 +259,64 @@ def test_count_real_roots():
                              Fraction(0), Fraction(1))) == 3
     # x^2 + 1: none
     assert count_real_roots((Fraction(1), Fraction(0), Fraction(1))) == 0
+
+
+def _seeded_polynomials():
+    """Integer polynomials of degree 1-8 (sympy Polys): per degree, three
+    random ones and one with a repeated factor q^2."""
+    rng = random.Random(13)
+    x = sympy.Symbol("x")
+
+    def random_poly(d):
+        return sympy.Poly([rng.choice([1, -2, 3])]
+                          + [rng.randint(-9, 9) for _ in range(d)], x)
+
+    out = []
+    for d in range(1, 9):
+        out += [random_poly(d) for _ in range(3)]
+        if d >= 2:
+            k = rng.randint(1, d // 2)
+            out.append(random_poly(k) ** 2 * random_poly(d - 2 * k))
+    return out
+
+
+def test_count_real_roots_matches_sympy():
+    repeated = 0
+    for p in _seeded_polynomials():
+        poly = tuple(Fraction(int(c)) for c in reversed(p.all_coeffs()))
+        if sympy.gcd(p, p.diff()).degree() > 0:
+            repeated += 1
+            with pytest.raises(NotSquarefree):
+                count_real_roots(poly)
+        else:
+            assert count_real_roots(poly) == p.count_roots(), p
+    assert repeated >= 7
+
+
+def _split_primes_by_definition(p_int, count):
+    """The first `count` primes l at which the monic integer p_int has a
+    root mod l, found by trying every residue, and is squarefree mod l:
+    sympy's squarefree factorization has no repeated factor.  (sympy's
+    `Poly.is_sqf` is no oracle here: mod l it answers True for x^2 + 1
+    at l = 2, whose derivative vanishes.)"""
+    x = sympy.Symbol("x")
+    out, ell = [], 1
+    while len(out) < count:
+        ell = sympy.nextprime(ell)
+        factors = sympy.Poly(list(reversed(p_int)), x,
+                             modulus=ell).sqf_list()[1]
+        if any(sum(c * r ** i for i, c in enumerate(p_int)) % ell == 0
+               for r in range(ell)) and all(m == 1 for _, m in factors):
+            out.append(ell)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 3])
+@pytest.mark.parametrize("name", BASE_FIELDS)
+def test_split_primes_match_the_definition(name, scale):
+    nf = NumberField(scaled(BASE_FIELDS[name], scale))
+    p_int = integral_model(nf.poly)[1]
+    assert nf.split_primes(30) == _split_primes_by_definition(p_int, 30)
 
 
 def test_element_in_field_finds_sqrt2(sqrt2):

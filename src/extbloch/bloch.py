@@ -237,6 +237,24 @@ def five_term(x, y):
     return out
 
 
+def _five_term_equations(fl0, fl1, f2):
+    """The coordinates (e2, e3, f3, e4, f4) that the defining linear
+    equations of a lifted five-term relation give from the flattenings
+    (e0, f0), (e1, f1) and the coordinate f2."""
+    e0, f0, e1, f1 = fl0.e, fl0.f, fl1.e, fl1.f
+    return (e1 - e0, e1 - e0 - f1 + f0, f2 - f1, f0 - f1, f2 - f1 + e0)
+
+
+def is_lifted_five_term(terms):
+    """Whether five signed flattenings form a lifted five-term relation:
+    alternating signs and the defining linear equations."""
+    if [s for s, _ in terms] != [1, -1, 1, -1, 1]:
+        return False
+    fl0, fl1, fl2, fl3, fl4 = [fl for _, fl in terms]
+    return _five_term_equations(fl0, fl1, fl2.f) == \
+        (fl2.e, fl3.e, fl3.f, fl4.e, fl4.f)
+
+
 def lift_five_term(fl0, fl1):
     """Lift a five-term relation: from flattenings of x0 and x1 compute the
     remaining three flattenings by the defining linear equations.  The lift
@@ -245,16 +263,11 @@ def lift_five_term(fl0, fl1):
     if fl1.basis is not basis:
         raise NotAFlattening("flattenings over different bases")
     zs = five_term(fl0.z, fl1.z)
-    e0, f0, e1, f1 = fl0.e, fl0.f, fl1.e, fl1.f
     try:
         f2 = basis.log_lift(basis.field.one - zs[2])
     except NotInSubgroup as exc:
         raise NotAFlattening(str(exc)) from None
-    e2 = e1 - e0
-    e3 = e1 - e0 - f1 + f0
-    f3 = f2 - f1
-    e4 = f0 - f1
-    f4 = f2 - f1 + e0
+    e2, e3, f3, e4, f4 = _five_term_equations(fl0, fl1, f2)
     out = (fl0, fl1, Flattening(e2, f2), Flattening(e3, f3),
            Flattening(e4, f4))
     for fl, z in zip(out, zs):

@@ -17,11 +17,12 @@ conditions attach log-parameters e, f - e, -f to the edge pairs
 {01,23}, {02,13}, {03,12} and require the signed sum around every 1-cell
 to vanish.
 
-The same flattening formula drives two linear-group constructions: from
-pairwise 2x2 determinants of vectors hit by SL(2) matrices, and from 3x3
-determinants of ordered bases of F^3 (with one basis vector swapped for its
-successor, and a position-dependent argument order).  For the latter, the
-boundary of a 5-tuple of bases decomposes termwise into six explicitly
+The same flattening formula drives two linear-group constructions, both
+through one routine for determinant labels: from pairwise 2x2 determinants
+of vectors hit by SL(2) matrices, and from 3x3 determinants of ordered
+bases of F^3 (with one basis vector swapped for its successor, and a sign
+that depends on where the reference vector is inserted).  For the latter,
+the boundary of a 5-tuple of bases decomposes termwise into six explicitly
 recognizable lifted five-term relations, which certifies that it vanishes.
 """
 from __future__ import annotations
@@ -35,7 +36,8 @@ from mpmath import mp
 from .field import (FieldElement, NumberField, rounding_tolerance,
                     tolerance as _tolerance, working)
 from .extgroup import SymbolicBasis, cover_to_C
-from .bloch import ExtBlochSum, Flattening, NotAFlattening, chi, normalize
+from .bloch import (ExtBlochSum, Flattening, NotAFlattening, chi,
+                    is_lifted_five_term, normalize)
 from .regulator import bloch_wigner, reg_vector
 from .torsion import _recurrence
 
@@ -69,6 +71,22 @@ def _edge_flattening(c):
     c02_13 = c[(0, 2)] + c[(1, 3)]
     return Flattening(c[(0, 3)] + c[(1, 2)] - c02_13,
                       c[(0, 1)] + c[(2, 3)] - c02_13)
+
+
+def _determinant_flattening(basis, dets):
+    """`_edge_flattening` of the log symbols of six determinant labels,
+    keyed by EDGES.  A zero label, or labels that give no flattening, mean
+    that the vectors are not in general position."""
+    c = {}
+    for edge in EDGES:
+        if dets[edge].is_zero():
+            raise NotGeneralPosition("a determinant of the chosen vectors "
+                                     "vanishes")
+        c[edge] = basis.symbol(dets[edge])
+    try:
+        return _edge_flattening(c)
+    except NotAFlattening as exc:
+        raise NotGeneralPosition(str(exc)) from None
 
 
 def face_vertices(face):
@@ -432,18 +450,8 @@ def lambda_sl2(tuples, v, basis=None):
     terms = []
     for sign, gs in tuples:
         us = [_matvec(g, v) for g in gs]
-        c = {}
-        for i, j in EDGES:
-            d = _det2(us[i], us[j])
-            if d.is_zero():
-                raise NotGeneralPosition("orbit vectors are pairwise "
-                                         "dependent")
-            c[(i, j)] = basis.symbol(d)
-        try:
-            fl = _edge_flattening(c)
-        except NotAFlattening as exc:
-            raise NotGeneralPosition(str(exc)) from None
-        terms.append((sign, fl))
+        dets = {(i, j): _det2(us[i], us[j]) for i, j in EDGES}
+        terms.append((sign, _determinant_flattening(basis, dets)))
     return normalize(basis, terms)
 
 
@@ -457,24 +465,15 @@ def _det3(a, b, c):
 
 
 def _basis_flattening(basis, vectors, w, position):
-    """Flattening of four vectors relative to w, with determinant argument
-    order controlled by the insertion position."""
-    c = {}
+    """Flattening of four vectors relative to w inserted at `position`.
+    Edge (j, k) is labeled by det(w, v_j, v_k), negated when
+    j < position <= k: the merged order (v_j, w, v_k) is one transposition
+    away from it, and (v_j, v_k, w) is a cyclic shift."""
+    dets = {}
     for j, k in EDGES:
-        if position <= j:
-            d = _det3(w, vectors[j], vectors[k])
-        elif position <= k:
-            d = _det3(vectors[j], w, vectors[k])
-        else:
-            d = _det3(vectors[j], vectors[k], w)
-        if d.is_zero():
-            raise NotGeneralPosition("three of the chosen vectors are "
-                                     "dependent")
-        c[(j, k)] = basis.symbol(d)
-    try:
-        return _edge_flattening(c)
-    except NotAFlattening as exc:
-        raise NotGeneralPosition(str(exc)) from None
+        d = _det3(w, vectors[j], vectors[k])
+        dets[(j, k)] = -d if j < position <= k else d
+    return _determinant_flattening(basis, dets)
 
 
 def flag_lambda(bases, basis=None):
@@ -486,41 +485,28 @@ def flag_lambda(bases, basis=None):
     return normalize(basis, _flag_terms(basis, bases, 1))
 
 
+def _swapped(bases, i):
+    """The leading vectors of the bases, with basis i's second vector
+    swapped in at place i."""
+    vectors = [b[0] for b in bases]
+    vectors[i] = bases[i][1]
+    return vectors
+
+
 def _flag_terms(basis, bases, sign):
-    terms = []
-    for i in range(4):
-        vectors = [b[0] for b in bases]
-        vectors[i] = bases[i][1]
-        terms.append((sign,
-                      _basis_flattening(basis, vectors, bases[i][0], i)))
-    return terms
+    return [(sign, _basis_flattening(basis, _swapped(bases, i),
+                                     bases[i][0], i)) for i in range(4)]
 
 
-_PARTIAL_POSITIONS = ((0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (1, 1, 2, 2, 2),
-                      (2, 2, 2, 3, 3), (3, 3, 3, 3, 4))
-
-
-def _partial_terms(basis, vectors, w, i):
-    """The five alternating flattenings of the i-th boundary of a 5-tuple
-    of vectors relative to w."""
-    out = []
-    for j in range(5):
-        sub = [v for t, v in enumerate(vectors) if t != j]
-        out.append(((-1) ** j,
-                    _basis_flattening(basis, sub, w,
-                                      _PARTIAL_POSITIONS[i][j])))
-    return out
-
-
-def is_lifted_five_term(terms):
-    """Whether five signed flattenings form a lifted five-term relation:
-    alternating signs and the defining linear equations."""
-    if [s for s, _ in terms] != [1, -1, 1, -1, 1]:
-        return False
-    (e0, f0), (e1, f1), (e2, f2), (e3, f3), (e4, f4) = \
-        [(fl.e, fl.f) for _, fl in terms]
-    return (e2 == e1 - e0 and e3 == e1 - e0 - f1 + f0 and f3 == f2 - f1
-            and e4 == f0 - f1 and f4 == f2 - f1 + e0)
+def _partial_terms(basis, bases, i):
+    """The five alternating flattenings of the boundary of `_swapped`
+    vectors of five bases, relative to basis i's leading vector; dropping
+    vector j moves the insertion place i to i - (j < i)."""
+    vectors = _swapped(bases, i)
+    return [((-1) ** j,
+             _basis_flattening(basis, vectors[:j] + vectors[j + 1:],
+                               bases[i][0], i - (j < i)))
+            for j in range(5)]
 
 
 @dataclass
@@ -534,10 +520,6 @@ class FlagBoundaryReport:
         return all(self.partials_ok) and self.mixed_ok and self.identity_ok
 
 
-def _term_key(fl):
-    return (fl.e.k, fl.e.r, fl.f.k, fl.f.r)
-
-
 def flag_boundary_check(bases, basis=None):
     """Certify that the flattening sum of the boundary of a 5-tuple of
     ordered bases vanishes.
@@ -545,7 +527,9 @@ def flag_boundary_check(bases, basis=None):
     The 20 boundary terms decompose, termwise, as the sum of the five
     boundaries that swap in one basis' second vector (reference = that
     basis' leading vector) minus the mixed boundary of the leading vectors.
-    Each of those six pieces is checked to be a lifted five-term relation
+    The mixed boundary is their diagonal: term j of the j-th drops the
+    swapped vector, leaving the same four vectors, reference and place.
+    Each of the six pieces is checked to be a lifted five-term relation
     by the defining equations, and the decomposition itself is checked as
     an exact equality of formal sums.
     """
@@ -555,25 +539,14 @@ def flag_boundary_check(bases, basis=None):
     for j in range(5):
         face = [b for t, b in enumerate(bases) if t != j]
         lhs.extend(_flag_terms(basis, face, (-1) ** j))
-    partials = []
-    for i in range(5):
-        vectors = [b[0] for b in bases]
-        vectors[i] = bases[i][1]
-        partials.append(_partial_terms(basis, vectors, bases[i][0], i))
-    leading = [b[0] for b in bases]
-    mixed = []
-    for j in range(5):
-        sub = [v for t, v in enumerate(leading) if t != j]
-        mixed.append(((-1) ** j,
-                      _basis_flattening(basis, sub, leading[j], j)))
+    partials = [_partial_terms(basis, bases, i) for i in range(5)]
+    mixed = [partials[j][j] for j in range(5)]
     count = Counter()
-    for s, fl in lhs:
-        count[_term_key(fl)] += s
+    for s, fl in lhs + mixed:
+        count[fl] += s
     for inst in partials:
         for s, fl in inst:
-            count[_term_key(fl)] -= s
-    for s, fl in mixed:
-        count[_term_key(fl)] += s
+            count[fl] -= s
     return FlagBoundaryReport(
         partials_ok=tuple(is_lifted_five_term(inst) for inst in partials),
         mixed_ok=is_lifted_five_term(mixed),
@@ -692,6 +665,10 @@ def manifold_invariant(data, precision=50, tolerance=None, search_bound=4):
     if not cycle.closed:
         raise CochainError("triangulation file does not describe a closed "
                            "cycle")
+    for key in ("shapes", "flattenings"):
+        if (key == "shapes" or data.get(key)) and \
+                len(data[key]) != cycle.num_simplices:
+            raise CochainError(f"'{key}' needs one entry per simplex")
     basis = SymbolicBasis(field)
     shapes = []
     for coeffs in data["shapes"]:

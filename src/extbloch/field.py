@@ -326,25 +326,22 @@ def integral_model(poly):
 
 
 def discriminant(poly):
-    """Discriminant of a monic polynomial, exactly, from the resultant
-    Res(p, p') by the Euclidean recursion
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).
+    """Discriminant of a monic polynomial, exactly, from Res(p, p') along
+    the Sturm chain (`_sturm_chain`, with c = -(a mod b) after a, b):
+    Res(a, b) = (-1)^(deg a deg b + deg b) lc(b)^(deg a - deg c) Res(b, c),
+    down to b^(deg a) for a constant b; 0 if the chain ends in a common
+    factor of p and p' of positive degree.
 
     >>> discriminant((2, 0, 1))
     Fraction(-8, 1)
     """
     d = len(poly) - 1
-    a = _trim([Fraction(c) for c in poly])
-    b = _pderiv(a)
-    res = Fraction(1)
-    while len(b) > 1:
-        r = _pdivmod(a, b)[1]
-        if not r:
-            return Fraction(0)
-        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
-        res *= sign * b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    res *= b[0] ** (len(a) - 1)
+    chain = _sturm_chain(_trim([Fraction(c) for c in poly]))
+    if len(chain[-1]) > 1:
+        return Fraction(0)
+    res = chain[-1][0] ** (len(chain[-2]) - 1)
+    for a, b, c in zip(chain, chain[1:], chain[2:]):
+        res *= (-1) ** ((len(b) - 1) * len(a)) * b[-1] ** (len(a) - len(c))
     return (-1) ** (d * (d - 1) // 2) * res
 
 

@@ -54,21 +54,10 @@ def two_cos(nf, n):
     constructions below equally)."""
     key = ("two_cos", n)
     if key not in nf.memo:
-        nf.memo[key] = _two_cos(nf, n)
+        with working(MEMBERSHIP_DIGITS):
+            approx = 2 * mp.cos(2 * mp.pi / n)
+        nf.memo[key] = element_in_field(cos2pi_minpoly(n), approx, nf)
     return nf.memo[key]
-
-
-def _two_cos(nf, n):
-    if n == 1:
-        return nf.rational(2)
-    if n == 2:
-        return nf.rational(-2)
-    coeffs = cos2pi_minpoly(n)
-    if len(coeffs) - 1 > nf.degree:
-        return None
-    with working(MEMBERSHIP_DIGITS):
-        approx = 2 * mp.cos(2 * mp.pi / n)
-    return element_in_field(coeffs, approx, nf)
 
 
 def nu_p(nf, p):

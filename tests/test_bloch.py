@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from extbloch.field import NumberField
-from extbloch.extgroup import MultBasis, SymbolicBasis
+from extbloch.extgroup import MultBasis, NotInSubgroup, SymbolicBasis
 from extbloch.bloch import (BlochError, BlochSum, DegenerateTuple,
                             ExtBlochSum, Flattening, NotAFlattening, chi,
                             change_torsion_generator, five_term,
                             galois_apply, lift_five_term, normalize,
                             psl_lift_obstruction, psl_project, rho_hat)
+from extbloch.cochain import is_lifted_five_term
 from extbloch.regulator import reg_vector
 
 
@@ -101,6 +103,34 @@ def test_lift_five_term_equations(basis23):
     assert f[3] == f[2] - f[1]
     assert e[4] == f[0] - f[1]
     assert f[4] == f[2] - f[1] + e[0]
+
+
+def test_lifted_relations_satisfy_the_equations(basis23):
+    # every lift of a five-term relation in the {-1, 2, 3}-units passes the
+    # check of the defining equations; a central shift of one coordinate
+    # fails it
+    units = [s * Fraction(2) ** a * Fraction(3) ** b for s in (1, -1)
+             for a in range(-3, 4) for b in range(-2, 3)]
+    flattenable = []
+    for x in units:
+        try:
+            flattenable.append(fl_of(basis23, x))
+        except (NotAFlattening, NotInSubgroup):
+            pass
+    rng = random.Random(5)
+    lifted_count = 0
+    for _ in range(200):
+        fl0, fl1 = rng.sample(flattenable, 2)
+        try:
+            lifted = lift_five_term(fl0, fl1)
+        except (DegenerateTuple, NotAFlattening):
+            continue
+        lifted_count += 1
+        assert is_lifted_five_term(rho_hat(lifted))
+        bad = list(lifted)
+        bad[3] = bad[3].translate(0, 1)
+        assert not is_lifted_five_term(rho_hat(bad))
+    assert lifted_count >= 20
 
 
 def test_five_term_wedge_vanishes(basis23):

@@ -384,6 +384,47 @@ def test_face_point_shift_rule():
     assert fl1.e - fl2.e + fl2.f - fl3.f == edge_sum
 
 
+def _merged_order_flattening(basis, vectors, w, position):
+    """The determinant rule written out: edge (j, k) is labeled by the
+    determinant of v_j, v_k and w in the order of their places, w at
+    `position` among the four vectors.  None if a label is zero."""
+    from extbloch.bloch import Flattening
+    from extbloch.cochain import _det3
+    c = {}
+    for j, k in [(j, k) for j in range(4) for k in range(j + 1, 4)]:
+        if position <= j:
+            d = _det3(w, vectors[j], vectors[k])
+        elif position <= k:
+            d = _det3(vectors[j], w, vectors[k])
+        else:
+            d = _det3(vectors[j], vectors[k], w)
+        if d.is_zero():
+            return None
+        c[(j, k)] = basis.symbol(d)
+    return Flattening(c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
+                      c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+
+
+@pytest.mark.parametrize("poly", [[0, 1], [-2, 0, 1]])
+def test_basis_flattening_follows_the_merged_order(poly):
+    from extbloch.cochain import _basis_flattening
+    field = NumberField(poly)
+    basis = SymbolicBasis(field)
+    rng = random.Random(17)
+    checked = [0] * 5
+    for trial in range(100):
+        vectors = [tuple(field.element([rng.randint(-6, 6) for _ in poly[1:]])
+                         for _ in range(3)) for _ in range(5)]
+        position = trial % 5
+        want = _merged_order_flattening(basis, vectors[:4], vectors[4],
+                                        position)
+        if want is not None:
+            assert _basis_flattening(basis, vectors[:4], vectors[4],
+                                     position) == want
+            checked[position] += 1
+    assert min(checked) >= 10
+
+
 # ---------------------------------------------------------------------------
 # flattened triangulation files
 
@@ -406,6 +447,18 @@ def test_explicit_flattenings_path():
     data["flattenings"] = [[-2, -2], [-2, -2]]
     inv = manifold_invariant(data, 40)
     assert inv.matches
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("shapes", lambda data: data["shapes"][:1]),
+    ("shapes", lambda data: data["shapes"] * 2),
+    ("flattenings", lambda data: [[-2, -2]])],
+    ids=["one_shape", "doubled_shapes", "one_flattening"])
+def test_miscounted_entries_rejected(key, entries):
+    data = _figure_eight()
+    data[key] = entries(data)
+    with pytest.raises(CochainError, match=key):
+        manifold_invariant(data, 30)
 
 
 def _cyclic_triangulation_data():

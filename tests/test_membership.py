@@ -1,6 +1,7 @@
 """Certified membership: the split-prime certificate, precision escalation,
 and the torsion data it decides, against sympy and under rescaling."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,24 @@ def test_integral_model_and_discriminant():
         assert all(isinstance(a, int) for a in p_int) and p_int[-1] == 1
         want = sympy.discriminant(sympy.Poly(list(reversed(p_int)), x))
         assert discriminant(p_int) == int(want)
+    # 200 seeded monic polynomials of degree 1-8; every third one of degree
+    # at least 2 is q^2 r, with repeated roots and discriminant 0
+    rng = random.Random(1)
+    zeros = 0
+    for i in range(200):
+        d = 1 + i % 8
+        if i % 3 == 0 and d >= 2:
+            q = [rng.randint(-5, 5) for _ in range(rng.randint(1, d // 2))]
+            r = [rng.randint(-5, 5) for _ in range(d - 2 * len(q))]
+            poly = sympy.Poly(list(reversed(q + [1])), x) ** 2 \
+                * sympy.Poly(list(reversed(r + [1])), x)
+            coeffs = tuple(int(c) for c in reversed(poly.all_coeffs()))
+        else:
+            coeffs = tuple(rng.randint(-20, 20) for _ in range(d)) + (1,)
+        want = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), x))
+        assert discriminant(coeffs) == int(want), coeffs
+        zeros += want == 0
+    assert zeros >= 20
 
 
 @given(coeffs=st.lists(st.integers(min_value=-30, max_value=30),

@@ -464,48 +464,85 @@ def _det3(a, b, c):
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
-def _basis_flattening(basis, vectors, w, position):
-    """Flattening of four vectors relative to w inserted at `position`.
-    Edge (j, k) is labeled by det(w, v_j, v_k), negated when
-    j < position <= k: the merged order (v_j, w, v_k) is one transposition
-    away from it, and (v_j, v_k, w) is a cyclic shift."""
-    dets = {}
-    for j, k in EDGES:
-        d = _det3(w, vectors[j], vectors[k])
-        dets[(j, k)] = -d if j < position <= k else d
-    return _determinant_flattening(basis, dets)
+class _Determinants:
+    """Determinants and flattenings of labelled vectors of F^3, for one
+    computation: each determinant is computed once per unordered triple of
+    labels and each flattening once per input.  `vectors` maps sortable
+    labels to vectors."""
+
+    def __init__(self, basis, vectors):
+        self.basis = basis
+        self.vectors = vectors
+        self._dets = {}
+        self._flattenings = {}
+
+    def det(self, labels):
+        """The determinant of the labelled vectors in the given order: the
+        one of the sorted labels, negated for an odd permutation of them."""
+        key = tuple(sorted(labels))
+        d = self._dets.get(key)
+        if d is None:
+            v = self.vectors
+            d = self._dets[key] = _det3(v[key[0]], v[key[1]], v[key[2]])
+        a, b, c = labels
+        return -d if (a > b) ^ (a > c) ^ (b > c) else d
+
+    def flattening(self, labels, ref, place):
+        """Flattening of four labelled vectors v relative to the vector w
+        labelled `ref`, inserted at `place`.  Edge (j, k) is labeled by
+        det(w, v_j, v_k), negated when j < place <= k: the merged order
+        (v_j, w, v_k) is one transposition away from it, and (v_j, v_k, w)
+        is a cyclic shift."""
+        key = (labels, ref, place)
+        fl = self._flattenings.get(key)
+        if fl is None:
+            dets = {}
+            for j, k in EDGES:
+                d = self.det((ref, labels[j], labels[k]))
+                dets[(j, k)] = -d if j < place <= k else d
+            fl = self._flattenings[key] = _determinant_flattening(self.basis,
+                                                                  dets)
+        return fl
+
+
+def _flag_determinants(bases, basis):
+    """`_Determinants` of the leading and second vectors of ordered bases,
+    labelled (basis t, slot s)."""
+    if basis is None:
+        basis = SymbolicBasis(bases[0][0][0].field)
+    return _Determinants(basis, {(t, s): b[s] for t, b in enumerate(bases)
+                                 for s in (0, 1)})
 
 
 def flag_lambda(bases, basis=None):
     """The four-term flattening sum of a 4-tuple of ordered bases: term i
     swaps in the second vector of the i-th basis and uses its leading
     vector as the reference."""
-    if basis is None:
-        basis = SymbolicBasis(bases[0][0][0].field)
-    return normalize(basis, _flag_terms(basis, bases, 1))
+    dets = _flag_determinants(bases, basis)
+    return normalize(dets.basis, _flag_terms(dets, range(4), 1))
 
 
-def _swapped(bases, i):
-    """The leading vectors of the bases, with basis i's second vector
-    swapped in at place i."""
-    vectors = [b[0] for b in bases]
-    vectors[i] = bases[i][1]
-    return vectors
+def _swapped(ts, i):
+    """The labels of the leading vectors of the bases ts, with basis ts[i]'s
+    second vector swapped in at place i."""
+    labels = [(t, 0) for t in ts]
+    labels[i] = (ts[i], 1)
+    return tuple(labels)
 
 
-def _flag_terms(basis, bases, sign):
-    return [(sign, _basis_flattening(basis, _swapped(bases, i),
-                                     bases[i][0], i)) for i in range(4)]
+def _flag_terms(dets, ts, sign):
+    return [(sign, dets.flattening(_swapped(ts, i), (ts[i], 0), i))
+            for i in range(4)]
 
 
-def _partial_terms(basis, bases, i):
+def _partial_terms(dets, i):
     """The five alternating flattenings of the boundary of `_swapped`
     vectors of five bases, relative to basis i's leading vector; dropping
     vector j moves the insertion place i to i - (j < i)."""
-    vectors = _swapped(bases, i)
+    labels = _swapped(range(5), i)
     return [((-1) ** j,
-             _basis_flattening(basis, vectors[:j] + vectors[j + 1:],
-                               bases[i][0], i - (j < i)))
+             dets.flattening(labels[:j] + labels[j + 1:], (i, 0),
+                             i - (j < i)))
             for j in range(5)]
 
 
@@ -531,15 +568,16 @@ def flag_boundary_check(bases, basis=None):
     swapped vector, leaving the same four vectors, reference and place.
     Each of the six pieces is checked to be a lifted five-term relation
     by the defining equations, and the decomposition itself is checked as
-    an exact equality of formal sums.
+    an exact equality of formal sums.  Term i of face j has the input of
+    term j of the partial boundary of basis i, so the check computes 25
+    flattenings over 30 determinants (`_Determinants`).
     """
-    if basis is None:
-        basis = SymbolicBasis(bases[0][0][0].field)
+    dets = _flag_determinants(bases, basis)
     lhs = []
     for j in range(5):
-        face = [b for t, b in enumerate(bases) if t != j]
-        lhs.extend(_flag_terms(basis, face, (-1) ** j))
-    partials = [_partial_terms(basis, bases, i) for i in range(5)]
+        lhs.extend(_flag_terms(dets, [t for t in range(5) if t != j],
+                               (-1) ** j))
+    partials = [_partial_terms(dets, i) for i in range(5)]
     mixed = [partials[j][j] for j in range(5)]
     count = Counter()
     for s, fl in lhs + mixed:

@@ -180,7 +180,12 @@ def count_real_roots(p):
     """Number of distinct real roots of a squarefree rational polynomial.
     The last entry of the Sturm chain is gcd(p, p'), up to a constant
     factor, so a nonconstant one raises NotSquarefree."""
-    chain = _sturm_chain(p)
+    return _chain_real_roots(_sturm_chain(p))
+
+
+def _chain_real_roots(chain):
+    """`count_real_roots` of chain[0], from its Sturm chain."""
+    p = chain[0]
     if len(chain[-1]) > 1:
         raise NotSquarefree("defining polynomial has repeated roots")
     bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 else 1
@@ -335,8 +340,13 @@ def discriminant(poly):
     >>> discriminant((2, 0, 1))
     Fraction(-8, 1)
     """
-    d = len(poly) - 1
-    chain = _sturm_chain(_trim([Fraction(c) for c in poly]))
+    return _chain_discriminant(_sturm_chain(_trim([Fraction(c)
+                                                   for c in poly])))
+
+
+def _chain_discriminant(chain):
+    """`discriminant` of chain[0], from its Sturm chain."""
+    d = len(chain[0]) - 1
     if len(chain[-1]) > 1:
         return Fraction(0)
     res = chain[-1][0] ** (len(chain[-2]) - 1)
@@ -962,7 +972,9 @@ class NumberField:
             raise DegreeZero("defining polynomial must be nonconstant")
         lead = coeffs[-1]
         coeffs = tuple(c / lead for c in coeffs)
-        r1 = count_real_roots(coeffs)
+        chain = _sturm_chain(coeffs)
+        r1 = _chain_real_roots(chain)
+        self._discriminant = _chain_discriminant(chain)
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self.reduction_rows = _reduction_rows(coeffs)
@@ -1003,10 +1015,13 @@ class NumberField:
 
     @functools.cached_property
     def denominator_bound(self):
-        """|disc(p_D)|: the coordinates of an algebraic integer of the
-        field in the power basis 1, alpha, ... have denominators dividing
-        it, since disc(p_D) O_F lies in Z[D alpha], where they are integers."""
-        return abs(int(discriminant(integral_model(self.poly)[1])))
+        """|disc(p_D)| = |D^(d(d-1)) disc(p)|, as p_D has the roots D times
+        those of p: the coordinates of an algebraic integer of the field in
+        the power basis 1, alpha, ... have denominators dividing it, since
+        disc(p_D) O_F lies in Z[D alpha], where they are integers."""
+        d = self.degree
+        den = integral_model(self.poly)[0]
+        return abs(int(den ** (d * (d - 1)) * self._discriminant))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -1146,11 +1161,13 @@ def element_in_field(min_poly_coeffs, approx, nf):
     """Search for an element of nf with the given minimal polynomial over Q.
 
     The target is described by its minimal polynomial q (dense, low-to-high)
-    plus a complex approximation of one of its conjugates.  Returns a
-    FieldElement verified exactly (its minimal polynomial is recomputed and
-    compared), or None.  None is an exact certificate that q has no root in
-    nf: either deg q does not divide the field degree, or a split prime of
-    nf leaves q without a root (`nonmembership_prime`).
+    plus a complex approximation of one of its conjugates, or a function of
+    no arguments that returns one and is called only if a reconstruction
+    runs.  Returns a FieldElement verified exactly (its minimal polynomial
+    is recomputed and compared), or None.  None is an exact certificate
+    that q has no root in nf: either deg q does not divide the field
+    degree, or a split prime of nf leaves q without a root
+    (`nonmembership_prime`).
 
     The order of the search: the first SIEVE_FIRST split primes; one
     reconstruction by lattice reduction at MEMBERSHIP_DIGITS digits with
@@ -1173,6 +1190,8 @@ def element_in_field(min_poly_coeffs, approx, nf):
         return nf.rational(-q[0])
     if nonmembership_prime(q, nf, 0, SIEVE_FIRST) is not None:
         return None
+    if callable(approx):
+        approx = approx()
     try:
         found = _reconstruct_root(q, approx, nf, MEMBERSHIP_DIGITS, 10 ** 6)
     except PrecisionExhausted:
@@ -1225,8 +1244,9 @@ def detect_roots_of_unity(nf):
     d = nf.degree
     for m in range(2 * d * d + 2, 2, -2):
         if euler_phi(m) <= d:
-            with mp.workdps(MEMBERSHIP_DIGITS):
-                approx = mp.expjpi(mp.mpf(2) / m)
+            def approx():
+                with mp.workdps(MEMBERSHIP_DIGITS):
+                    return mp.expjpi(mp.mpf(2) / m)
             w = element_in_field(cyclotomic(m), approx, nf)
             if w is not None:
                 return (m, w)

@@ -54,8 +54,9 @@ def two_cos(nf, n):
     constructions below equally)."""
     key = ("two_cos", n)
     if key not in nf.memo:
-        with working(MEMBERSHIP_DIGITS):
-            approx = 2 * mp.cos(2 * mp.pi / n)
+        def approx():
+            with working(MEMBERSHIP_DIGITS):
+                return 2 * mp.cos(2 * mp.pi / n)
         nf.memo[key] = element_in_field(cos2pi_minpoly(n), approx, nf)
     return nf.memo[key]
 

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from extbloch.extgroup import SymbolicBasis
 from extbloch.bloch import Flattening, chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
-from extbloch.cochain import (CochainError, EdgeConditionFailed, IdealCochain,
+from extbloch.cochain import (CochainError, EdgeConditionFailed,
+                              FlagBoundaryReport, IdealCochain,
                               LiftedCochain, ManifoldInvariant, NotACocycle,
                               NotGeneralPosition, NotIdeal,
                               Triangulated3Cycle, _translate_coefficients,
@@ -20,6 +23,7 @@ from extbloch.cochain import (CochainError, EdgeConditionFailed, IdealCochain,
                               manifold_invariant, sigma_hat, z2_twist)
 
 RATIONALS = NumberField([0, 1])
+SQRT2 = NumberField([-2, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +357,15 @@ def test_face_point_shift_rule():
     # adding the central unit to the log of the face point opposite vertex 0
     # (the determinant of the three leading vectors 1, 2, 3) changes the
     # element by chi of the signed edge-point sum on that face plus chi(1)
-    from extbloch.cochain import _basis_flattening, _det3
+    from extbloch.cochain import _det3, _flag_determinants, _swapped
     from extbloch.bloch import Flattening, ExtBlochSum
     rng = random.Random(13)
     bases, s = _general_position_bases(rng, 4, flag_lambda)
     basis = s.basis
+    dets = _flag_determinants(bases, basis)
 
     def term(i, shift):
-        vectors = [b[0] for b in bases]
-        vectors[i] = bases[i][1]
-        fl = _basis_flattening(basis, vectors, bases[i][0], i)
+        fl = dets.flattening(_swapped(range(4), i), (i, 0), i)
         de, df = shift
         return Flattening(fl.e + basis.iota(de), fl.f + basis.iota(df))
 
@@ -387,8 +390,9 @@ def test_face_point_shift_rule():
 def _merged_order_flattening(basis, vectors, w, position):
     """The determinant rule written out: edge (j, k) is labeled by the
     determinant of v_j, v_k and w in the order of their places, w at
-    `position` among the four vectors.  None if a label is zero."""
-    from extbloch.bloch import Flattening
+    `position` among the four vectors.  None if a label is zero or the
+    labels give no flattening."""
+    from extbloch.bloch import NotAFlattening
     from extbloch.cochain import _det3
     c = {}
     for j, k in [(j, k) for j in range(4) for k in range(j + 1, 4)]:
@@ -401,28 +405,188 @@ def _merged_order_flattening(basis, vectors, w, position):
         if d.is_zero():
             return None
         c[(j, k)] = basis.symbol(d)
-    return Flattening(c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
-                      c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+    try:
+        return Flattening(c[(0, 3)] + c[(1, 2)] - c[(0, 2)] - c[(1, 3)],
+                          c[(0, 1)] + c[(2, 3)] - c[(0, 2)] - c[(1, 3)])
+    except NotAFlattening:
+        return None
 
 
 @pytest.mark.parametrize("poly", [[0, 1], [-2, 0, 1]])
 def test_basis_flattening_follows_the_merged_order(poly):
-    from extbloch.cochain import _basis_flattening
+    # one `_Determinants` per set of five vectors serves every order of the
+    # four labels and every place of the reference, so a flattening keyed
+    # without its place or its order, or a determinant without its sign,
+    # gives a wrong answer here
+    from itertools import permutations
+    from extbloch.cochain import _Determinants
     field = NumberField(poly)
     basis = SymbolicBasis(field)
     rng = random.Random(17)
     checked = [0] * 5
-    for trial in range(100):
+    for _ in range(3):
         vectors = [tuple(field.element([rng.randint(-6, 6) for _ in poly[1:]])
                          for _ in range(3)) for _ in range(5)]
-        position = trial % 5
-        want = _merged_order_flattening(basis, vectors[:4], vectors[4],
-                                        position)
-        if want is not None:
-            assert _basis_flattening(basis, vectors[:4], vectors[4],
-                                     position) == want
-            checked[position] += 1
-    assert min(checked) >= 10
+        dets = _Determinants(basis, dict(enumerate(vectors)))
+        for ref in range(5):
+            orders = list(permutations([x for x in range(5) if x != ref]))
+            for labels in rng.sample(orders, 4):
+                for place in range(5):
+                    want = _merged_order_flattening(
+                        basis, [vectors[x] for x in labels], vectors[ref],
+                        place)
+                    if want is None:
+                        with pytest.raises(NotGeneralPosition):
+                            dets.flattening(labels, ref, place)
+                    else:
+                        assert dets.flattening(labels, ref, place) == want
+                        checked[place] += 1
+    assert min(checked) >= 30
+
+
+def _reference_flag_terms(basis, bases, sign):
+    """`flag_lambda`'s four terms by the per-term formula, uncached."""
+    terms = []
+    for i in range(4):
+        vectors = [b[0] for b in bases]
+        vectors[i] = bases[i][1]
+        terms.append((sign, _merged_order_flattening(basis, vectors,
+                                                     bases[i][0], i)))
+    return terms
+
+
+def _reference_flag_boundary(basis, bases):
+    """`flag_boundary_check` by the per-term formula, uncached: the 20
+    boundary terms, the five partial boundaries and the mixed boundary
+    each compute their own flattenings.  None if one of them fails."""
+    lhs = []
+    for j in range(5):
+        lhs += _reference_flag_terms(basis, bases[:j] + bases[j + 1:],
+                                     (-1) ** j)
+    partials = []
+    for i in range(5):
+        vectors = [b[0] for b in bases]
+        vectors[i] = bases[i][1]
+        partials.append([((-1) ** j, _merged_order_flattening(
+            basis, vectors[:j] + vectors[j + 1:], bases[i][0], i - (j < i)))
+            for j in range(5)])
+    leading = [b[0] for b in bases]
+    mixed = [((-1) ** j, _merged_order_flattening(
+        basis, leading[:j] + leading[j + 1:], bases[j][0], j))
+        for j in range(5)]
+    if any(fl is None for _, fl in lhs + mixed + sum(partials, [])):
+        return None
+    count = Counter()
+    for s, fl in lhs + mixed:
+        count[fl] += s
+    for inst in partials:
+        for s, fl in inst:
+            count[fl] -= s
+    return FlagBoundaryReport(
+        partials_ok=tuple(is_lifted_five_term(inst) for inst in partials),
+        mixed_ok=is_lifted_five_term(mixed),
+        identity_ok=not any(count.values()))
+
+
+def _criterion_06_bases(rng):
+    # the inputs of tests/test_acceptance.py::test_criterion_06
+    return [tuple(tuple(RATIONALS.rational(rng.randint(-5, 5))
+                        for _ in range(3)) for _ in range(3))
+            for _ in range(5)]
+
+
+def _sqrt2_bases(rng):
+    return [tuple(tuple(SQRT2.element([rng.randint(-3, 3) for _ in range(2)])
+                        for _ in range(3)) for _ in range(3))
+            for _ in range(5)]
+
+
+def _outcome(build, field):
+    """(repr of the result, generator values of the basis it grew), or None
+    for NotGeneralPosition."""
+    basis = SymbolicBasis(field)
+    try:
+        return repr(build(basis)), basis.values
+    except NotGeneralPosition:
+        return None
+
+
+def _reference_outcome(build, field):
+    basis = SymbolicBasis(field)
+    result = build(basis)
+    return None if result is None else (repr(result), basis.values)
+
+
+def _reference_flag_lambda(basis, bases):
+    terms = _reference_flag_terms(basis, bases, 1)
+    if any(fl is None for _, fl in terms):
+        return None
+    return normalize(basis, terms)
+
+
+@pytest.mark.parametrize("inputs, field, seed", [
+    (_criterion_06_bases, RATIONALS, 6), (_sqrt2_bases, SQRT2, 61)],
+    ids=["criterion_06", "sqrt2"])
+def test_flag_results_match_the_uncached_formula(inputs, field, seed):
+    rng = random.Random(seed)
+    certified = 0
+    while certified < 100:
+        bases = inputs(rng)
+        got = _outcome(lambda b: flag_boundary_check(bases, b), field)
+        assert got == _reference_outcome(
+            lambda b: _reference_flag_boundary(b, bases), field)
+        certified += got is not None
+        assert got is None or "False" not in got[0]   # the report is ok
+        assert _outcome(lambda b: flag_lambda(bases[:4], b), field) == \
+            _reference_outcome(
+                lambda b: _reference_flag_lambda(b, bases[:4]), field)
+
+
+def test_flag_check_computes_each_determinant_and_flattening_once(
+        monkeypatch):
+    import extbloch.cochain as cochain
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(cochain, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cochain, name, wrapper)
+
+    spy("_det3")
+    spy("_determinant_flattening")
+    rng = random.Random(6)
+    for _ in range(12):
+        bases, _ = _general_position_bases(rng, 5, flag_boundary_check)
+        calls.clear()
+        assert flag_boundary_check(bases).ok
+        assert calls == {"_det3": 30, "_determinant_flattening": 25}
+    calls.clear()
+    flag_lambda(bases[:4])
+    assert calls == {"_det3": 16, "_determinant_flattening": 4}
+
+
+def test_every_flag_determinant_is_checked_for_zero():
+    # make one of the 30 determinants of a check vanish by replacing one of
+    # its vectors with the sum of the other two; twenty of them involve a
+    # second vector and so occur only in the partial boundaries, not in the
+    # mixed one, and each still raises NotGeneralPosition
+    rng = random.Random(6)
+    bases, _ = _general_position_bases(rng, 5, flag_boundary_check)
+    triples = set()
+    for i in range(5):
+        labels = [(t, int(t == i)) for t in range(5)]
+        for a, b in itertools.combinations(labels, 2):
+            triples.add(tuple(sorted([(i, 0), a, b])))
+    assert len(triples) == 30
+    for a, b, c in sorted(triples):
+        changed = [list(basis) for basis in bases]
+        u, v = changed[a[0]][a[1]], changed[b[0]][b[1]]
+        changed[c[0]][c[1]] = tuple(x + y for x, y in zip(u, v))
+        with pytest.raises(NotGeneralPosition):
+            flag_boundary_check([tuple(basis) for basis in changed])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ from mpmath import mp
 
 import extbloch.field as field_mod
 from extbloch.cli import main
-from extbloch.field import (SIEVE_FIRST, NumberField, PrecisionExhausted,
-                            ReconstructionFailed, cos2pi_minpoly, cyclotomic,
-                            discriminant, element_in_field, euler_phi,
-                            integral_model, nonmembership_prime)
+from extbloch.field import (SIEVE_FIRST, NotSquarefree, NumberField,
+                            PrecisionExhausted, ReconstructionFailed,
+                            cos2pi_minpoly, cyclotomic, discriminant,
+                            element_in_field, euler_phi, integral_model,
+                            nonmembership_prime)
 from extbloch.torsion import torsion_profile, two_cos
 
 # base fields with their order m of roots of unity and nu_p for p = 2, 3
@@ -225,6 +226,44 @@ def test_integral_model_and_discriminant():
         assert discriminant(coeffs) == int(want), coeffs
         zeros += want == 0
     assert zeros >= 20
+
+
+def test_denominator_bound_is_the_discriminant_of_the_integral_model():
+    # the bound comes from the Sturm chain of the monic p, scaled by
+    # D^(d(d-1)); the oracle is sympy's discriminant of p_D itself
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(15)
+    dens = {True: 0, False: 0}
+    for i in range(80):
+        d = 1 + i % 6
+        c = (1, rng.randint(2, 9), Fraction(1, rng.randint(2, 9)),
+             Fraction(rng.randint(1, 9), rng.randint(2, 9)))[i % 4]
+        lead = 1 if i % 4 < 2 else rng.randint(1, 3)
+        poly = [rng.randint(-9, 9) for _ in range(d)] + [lead]
+        try:
+            nf = NumberField(scaled(poly, c))
+        except NotSquarefree:
+            continue
+        den, p_int = integral_model(nf.poly)
+        want = sympy.discriminant(sympy.Poly(list(reversed(p_int)), x))
+        assert nf.denominator_bound == abs(int(want)), (poly, c)
+        dens[den == 1] += 1
+    assert min(dens.values()) >= 20
+
+
+def test_two_cos_evaluates_a_cosine_only_to_reconstruct(monkeypatch):
+    calls = []
+    real_cos = mp.cos
+    monkeypatch.setattr(mp, "cos", lambda *a: calls.append(a) or
+                        real_cos(*a))
+    nf = NumberField([-2, 0, 1])
+    assert two_cos(nf, 2) == nf.rational(-2)
+    assert two_cos(nf, 3) == nf.rational(-1)
+    assert two_cos(nf, 5) is None
+    assert calls == []
+    assert two_cos(nf, 8) ** 2 == nf.rational(2)
+    assert len(calls) == 1
 
 
 @given(coeffs=st.lists(st.integers(min_value=-30, max_value=30),

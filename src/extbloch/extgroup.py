@@ -360,7 +360,7 @@ class SymbolicBasis(_BasisCommon):
             raise ExtGroupError("no logarithm symbol for zero")
         if value.is_one():
             return ExtElement(self, 0)
-        if value == self.field.rational(-1):
+        if value == self.torsion_gen:
             return ExtElement(self, 1)
         j = self._index.get(value)
         if j is None:

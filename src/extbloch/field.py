@@ -3,7 +3,11 @@
 A field is described by a squarefree (and, by caller assertion, irreducible)
 polynomial p with rational coefficients.  Elements are vectors of rationals of
 length deg(p), i.e. residues of polynomials of degree < deg(p).  Polynomials
-are dense low-to-high coefficient tuples.
+are dense lists of integers, lowest coefficient first; a rational polynomial
+that a caller passes in is multiplied by the least common denominator of its
+coefficients on entry.  One remainder sequence on integers (`_sturm_chain`)
+gives the signature, squarefreeness and the discriminant, and the same lists,
+reduced mod l, decide the split primes.
 
 Numeric embeddings evaluate elements at the complex roots of p at a
 requested decimal precision.  The roots are isolated once per field at low
@@ -97,50 +101,49 @@ def rounding_tolerance(precision):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction
+# integer polynomials: coefficient lists, lowest coefficient first
 
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
+def _integer(poly):
+    """(D, D * poly) for a rational poly, with D the least common
+    denominator of its coefficients: the integer polynomial with the roots
+    of poly, where a rational polynomial enters this layer."""
+    den = math.lcm(*(Fraction(c).denominator for c in poly))
+    return den, [int(c * den) for c in poly]
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
+def _trim(a):
+    """The list a without its trailing zeros, trimmed in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ci in enumerate(a):
-        if ci:
-            for j, cj in enumerate(b):
-                out[i + j] += ci * cj
-    return _trim(out)
+    """The product of two polynomials over any ring."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and _trim(a):
-        k = len(a) - len(b)
-        t = a[-1] / lead
+    """Pseudo-division of integer polynomials (Cohen, GTM 138, Alg. 3.1.2,
+    with |c| for the leading coefficient c of b): (q, r) with
+    |c|^(deg a - deg b + 1) a = q b + r and deg r < deg b.  For a monic b
+    they are the quotient and the remainder."""
+    db, m = len(b) - 1, abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    q, r = [0] * max(0, len(a) - db), list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = sign * r.pop()
+        q = [m * c for c in q]
         q[k] = t
-        for j, cj in enumerate(b):
-            a[k + j] -= t * cj
-        a.pop()
-    return _trim(q), _trim(a)
+        r = [m * c for c in r]
+        for j in range(db):
+            r[k + j] -= t * b[j]
+    return _trim(q), _trim(r)
 
 
 def _pderiv(a):
@@ -156,41 +159,42 @@ def _peval(poly, t, zero):
     return acc
 
 
-def _sign_at(a, t):
-    v = _peval(a, t, Fraction(0))
-    return (v > 0) - (v < 0)
-
-
 def _sturm_chain(p):
-    chain = [p, _pderiv(p)]
+    """The Sturm chain of the integer polynomial p and the scale of each
+    entry after p'.  The chain is p, p', then, for the two entries a, b
+    before it, c = -|lc b|^(deg a - deg b + 1) (a mod b) / g with g > 0
+    the content of c, until a mod b = 0.  So c = -s (a mod b) with the
+    scale s = |lc b|^(deg a - deg b + 1) / g > 0, which keeps the signs
+    that count real roots."""
+    chain, scales = [p, _pderiv(p)], []
     while chain[-1]:
-        rem = _pdivmod(chain[-2], chain[-1])[1]
-        if not rem:
+        a, b = chain[-2:]
+        r = _pdivmod(a, b)[1]
+        if not r:
             break
-        chain.append(_pneg(rem))
-    return [c for c in chain if c]
-
-
-def _sign_changes(chain, t):
-    signs = [s for s in (_sign_at(c, t) for c in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+        scales.append(Fraction(abs(b[-1]) ** (len(a) - len(b) + 1), g))
+    return [c for c in chain if c], scales
 
 
 def count_real_roots(p):
     """Number of distinct real roots of a squarefree rational polynomial.
     The last entry of the Sturm chain is gcd(p, p'), up to a constant
     factor, so a nonconstant one raises NotSquarefree."""
-    return _chain_real_roots(_sturm_chain(p))
+    return _chain_real_roots(_sturm_chain(_trim(_integer(p)[1]))[0])
 
 
 def _chain_real_roots(chain):
-    """`count_real_roots` of chain[0], from its Sturm chain."""
-    p = chain[0]
+    """`count_real_roots` of chain[0], from its Sturm chain: the sign
+    changes along the chain at -infinity less those at +infinity, read
+    from the leading coefficients."""
     if len(chain[-1]) > 1:
         raise NotSquarefree("defining polynomial has repeated roots")
-    bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1]) if len(p) > 1 else 1
-    bound = Fraction(bound).limit_denominator(1) + 2
-    return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
+    high = [c[-1] > 0 for c in chain]
+    low = [h == (len(c) % 2 == 1) for h, c in zip(high, chain)]
+    return (sum(a != b for a, b in zip(low, low[1:]))
+            - sum(a != b for a, b in zip(high, high[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +202,19 @@ def _chain_real_roots(chain):
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n):
-    """Coefficient tuple (low-to-high) of the n-th cyclotomic polynomial.
+    """Integer coefficient tuple (low-to-high) of the n-th cyclotomic
+    polynomial: x^n - 1 divided by the product of the lower ones.
 
-    >>> cyclotomic(1)
-    (Fraction(-1, 1), Fraction(1, 1))
-    >>> cyclotomic(6)
-    (Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1))
+    >>> cyclotomic(1), cyclotomic(6)
+    ((-1, 1), (1, -1, 1))
     """
     if n <= 0:
         raise ValueError("cyclotomic index must be positive")
-    poly = tuple(Fraction(c) for c in [-1] + [0] * (n - 1) + [1])
+    lower = [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _pdivmod(poly, cyclotomic(d))[0]
-    return tuple(poly)
+            lower = _pmul(lower, cyclotomic(d))
+    return tuple(_pdivmod([-1] + [0] * (n - 1) + [1], lower)[0])
 
 
 def prime_factors(n):
@@ -275,30 +278,30 @@ def euler_phi(n):
 
 @functools.lru_cache(maxsize=None)
 def cos2pi_minpoly(n):
-    """Minimal polynomial (low-to-high, monic) of 2*cos(2*pi/n) over Q.
+    """Minimal polynomial (integer, low-to-high, monic) of 2*cos(2*pi/n)
+    over Q.
 
     Obtained from the n-th cyclotomic polynomial: writing y = x + 1/x and
     using x^k + x^-k = D_k(y) with D_0 = 2, D_1 = y, D_{k+1} = y D_k - D_{k-1}.
 
-    >>> cos2pi_minpoly(8)
-    (Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1))
-    >>> cos2pi_minpoly(3)
-    (Fraction(1, 1), Fraction(1, 1))
+    >>> cos2pi_minpoly(8), cos2pi_minpoly(3)
+    ((-2, 0, 1), (1, 1))
     """
     if n == 1:
-        return (Fraction(-2), Fraction(1))
+        return (-2, 1)
     if n == 2:
-        return (Fraction(2), Fraction(1))
+        return (2, 1)
     phi = cyclotomic(n)
     h = (len(phi) - 1) // 2
-    d_prev = (Fraction(2),)
-    d_cur = (Fraction(0), Fraction(1))
-    out = tuple([phi[h]])
+    out, d_prev, d_cur = [phi[h]] + [0] * h, [2], [0, 1]
     for k in range(1, h + 1):
-        out = _padd(out, _pmul((phi[h + k],), d_cur))
-        if k < h:
-            d_prev, d_cur = d_cur, _padd(_pmul((Fraction(0), Fraction(1)), d_cur), _pneg(d_prev))
-    return out
+        for i, c in enumerate(d_cur):
+            out[i] += phi[h + k] * c
+        d_next = [0] + d_cur
+        for i, c in enumerate(d_prev):
+            d_next[i] -= c
+        d_prev, d_cur = d_cur, d_next
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,44 +328,43 @@ def integral_model(poly):
     >>> integral_model((Fraction(1, 4), Fraction(1, 2), Fraction(1)))
     (4, (4, 2, 1))
     """
-    d = len(poly) - 1
-    den = math.lcm(*(Fraction(c).denominator for c in poly))
-    return den, tuple(int(c * den ** (d - i)) for i, c in enumerate(poly))
+    den, p = _integer(poly)
+    d = len(p) - 1
+    # the coefficient D^(d-i) c_i of x^i is p_i D^(d-i-1), and 1 for i = d
+    return den, tuple(c * den ** (d - i) // den for i, c in enumerate(p))
 
 
 def discriminant(poly):
-    """Discriminant of a monic polynomial, exactly, from Res(p, p') along
-    the Sturm chain (`_sturm_chain`, with c = -(a mod b) after a, b):
-    Res(a, b) = (-1)^(deg a deg b + deg b) lc(b)^(deg a - deg c) Res(b, c),
-    down to b^(deg a) for a constant b; 0 if the chain ends in a common
-    factor of p and p' of positive degree.
+    """Discriminant of a rational polynomial p, exactly: that of its
+    integer model P = D p, divided by D^(2d-2).
 
-    >>> discriminant((2, 0, 1))
-    Fraction(-8, 1)
+    >>> discriminant((2, 0, 1)), discriminant((Fraction(1, 2), 0, 1))
+    (Fraction(-8, 1), Fraction(-2, 1))
     """
-    return _chain_discriminant(_sturm_chain(_trim([Fraction(c)
-                                                   for c in poly])))
+    den, p = _integer(poly)
+    p = _trim(p)
+    return _chain_discriminant(*_sturm_chain(p)) / den ** (2 * len(p) - 4)
 
 
-def _chain_discriminant(chain):
-    """`discriminant` of chain[0], from its Sturm chain."""
+def _chain_discriminant(chain, scales):
+    """The discriminant (-1)^(d(d-1)/2) Res(p, p') / lc(p) of the integer
+    p = chain[0] of degree d, from its Sturm chain and scales: for the
+    entries a, b, c = -s (a mod b),
+    Res(a, b) = (-1)^(deg a deg b + deg b) lc(b)^(deg a - deg c)
+    s^(-deg b) Res(b, c), down to b^(deg a) for a constant b; 0 if the
+    chain ends in a common factor of p and p' of positive degree."""
     d = len(chain[0]) - 1
     if len(chain[-1]) > 1:
         return Fraction(0)
-    res = chain[-1][0] ** (len(chain[-2]) - 1)
-    for a, b, c in zip(chain, chain[1:], chain[2:]):
-        res *= (-1) ** ((len(b) - 1) * len(a)) * b[-1] ** (len(a) - len(c))
-    return (-1) ** (d * (d - 1) // 2) * res
+    res = Fraction(chain[-1][0]) ** (len(chain[-2]) - 1)
+    for a, b, c, s in zip(chain, chain[1:], chain[2:], scales):
+        res *= ((-1) ** ((len(b) - 1) * len(a)) * b[-1] ** (len(a) - len(c))
+                / s ** (len(b) - 1))
+    return (-1) ** (d * (d - 1) // 2) * res / chain[0][-1]
 
 
 def _primes():
     return filter(is_prime, itertools.count(2))
-
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _fp_rem(a, m, ell):
@@ -374,16 +376,7 @@ def _fp_rem(a, m, ell):
         if t:
             for j in range(dm):
                 a[k - dm + j] -= t * m[j]
-    return _fp_trim([c % ell for c in a[:dm]])
-
-
-def _fp_mulmod(a, b, m, ell):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_rem(out, m, ell)
+    return _trim([c % ell for c in a[:dm]])
 
 
 def _fp_gcd(a, b, ell):
@@ -398,26 +391,25 @@ def _fp_gcd(a, b, ell):
 def _fp_has_root(poly, ell):
     """Whether a monic integer polynomial has a root mod ell, i.e. whether
     gcd(x^ell - x, poly) is nontrivial over F_ell."""
-    m = _fp_trim([c % ell for c in poly])
+    m = _trim([c % ell for c in poly])
     if len(m) == 2:
         return True
     power, base, e = [1], [0, 1], ell
     while e:
         if e & 1:
-            power = _fp_mulmod(power, base, m, ell)
-        base = _fp_mulmod(base, base, m, ell)
+            power = _fp_rem(_pmul(power, base), m, ell)
+        base = _fp_rem(_pmul(base, base), m, ell)
         e >>= 1
     power += [0] * (2 - len(power))
     power[1] -= 1
-    return len(_fp_gcd(m, _fp_trim([c % ell for c in power]), ell)) > 1
+    return len(_fp_gcd(m, _trim([c % ell for c in power]), ell)) > 1
 
 
-def nonmembership_prime(q, nf, start=0, stop=SPLIT_PRIMES):
+def nonmembership_prime(q_int, nf, start=0, stop=SPLIT_PRIMES):
     """A split prime of nf, from the start-th to the (stop-1)-th, at which
-    the integral model of the monic rational polynomial q has no root, or
-    None.  A prime is an exact proof that q has no root in nf; None proves
-    nothing."""
-    q_int = integral_model(q)[1]
+    the monic integer polynomial q_int, the integral model of a monic q,
+    has no root, or None.  A prime is an exact proof that q has no root in
+    nf; None proves nothing."""
     return next((ell for ell in nf.split_primes(stop)[start:]
                  if not _fp_has_root(q_int, ell)), None)
 
@@ -544,19 +536,11 @@ def _mpc(z):
                         from_man_exp(y, -b, mp.prec, round_nearest)))
 
 
-def _integer_poly(poly):
-    """(D, the coefficients of D * poly from the highest) for a rational
-    poly (low to high), with D the least common denominator."""
-    den = math.lcm(*(c.denominator for c in poly))
-    return den, [int(c * den) for c in reversed(poly)]
-
-
-def _horner(coeffs, x, y, b):
+def _horner(poly, x, y, b):
     """p(z) and p'(z), as (re p, im p, re p', im p') on the binary point b,
-    at z = (x + iy) / 2^b for the integer coefficients of p from the
-    highest."""
+    at z = (x + iy) / 2^b for the integer polynomial p."""
     fr = fi = dr = di = 0
-    for c in coeffs:
+    for c in reversed(poly):
         dr, di = ((dr * x - di * y) >> b) + fr, ((dr * y + di * x) >> b) + fi
         fr, fi = ((fr * x - fi * y) >> b) + (c << b), (fr * y + fi * x) >> b
     return fr, fi, dr, di
@@ -570,7 +554,7 @@ def _cdiv(ar, ai, br, bi, b):
 
 
 def _isolate_roots(poly, digits):
-    """Approximations of all roots of the rational poly (low to high) to
+    """Approximations of all roots of the integer poly to
     `digits` digits, as fixed-point triples, or None if they do not
     converge.
 
@@ -584,20 +568,17 @@ def _isolate_roots(poly, digits):
     moduli.  A root 0 of poly is split off exactly, and parts below
     2^-_bits(digits) |z_i| are cleared, so that real and imaginary roots
     stay so under Newton's method."""
-    coeffs = _integer_poly(poly)[1]
-    zeros = []
-    while not coeffs[-1]:
-        coeffs.pop()
-        zeros.append((0, 0, 0))
+    n = next(k for k, c in enumerate(poly) if c)
+    zeros, coeffs = [(0, 0, 0)] * n, poly[n:]
     d = len(coeffs) - 1
     if d == 0:
         return zeros
     logs = [math.log2(abs(c)) if c else None for c in coeffs]
-    lower = -1 - max((logs[d - k] - logs[d]) / k
-                     for k in range(1, d + 1) if logs[d - k] is not None)
+    lower = -1 - max((logs[k] - logs[0]) / k
+                     for k in range(1, d + 1) if logs[k] is not None)
     b = max(0, _bits(2 * digits) - math.floor(lower))
     # start on the circle |z| = |a_0 / a_d|^(1/d); r = log2(radius 2^b)
-    r = (logs[d] - logs[0]) / d + b
+    r = (logs[0] - logs[d]) / d + b
     e = math.floor(r) - 52
     z = [(_shift(round(math.cos(a) * 2.0 ** (r - e)), e),
           _shift(round(math.sin(a) * 2.0 ** (r - e)), e))
@@ -645,21 +626,20 @@ def _isolate_roots(poly, digits):
 
 
 def _newton_fixed(poly, z, start, target):
-    """Refine an approximation z of a simple root of the rational poly (low
-    to high) by Newton's method to `target` digits.  The working precision
+    """Refine an approximation z of a simple root of the integer poly by
+    Newton's method to `target` digits.  The working precision
     starts at `start` digits and doubles each time a step falls below
     10^(-dps/2) relative to z, as z then has about dps correct digits.
     Each step works on the binary point that gives z `dps` digits and
     guard bits.  Returns the root and the last step as fixed-point
     triples; raises PrecisionExhausted after NEWTON_STEPS steps without
     convergence."""
-    coeffs = _integer_poly(poly)[1]
     x, y, b = _fixed(z)
     dps = min(start, target)
     for _ in range(NEWTON_STEPS):
         nb = max(0, _bits(dps) - _exponent(x, y, b))
         x, y, b = _shift(x, nb - b), _shift(y, nb - b), nb
-        fr, fi, dr, di = _horner(coeffs, x, y, b)
+        fr, fi, dr, di = _horner(poly, x, y, b)
         if not (dr or di):
             break
         sr, si = _cdiv(fr, fi, dr, di, b)
@@ -756,7 +736,7 @@ class FieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field.poly, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         parts = []
@@ -834,19 +814,16 @@ class FieldElement:
         field = self.field
         if field.degree == 1:
             return _element(field, (1 / self.coeffs[0],))
-        # extended Euclid: find u with u*self = 1 mod p
-        a, b = field.poly, _trim(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while b:
-            q, r = _pdivmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        if len(a) != 1:
+        # solve self * u = 1 in the power basis: column j is self * x^j
+        columns = [self]
+        for _ in range(field.degree - 1):
+            columns.append(columns[-1] * field.gen)
+        inv = _solve_rational(list(zip(*(c.coeffs for c in columns))),
+                              [1] + [0] * (field.degree - 1))
+        if inv is None:
             raise FieldError("defining polynomial is not irreducible: "
-                             "nontrivial gcd found during inversion")
-        # the Bezout coefficient s0 has degree < d: no reduction mod p
-        inv = tuple(c / a[0] for c in s0)
-        return _element(field, inv + (_ZERO,) * (field.degree - len(inv)))
+                             "multiplication by the element is singular")
+        return _element(field, tuple(inv))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -972,9 +949,11 @@ class NumberField:
             raise DegreeZero("defining polynomial must be nonconstant")
         lead = coeffs[-1]
         coeffs = tuple(c / lead for c in coeffs)
-        chain = _sturm_chain(coeffs)
+        # the integer model D p, with D the least common denominator
+        self._den, self._int_poly = _integer(coeffs)
+        chain, scales = _sturm_chain(self._int_poly)
         r1 = _chain_real_roots(chain)
-        self._discriminant = _chain_discriminant(chain)
+        self._int_discriminant = _chain_discriminant(chain, scales)
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self.reduction_rows = _reduction_rows(coeffs)
@@ -1015,13 +994,14 @@ class NumberField:
 
     @functools.cached_property
     def denominator_bound(self):
-        """|disc(p_D)| = |D^(d(d-1)) disc(p)|, as p_D has the roots D times
-        those of p: the coordinates of an algebraic integer of the field in
-        the power basis 1, alpha, ... have denominators dividing it, since
-        disc(p_D) O_F lies in Z[D alpha], where they are integers."""
+        """|disc(p_D)| = |D^(d(d-1)) disc(p)| = |D^((d-1)(d-2)) disc(D p)|,
+        as p_D has the roots D times those of p: the coordinates of an
+        algebraic integer of the field in the power basis 1, alpha, ...
+        have denominators dividing it, since disc(p_D) O_F lies in
+        Z[D alpha], where they are integers."""
         d = self.degree
-        den = integral_model(self.poly)[0]
-        return abs(int(den ** (d * (d - 1)) * self._discriminant))
+        return abs(int(self._den ** ((d - 1) * (d - 2))
+                       * self._int_discriminant))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -1068,14 +1048,15 @@ class NumberField:
         if digits < target:
             # roots correct to `digits` digits pass Newton's convergence
             # test at twice as many, so refinement may start there
-            raw = raw and _refine_roots(self.poly, raw, 2 * digits, target)
+            raw = raw and _refine_roots(self._int_poly, raw, 2 * digits,
+                                        target)
             for doublings in range(ISOLATION_DOUBLINGS + 1):
                 if raw:
                     break
                 isolation = ISOLATION_DIGITS << doublings
-                approx = _isolate_roots(self.poly, isolation)
-                raw = approx and _refine_roots(self.poly, approx, isolation,
-                                               target)
+                approx = _isolate_roots(self._int_poly, isolation)
+                raw = approx and _refine_roots(self._int_poly, approx,
+                                               isolation, target)
             if not raw:
                 raise PrecisionExhausted(
                     f"roots of {self!r} not separated after isolation at "
@@ -1093,15 +1074,15 @@ class NumberField:
         upper = sorted(((x, abs(y)) for x, y in raw[r1:]),
                        key=lambda z: ((z[0] * scale + half) >> b, z[1]))
         ordered = reals + upper[::2]
-        den, coeffs = _integer_poly(self.poly)
         for x, y in ordered:
             # |p(z)| <= 10^-precision max(1, sum |a_i| |z|^i), with
-            # p(z) = (fr + i fi) / (den 2^b) and the sum s / (den 2^b)
-            fr, fi = _horner(coeffs, x, y, b)[:2]
+            # p(z) = (fr + i fi) / (D 2^b) and the sum s / (D 2^b)
+            fr, fi = _horner(self._int_poly, x, y, b)[:2]
             r, s = math.isqrt(x * x + y * y) + 1, 0
-            for c in coeffs:
+            for c in reversed(self._int_poly):
                 s = (s * r >> b) + (abs(c) << b)
-            if (fr * fr + fi * fi) * 100 ** precision > max(den << b, s) ** 2:
+            if (fr * fr + fi * fi) * 100 ** precision > max(self._den << b,
+                                                             s) ** 2:
                 raise PrecisionExhausted("root verification residue too large")
         with mp.workdps(target):
             ordered = [_mpc((x, y, b)) for x, y in ordered]
@@ -1188,22 +1169,26 @@ def element_in_field(min_poly_coeffs, approx, nf):
         return None
     if deg_q == 1:
         return nf.rational(-q[0])
-    if nonmembership_prime(q, nf, 0, SIEVE_FIRST) is not None:
+    den, q_int = integral_model(q)
+    if nonmembership_prime(q_int, nf, 0, SIEVE_FIRST) is not None:
         return None
     if callable(approx):
         approx = approx()
+    # D q: the integer polynomial with the roots of q
+    q_roots = _integer(q)[1]
     try:
-        found = _reconstruct_root(q, approx, nf, MEMBERSHIP_DIGITS, 10 ** 6)
+        found = _reconstruct_root(q_roots, approx, nf, MEMBERSHIP_DIGITS,
+                                  10 ** 6)
     except PrecisionExhausted:
         found = None
     if found is not None:
         return found
-    if nonmembership_prime(q, nf, SIEVE_FIRST) is not None:
+    if nonmembership_prime(q_int, nf, SIEVE_FIRST) is not None:
         return None
-    den_bound = max(10 ** 6, nf.denominator_bound * integral_model(q)[0])
+    den_bound = max(10 ** 6, nf.denominator_bound * den)
     for step in range(1, ESCALATIONS + 1):
-        found = _reconstruct_root(q, approx, nf, MEMBERSHIP_DIGITS << step,
-                                  den_bound)
+        found = _reconstruct_root(q_roots, approx, nf,
+                                  MEMBERSHIP_DIGITS << step, den_bound)
         if found is not None:
             return found
     raise PrecisionExhausted(
@@ -1213,7 +1198,7 @@ def element_in_field(min_poly_coeffs, approx, nf):
 
 
 def _reconstruct_root(q, approx, nf, precision, den_bound):
-    """An exactly verified root of the monic q in nf, found by lattice
+    """An exactly verified root of the integer q in nf, found by lattice
     reduction at one precision, or None.
 
     The root of q that `approx` approximates is refined by Newton's method
@@ -1225,13 +1210,16 @@ def _reconstruct_root(q, approx, nf, precision, den_bound):
         root = _mpc(_newton_fixed(q, approx, digits, digits)[0])
     # q is a minimal polynomial, hence irreducible: if a root of q lies in
     # the field at all, every root of q is hit by some embedding, so scanning
-    # all roots of p for the one root approximated is complete.
+    # all roots of p for the one root approximated is complete.  A root of
+    # q whose minimal polynomial has the degree of q has q as its minimal
+    # polynomial, up to a constant.
     for t in nf.all_roots(precision):
         try:
             cand = reconstruct_at(nf, root, t, precision, den_bound)
         except ReconstructionFailed:
             continue
-        if _peval(q, cand, nf.zero).is_zero() and cand.min_poly() == q:
+        if (_peval(q, cand, nf.zero).is_zero()
+                and len(cand.min_poly()) == len(q)):
             return cand
     return None
 

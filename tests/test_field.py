@@ -134,7 +134,8 @@ def test_product_divides_no_polynomials(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a product called a polynomial helper")
 
-    for name in ("_pmul", "_pdivmod", "_trim"):
+    for name in ("_integer", "_trim", "_pmul", "_pdivmod", "_pderiv",
+                 "_sturm_chain", "_fp_rem"):
         monkeypatch.setattr(field_module, name, forbidden)
     for a, b, want in cases:
         assert (a * b).coeffs == want
@@ -146,6 +147,14 @@ def test_product_divides_no_polynomials(monkeypatch):
 def test_inverse_of_zero(sqrt2):
     with pytest.raises(FieldError):
         sqrt2.zero.inverse()
+
+
+def test_inverse_of_a_zero_divisor_raises():
+    # x - 1 in Q[x]/(x^2 - 1) and x^2 + 1 in Q[x]/((x^2 + 1)(x^2 - 2))
+    for poly, element in (([-1, 0, 1], [-1, 1]),
+                          ([-2, 0, -1, 0, 1], [1, 0, 1])):
+        with pytest.raises(FieldError, match="not irreducible"):
+            NumberField(poly).element(element).inverse()
 
 
 def test_min_poly_of_generator(example_field):
@@ -281,16 +290,19 @@ def _seeded_polynomials():
 
 
 def test_count_real_roots_matches_sympy():
+    # each seeded polynomial also with rational coefficients, and with the
+    # sign of its leading coefficient flipped
     repeated = 0
     for p in _seeded_polynomials():
-        poly = tuple(Fraction(int(c)) for c in reversed(p.all_coeffs()))
-        if sympy.gcd(p, p.diff()).degree() > 0:
-            repeated += 1
-            with pytest.raises(NotSquarefree):
-                count_real_roots(poly)
-        else:
-            assert count_real_roots(poly) == p.count_roots(), p
-    assert repeated >= 7
+        for scale in (1, Fraction(3, 10), Fraction(-7, 4)):
+            poly = tuple(scale * int(c) for c in reversed(p.all_coeffs()))
+            if sympy.gcd(p, p.diff()).degree() > 0:
+                repeated += 1
+                with pytest.raises(NotSquarefree):
+                    count_real_roots(poly)
+            else:
+                assert count_real_roots(poly) == p.count_roots(), (p, scale)
+    assert repeated >= 21
 
 
 def _split_primes_by_definition(p_int, count):

@@ -216,7 +216,7 @@ def test_unseparated_roots_raise_precision_exhausted(monkeypatch):
 
 
 def test_newton_converges_to_the_root_it_starts_near():
-    poly = tuple(Fraction(c) for c in (-2, 0, 1))
+    poly = (-2, 0, 1)
     root, (sr, si, b) = _newton_fixed(poly, mp.mpf("-1.41"), 15, 80)
     with mp.workdps(80):
         assert abs(_mpc(root) + mp.sqrt(2)) < mp.mpf(10) ** -75
@@ -226,7 +226,7 @@ def test_newton_converges_to_the_root_it_starts_near():
 
 def test_newton_step_budget_raises():
     # x^2 + 1 has no real root: Newton's method from a real start wanders
-    poly = tuple(Fraction(c) for c in (1, 0, 1))
+    poly = (1, 0, 1)
     with pytest.raises(PrecisionExhausted):
         _newton_fixed(poly, mp.mpf("0.5"), 30, 30)
 

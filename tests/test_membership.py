@@ -208,6 +208,10 @@ def test_integral_model_and_discriminant():
         assert all(isinstance(a, int) for a in p_int) and p_int[-1] == 1
         want = sympy.discriminant(sympy.Poly(list(reversed(p_int)), x))
         assert discriminant(p_int) == int(want)
+        want = sympy.discriminant(sympy.Poly(
+            [sympy.Rational(a.numerator, a.denominator)
+             for a in reversed(p)], x))
+        assert discriminant(p) == Fraction(int(want.p), int(want.q)), p
     # 200 seeded monic polynomials of degree 1-8; every third one of degree
     # at least 2 is q^2 r, with repeated roots and discriminant 0
     rng = random.Random(1)

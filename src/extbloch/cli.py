@@ -46,7 +46,7 @@ from mpmath import mp
 
 from .field import (PRIME_LIMIT, DegreeZero, NotSquarefree, NumberField,
                     PrecisionExhausted, element_in_field, guard_digits,
-                    is_prime, tolerance, working)
+                    is_prime, is_small, working)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -282,12 +282,10 @@ def cmd_fiveterm_check(data, args, cfg):
     fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y))
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
     vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
-    with working(cfg.precision):
-        tol = tolerance(cfg.precision, cfg.tolerance_value)
-        reg_zero = all(v.distance(0) < tol for v in vec)
     return {
         "wedge_zero": s.is_in_Bhat(),
-        "regulator_zero": bool(reg_zero),
+        "regulator_zero": all(is_small(v.distance(0), cfg.precision,
+                                       cfg.tolerance_value) for v in vec),
         "regulator": _reg_strings(vec, cfg),
     }
 

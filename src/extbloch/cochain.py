@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .field import (FieldElement, NumberField, rounding_tolerance,
-                    tolerance as _tolerance, working)
+from .field import (FieldElement, NumberField, is_small, nearest_integer,
+                    working)
 from .extgroup import SymbolicBasis, cover_to_C
 from .bloch import (ExtBlochSum, Flattening, NotAFlattening, chi,
                     is_lifted_five_term, normalize)
@@ -324,11 +324,10 @@ def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
     if precision is not None:
         lifts = [cover_to_C(basis, ctx)
                  for ctx in basis.field.embeddings(precision)]
-        with working(precision):
-            tol = _tolerance(precision, tolerance)
-            for rep, tot in totals.items():
-                numeric[rep] = exact[rep] or (tot.pi().is_one() and all(
-                    abs(lift.lift(tot)) < tol for lift in lifts))
+        for rep, tot in totals.items():
+            numeric[rep] = exact[rep] or (tot.pi().is_one() and all(
+                is_small(lift.lift(tot), precision, tolerance)
+                for lift in lifts))
     violations = [rep for rep in sorted(totals)
                   if not (exact[rep] or numeric.get(rep, False))]
     return EdgeReport(totals=totals, exact=exact, numeric=numeric,
@@ -607,10 +606,9 @@ class ManifoldInvariant:
     @property
     def matches(self):
         """Whether Im(regulator) equals the Bloch-Wigner sum at every
-        embedding, within the tolerance (field.tolerance)."""
+        embedding, within the tolerance (field.is_small)."""
         with working(self.precision):
-            tol = _tolerance(self.precision, self.tolerance)
-            return all(abs(a - b) < tol
+            return all(is_small(a - b, self.precision, self.tolerance)
                        for a, b in zip(self.imaginary_parts,
                                        self.dilogarithm_sums))
 
@@ -635,33 +633,33 @@ def _search_translates(cycle, basis, build, precision, search_bound):
 
     The sums depend on the translates only through integer multiples of the
     central unit, so the scan only needs the base lifts per 1-cell and the
-    integer coefficient of each translate (_translate_coefficients).
+    integer coefficient of each translate (_translate_coefficients).  None
+    if no assignment within the bound meets integer targets; a 1-cell whose
+    edge sum does not project to 1 raises EdgeConditionFailed.
     """
     n = cycle.num_simplices
     base = edge_conditions(cycle, build([(0, 0)] * n)).totals
-    if any(not tot.pi().is_one() for tot in base.values()):
-        return None
     reps = sorted(base)
+    for rep in reps:
+        # a translate changes only central coordinates, and pi(iota) = 1
+        value = base[rep].pi()
+        if not value.is_one():
+            raise EdgeConditionFailed(
+                f"the shapes fail the gluing equation of the 1-cell {rep}: "
+                f"the value projection of its edge sum is {value!r}, not 1")
     coeffs = _translate_coefficients(cycle, reps)
     # the base lift of each class total is an integer multiple of the lift
     # of the central unit; the translates must cancel exactly that multiple
     targets = None
     with working(precision):
-        tol = rounding_tolerance(precision)
         for ctx in basis.field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
             unit = lift.lift(basis.iota())
-            here = []
-            for rep in reps:
-                ratio = -lift.lift(base[rep]) / unit
-                k = int(mp.nint(mp.re(ratio)))
-                if abs(ratio - k) > tol:
-                    return None
-                here.append(k)
-            if targets is None:
-                targets = here
-            elif targets != here:
+            here = [nearest_integer(-lift.lift(base[rep]) / unit, precision)
+                    for rep in reps]
+            if None in here or (targets is not None and targets != here):
                 return None
+            targets = here
     # lexicographically first integer solution within the bound, pruning a
     # branch when the remaining slots cannot reach the residual targets
     nreps = len(reps)

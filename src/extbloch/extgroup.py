@@ -32,8 +32,8 @@ import warnings
 
 from mpmath import mp
 
-from .field import (FieldElement, FieldError, prime_factors,
-                    rounding_tolerance, working)
+from .field import (FieldElement, FieldError, nearest_integer,
+                    prime_factors, working)
 
 
 class ExtGroupError(Exception):
@@ -252,15 +252,12 @@ class MultBasis(_BasisCommon):
 
     def _log_moduli_full_rank(self):
         rows = self._log_moduli()
-        g = len(self.free_gens)
-        if len(rows) < g:
+        if len(rows) < len(self.free_gens):
             return False
         with mp.workdps(EXPONENT_DIGITS):
             mat = mp.matrix(rows)
-            # Gram matrix determinant bounded away from zero at working scale
-            gram = mat.T * mat
-            det = mp.det(gram)
-            return abs(det) > rounding_tolerance(EXPONENT_DIGITS)
+            # the Gram determinant does not round to 0
+            return nearest_integer(mp.det(mat.T * mat), EXPONENT_DIGITS) != 0
 
     def log_lift(self, z):
         """Coordinates (k, r) of a field element lying in the subgroup
@@ -407,17 +404,16 @@ def cover_to_C(basis, ctx, branch=None):
     prec = ctx.precision
     m = basis.m
     with working(prec):
-        sigma_w = ctx.evaluate(basis.torsion_gen)
-        if branch is None:
-            lambda_w = mp.log(sigma_w)
-        else:
-            lambda_w = mp.mpc(branch)
-            if abs(mp.exp(lambda_w) - sigma_w) > rounding_tolerance(prec):
+        lambda_w = mp.log(ctx.evaluate(basis.torsion_gen))
+        if branch is not None:
+            # a logarithm differs from the principal one by 2*pi*i * k
+            if nearest_integer((branch - lambda_w) / (2j * mp.pi),
+                               prec) is None:
                 raise BranchInvalid("explicit branch does not exponentiate "
                                     "to the torsion generator's image")
-        ratio = m * lambda_w / (2j * mp.pi)
-        k_unit = int(mp.nint(mp.re(ratio)))
-        if abs(ratio - k_unit) > rounding_tolerance(prec):
+            lambda_w = mp.mpc(branch)
+        k_unit = nearest_integer(m * lambda_w / (2j * mp.pi), prec)
+        if k_unit is None:
             raise BranchInvalid("m * lambda_w is not a multiple of 2*pi*i")
     if math.gcd(k_unit, m) != 1:
         raise BranchInvalid("branch does not define a covering: "

@@ -28,6 +28,9 @@ steps: the first few split primes; one reconstruction at MEMBERSHIP_DIGITS
 digits; the rest of the split primes; reconstruction at escalating
 precision.  A failed verification is an error (PrecisionExhausted), never
 a wrong answer, so membership takes no precision from the caller.
+
+Other modules decide on a value computed at N digits by `is_small` (it
+vanishes, within `tolerance`) or `nearest_integer` (it is an integer).
 """
 from __future__ import annotations
 
@@ -77,27 +80,30 @@ def working(precision):
 
 
 def tolerance(precision, override=None):
-    """Tolerance for comparing values computed at `precision` digits:
-    `override` if given, else 10^(10 - precision).  Evaluate it at the
-    working precision of the comparison.
-
-    >>> tolerance(30) == mp.mpf(10) ** -20, tolerance(30, 1e-5)
-    (True, 1e-05)
-    """
+    """The tolerance of `is_small` for values computed at `precision`
+    digits: `override` if given, else 10^(10 - precision)."""
     if override is not None:
         return override
     return mp.mpf(10) ** (10 - precision)
 
 
-def rounding_tolerance(precision):
-    """How far a value computed at `precision` digits may lie from the
-    integer it is rounded to: 10^(-precision // 2).  Evaluate it at the
-    working precision of the rounding.
+_tolerance = tolerance   # for is_small, whose argument shadows the name
 
-    >>> rounding_tolerance(45) == mp.mpf(10) ** -23
-    True
+
+def is_small(x, precision, tolerance=None):
+    """Whether |x| <= tolerance(precision, tolerance), at the working
+    precision of `precision` digits: a value that must vanish."""
+    with working(precision):
+        return abs(x) <= _tolerance(precision, tolerance)
+
+
+def nearest_integer(x, precision):
+    """The integer k nearest Re x if |x - k| <= 10^(-precision // 2) at the
+    working precision, else None; no requested tolerance changes the bound.
     """
-    return mp.mpf(10) ** (-precision // 2)
+    with working(precision):
+        k = int(mp.nint(mp.re(x)))
+        return k if abs(x - k) <= mp.mpf(10) ** (-precision // 2) else None
 
 
 # ---------------------------------------------------------------------------
@@ -875,25 +881,31 @@ class FieldElement:
 
 
 def _solve_rational(rows, rhs):
-    """Solve the (possibly overdetermined) system rows * c = rhs exactly.
-    Returns the solution vector, or None if it is inconsistent or has a
-    free column, which would make the solution non-unique."""
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    """Solve the (possibly overdetermined) system rows * c = rhs exactly,
+    by fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the
+    rows scaled to integers.  Returns the solution vector, or None if it is
+    inconsistent or has a free column, which would make it non-unique."""
+    m = [_integer(list(r) + [v])[1] for r, v in zip(rows, rhs)]
     nrows, ncols = len(m), len(m[0]) - 1
+    prev = 1
     for col in range(ncols):
-        piv = next((r for r in range(col, nrows) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, nrows) if m[r][col]), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(nrows):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if any(m[r][ncols] != 0 for r in range(ncols, nrows)):
+        top = m[col]
+        for r in range(col + 1, nrows):
+            f = m[r][col]
+            m[r] = [(top[col] * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = top[col]
+    if any(m[r][ncols] for r in range(ncols, nrows)):
         return None
-    return [m[r][ncols] for r in range(ncols)]
+    # prev, the determinant of the pivot rows, makes prev * c integral
+    out = [0] * ncols
+    for i in range(ncols - 1, -1, -1):
+        out[i] = (prev * m[i][ncols] - sum(
+            m[i][j] * out[j] for j in range(i + 1, ncols))) // m[i][i]
+    return [Fraction(c, prev) for c in out]
 
 
 class EmbeddingContext:
@@ -1109,11 +1121,11 @@ class NumberField:
 # ---------------------------------------------------------------------------
 # algebraic reconstruction
 
-def reconstruct_at(nf, value, root, precision, den_bound=10 ** 6):
+def reconstruct_at(nf, value, root, precision, den_bound):
     """Find a field element whose image under the generator's map to
     `root`, a root of the defining polynomial, approximates `value`, by
-    lattice reduction against powers of the generator.  The result is a
-    candidate only; callers must verify it exactly."""
+    lattice reduction against powers of the generator, with denominators at
+    most den_bound.  A candidate only; callers must verify it exactly."""
     d = nf.degree
     with working(precision):
         powers = [mp.mpc(1)]
@@ -1134,8 +1146,9 @@ def reconstruct_at(nf, value, root, precision, den_bound=10 ** 6):
     raise ReconstructionFailed("no short lattice vector yields a candidate")
 
 
-MEMBERSHIP_DIGITS = 48   # digits of the first reconstruction
-ESCALATIONS = 3          # precision doublings after the first reconstruction
+MEMBERSHIP_DIGITS = 48          # digits of the first reconstruction
+MEMBERSHIP_DEN_BOUND = 10 ** 6  # its bound on coordinate denominators
+ESCALATIONS = 3                 # precision doublings after it
 
 
 def element_in_field(min_poly_coeffs, approx, nf):
@@ -1152,7 +1165,7 @@ def element_in_field(min_poly_coeffs, approx, nf):
 
     The order of the search: the first SIEVE_FIRST split primes; one
     reconstruction by lattice reduction at MEMBERSHIP_DIGITS digits with
-    the denominator bound 10^6; the remaining split primes, up to
+    the bound MEMBERSHIP_DEN_BOUND; the remaining split primes, up to
     SPLIT_PRIMES; then reconstruction with the bound raised to the field's
     `denominator_bound` and the precision doubled, up to 2^ESCALATIONS
     times MEMBERSHIP_DIGITS.  A verified root makes the remaining primes
@@ -1178,14 +1191,14 @@ def element_in_field(min_poly_coeffs, approx, nf):
     q_roots = _integer(q)[1]
     try:
         found = _reconstruct_root(q_roots, approx, nf, MEMBERSHIP_DIGITS,
-                                  10 ** 6)
+                                  MEMBERSHIP_DEN_BOUND)
     except PrecisionExhausted:
         found = None
     if found is not None:
         return found
     if nonmembership_prime(q_int, nf, SIEVE_FIRST) is not None:
         return None
-    den_bound = max(10 ** 6, nf.denominator_bound * den)
+    den_bound = max(MEMBERSHIP_DEN_BOUND, nf.denominator_bound * den)
     for step in range(1, ESCALATIONS + 1):
         found = _reconstruct_root(q_roots, approx, nf,
                                   MEMBERSHIP_DIGITS << step, den_bound)

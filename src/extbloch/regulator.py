@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .field import (PrecisionExhausted, rounding_tolerance,
+from .field import (PrecisionExhausted, is_small, nearest_integer,
                     tolerance as _tolerance, working)
 from .extgroup import cover_to_C
 
@@ -184,12 +184,10 @@ def reg_flattening(fl, lift):
         z = lift.ctx.evaluate(fl.z)
         logz = mp.log(z)
         log1z = mp.log(1 - z)
-        tol = rounding_tolerance(prec)
         twopii = 2j * mp.pi
-        p = mp.nint(mp.im(w0 - logz) / (2 * mp.pi))
-        q = mp.nint(mp.im(w1 - log1z) / (2 * mp.pi))
-        if abs(w0 - logz - p * twopii) > tol or \
-           abs(w1 - log1z - q * twopii) > tol:
+        # w0 = Log z + 2*p*pi*i and w1 = Log(1-z) + 2*q*pi*i; only q enters
+        q = nearest_integer((w1 - log1z) / twopii, prec)
+        if q is None or nearest_integer((w0 - logz) / twopii, prec) is None:
             raise LiftInconsistent("lift values do not exponentiate to the "
                                    "cross-ratio and its complement")
         val = li2(z, prec) + w0 * (log1z - q * twopii) / 2 - mp.pi ** 2 / 6
@@ -216,12 +214,11 @@ def reg_vector(s, precision=50, tolerance=None):
     field = basis.field
     out = []
     with working(precision):
-        tolerance = _tolerance(precision, tolerance)
         for ctx in field.embeddings(precision):
             lift = cover_to_C(basis, ctx)
             val = reg_sum(s, lift)
             if ctx.is_real:
-                if abs(mp.im(val.value)) > tolerance:
+                if not is_small(mp.im(val.value), precision, tolerance):
                     raise RealSlotNotReal(
                         "regulator at a real embedding has imaginary part "
                         f"{mp.im(val.value)}")
@@ -231,33 +228,30 @@ def reg_vector(s, precision=50, tolerance=None):
     return out
 
 
-def torsion_order(v, max_den=10 ** 4, tolerance=None):
+TORSION_MAX_DEN = 10 ** 4   # the largest order `torsion_order` reconstructs
+
+
+def torsion_order(v, tolerance=None):
     """Order of a regulator value as a torsion point of C/4pi^2: rational
-    reconstruction of value / 4pi^2 by continued fractions.  Returns the
-    denominator, or None when no reconstruction fits the default tolerance
-    of the precision.  A fit within the default tolerance but not within a
-    finer `tolerance` raises PrecisionExhausted, naming both."""
+    reconstruction of value / 4pi^2 by continued fractions on an exact
+    dyadic snapshot.  Returns the denominator, or None when no
+    reconstruction fits the default tolerance of the precision.  A fit
+    within the default tolerance but not within a finer `tolerance` raises
+    PrecisionExhausted, naming both."""
     prec = v.precision
     with working(prec):
-        default, tol = _tolerance(prec), _tolerance(prec, tolerance)
         x = mp.re(v.value) / (4 * mp.pi ** 2)
-        frac = _rational_reconstruct(x, max_den)
-        for what, r in (("imaginary part", abs(mp.im(v.value))),
+        snap = Fraction(int(mp.nint(mp.ldexp(x, mp.prec))), 1 << mp.prec)
+        frac = snap.limit_denominator(TORSION_MAX_DEN)
+        for what, r in (("imaginary part", mp.im(v.value)),
                         ("reconstruction residual",
-                         abs(x - mp.mpf(frac.numerator) / frac.denominator))):
-            if r > tol:
-                if r > default:
+                         x - mp.mpf(frac.numerator) / frac.denominator)):
+            if not is_small(r, prec, tolerance):
+                if not is_small(r, prec):
                     return None
                 raise PrecisionExhausted(
-                    f"torsion order: {what} {mp.nstr(r, 3)} passes the "
-                    f"tolerance {mp.nstr(default, 3)} of {prec} digits but "
-                    f"not the requested {mp.nstr(tol, 3)}")
+                    f"torsion order: {what} {mp.nstr(abs(r), 3)} passes the "
+                    f"tolerance {mp.nstr(_tolerance(prec), 3)} of {prec} "
+                    f"digits but not the requested "
+                    f"{mp.nstr(_tolerance(prec, tolerance), 3)}")
         return frac.denominator
-
-
-def _rational_reconstruct(x, max_den):
-    """Best rational approximation with bounded denominator, by continued
-    fractions on an exact dyadic snapshot of x."""
-    scale = 1 << mp.prec
-    snap = Fraction(int(mp.nint(x * scale)), scale)
-    return snap.limit_denominator(max_den)

@@ -183,7 +183,7 @@ def flattened_torsion(nf, p):
 def certify_order(s, precision=50, tolerance=None):
     """Certified order of a torsion element: the lcm over all embeddings of
     the order of its regulator value in C modulo 4*pi^2.  `tolerance`
-    overrides the default of the precision (field.tolerance)."""
+    overrides the default of the precision (field.is_small)."""
     orders = []
     for v in reg_vector(s, precision, tolerance):
         k = torsion_order(v, tolerance=tolerance)

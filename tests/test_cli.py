@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 import test_cli_golden
+from test_cochain import _cyclic_triangulation_data
 from extbloch.cli import build_parser, main
 from extbloch.field import PRIME_LIMIT, DivisionByZero, NumberField
 from extbloch.regulator import RealSlotNotReal
@@ -407,6 +408,16 @@ def test_triangulation_without_a_closed_cycle_is_math_error(capsys, tmp_path,
         "figure_eight.json", **TRIANGULATION_MATH_ERRORS[case])))
     code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])
     assert code == 3 and out == "" and err.startswith("math error")
+
+
+def test_failed_gluing_equation_is_math_error(capsys, tmp_path):
+    data = _cyclic_triangulation_data()
+    data["shapes"][0] = [3]
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])
+    assert code == 3 and out == ""
+    assert err.startswith("math error") and "gluing equation" in err
 
 
 @pytest.mark.parametrize("error", [KeyError("m"), ValueError("bug"),

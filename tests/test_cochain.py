@@ -700,6 +700,25 @@ def test_unsolvable_search_rejected():
         manifold_invariant(data, 30, search_bound=2)
 
 
+def test_failed_gluing_equation_names_the_1_cell():
+    # translates change only central coordinates and pi(iota) = 1, so a
+    # 1-cell whose edge sum does not project to 1 rules out every search
+    data = _cyclic_triangulation_data()
+    data["shapes"][0] = [3]
+    with pytest.raises(EdgeConditionFailed,
+                       match=r"gluing equation of the 1-cell \(0, \(0, 1\)\): "
+                             r"the value projection of its edge sum is "
+                             r"<-3/2>, not 1"):
+        manifold_invariant(data, 30, search_bound=4)
+
+
+def test_exhausted_search_names_the_bound():
+    # the gluing equations hold, but the zero translates, the only ones
+    # within the bound 0, leave nonzero edge sums
+    with pytest.raises(EdgeConditionFailed, match="search bound"):
+        manifold_invariant(_cyclic_triangulation_data(), 30, search_bound=0)
+
+
 def test_degenerate_shape_rejected():
     data = _cyclic_triangulation_data()
     data["shapes"][0] = [1]

@@ -9,9 +9,10 @@ from mpmath import mp
 from cli_matrix import BASE_FIELDS, scaled
 from extbloch import field as field_module
 from extbloch.field import (PRIME_LIMIT, FieldError, NotSquarefree,
-                            NumberField, cos2pi_minpoly, element_in_field,
-                            euler_phi, count_real_roots, integral_model,
-                            is_prime)
+                            NumberField, _solve_rational, cos2pi_minpoly,
+                            element_in_field, euler_phi, count_real_roots,
+                            integral_model, is_prime, is_small,
+                            nearest_integer, tolerance, working)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,71 @@ def test_inverse_of_a_zero_divisor_raises():
                           ([-2, 0, -1, 0, 1], [1, 0, 1])):
         with pytest.raises(FieldError, match="not irreducible"):
             NumberField(poly).element(element).inverse()
+
+
+def _sympy_solution(rows, rhs):
+    """The unique solution of rows * c = rhs by sympy, or None."""
+    try:
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(
+            sympy.Matrix(rhs))
+    except ValueError:
+        return None
+    if params.shape[0]:
+        return None
+    return [Fraction(int(v.p), int(v.q)) for v in sol]
+
+
+def test_solve_rational_matches_sympy():
+    # square, overdetermined, singular and inconsistent systems, with zero
+    # entries that force row swaps
+    rng = random.Random(17)
+    kinds = {"unique": 0, "none": 0}
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        nrows = ncols + rng.choice((0, 0, 1, 2))
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                 if rng.random() < 0.6 else Fraction(0)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+             for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(r, x)) for r in rows]
+        if rng.random() < 0.3:
+            rhs[rng.randrange(nrows)] += 1
+        got = _solve_rational(rows, rhs)
+        assert got == _sympy_solution(rows, rhs)
+        kinds["unique" if got else "none"] += 1
+    assert min(kinds.values()) > 50
+
+
+@pytest.mark.parametrize("precision", [20, 50, 200])
+def test_decisions_at_their_boundaries(precision):
+    # the inputs carry more digits than the decisions use: at mpmath's
+    # default 15 digits, k + 10^-22 would already be k
+    with mp.workdps(2 * precision + 40):
+        tol = tolerance(precision)
+        step = mp.mpf(10) ** (-precision // 2)
+        for sign in (1, -1):
+            assert is_small(sign * tol / 2, precision)
+            assert not is_small(sign * 2 * tol, precision)
+            assert is_small(mp.mpc(tol / 4, sign * tol / 4), precision)
+            assert not is_small(mp.mpc(tol, sign * tol), precision)
+            for k in (-3, 0, 7, 10 ** 30):
+                assert nearest_integer(k + sign * step / 2, precision) == k
+                assert nearest_integer(k + sign * 2 * step, precision) is None
+                assert nearest_integer(mp.mpc(k, sign * step / 2),
+                                       precision) == k
+                assert nearest_integer(mp.mpc(k, sign * 2 * step),
+                                       precision) is None
+        # a requested tolerance replaces the default one
+        finer = tol / 100
+        assert is_small(finer / 2, precision, finer)
+        assert not is_small(2 * finer, precision, finer)
+        assert is_small(2 * finer, precision)
+    # the bound itself passes
+    with working(precision):
+        assert is_small(tolerance(precision), precision)
+        assert nearest_integer(mp.mpf(10) ** (-precision // 2), precision) \
+            == 0
 
 
 def test_min_poly_of_generator(example_field):

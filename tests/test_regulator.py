@@ -140,8 +140,7 @@ def test_torsion_order_reconstruction():
         assert torsion_order(v) == 24
         assert torsion_order(RegulatorValue(mp.mpc(0), 40)) == 1
         # a non-torsion value has no small reconstruction
-        assert torsion_order(RegulatorValue(mp.mpc(mp.sqrt(2)), 40),
-                             max_den=1000) is None
+        assert torsion_order(RegulatorValue(mp.mpc(mp.sqrt(2)), 40)) is None
 
 
 @pytest.fixture(scope="module")

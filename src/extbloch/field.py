@@ -81,20 +81,21 @@ def working(precision):
 
 def tolerance(precision, override=None):
     """The tolerance of `is_small` for values computed at `precision`
-    digits: `override` if given, else 10^(10 - precision)."""
+    digits: `override` if given, else 10^(10 - precision).
+
+    >>> tolerance(30) == mp.mpf(10) ** -20, tolerance(30, 1e-5)
+    (True, 1e-05)
+    """
     if override is not None:
         return override
     return mp.mpf(10) ** (10 - precision)
 
 
-_tolerance = tolerance   # for is_small, whose argument shadows the name
-
-
-def is_small(x, precision, tolerance=None):
-    """Whether |x| <= tolerance(precision, tolerance), at the working
+def is_small(x, precision, override=None):
+    """Whether |x| <= tolerance(precision, override), at the working
     precision of `precision` digits: a value that must vanish."""
     with working(precision):
-        return abs(x) <= _tolerance(precision, tolerance)
+        return abs(x) <= tolerance(precision, override)
 
 
 def nearest_integer(x, precision):

@@ -252,6 +252,5 @@ def torsion_order(v, tolerance=None):
                 raise PrecisionExhausted(
                     f"torsion order: {what} {mp.nstr(abs(r), 3)} passes the "
                     f"tolerance {mp.nstr(_tolerance(prec), 3)} of {prec} "
-                    f"digits but not the requested "
-                    f"{mp.nstr(_tolerance(prec, tolerance), 3)}")
+                    f"digits but not the requested {mp.nstr(tolerance, 3)}")
         return frac.denominator

@@ -197,7 +197,9 @@ def test_decisions_at_their_boundaries(precision):
     # the inputs carry more digits than the decisions use: at mpmath's
     # default 15 digits, k + 10^-22 would already be k
     with mp.workdps(2 * precision + 40):
-        tol = tolerance(precision)
+        tol = mp.mpf(10) ** (10 - precision)
+        assert tolerance(precision) == tol
+        assert tolerance(precision, tol / 7) == tol / 7
         step = mp.mpf(10) ** (-precision // 2)
         for sign in (1, -1):
             assert is_small(sign * tol / 2, precision)

@@ -694,6 +694,10 @@ def manifold_invariant(data, precision=50, tolerance=None, search_bound=4):
     field, the gluing combinatorics, one shape per simplex and optionally
     the integer translate pairs; missing translates are searched
     lexicographically within the bound.  Edge conditions are enforced.
+
+    Only Im(regulator) and `matches` are invariants: no cusp conditions
+    are imposed, so Re(regulator) depends on the translates, and without
+    `flattenings` it belongs to the lexicographically first ones found.
     """
     field = NumberField(data["field"])
     cycle = Triangulated3Cycle(data["tets"], data["gluings"],

@@ -1,11 +1,13 @@
 """Arbitrary-precision dilogarithm and the regulator of flattenings.
 
 The dilogarithm uses the principal branch with cut along [1, oo), continuous
-from below.  Each region of the plane has its own series: the power series
-sum z^k/k^2 on |z| <= 1/2; inversion to 1/z on |z| >= 2; reflection to 1 - z
-on |1 - z| <= 1/2; elsewhere (the annulus) the expansion in u = -Log(1 - z)
-with Bernoulli coefficients.  A series stops at the first term below
-2^-(prec + 10), prec being the working binary precision.
+from below.  One series serves the whole plane: the expansion of
+Li2(1 - e^-u) in u with Bernoulli coefficients, convergent for |u| < 2*pi.
+For |z| >= 2 it runs at u = -Log(1 - 1/z) behind the inversion map, for
+|1 - z| <= 1/2 at u = -Log z behind the reflection map, and elsewhere at
+u = -Log(1 - z); every such u has |u| <= sqrt(log(3)^2 + pi^2) < 3.33.  The
+series stops at the first term below 2^-(prec + 10), prec being the working
+binary precision.
 
 The regulator of a flattening with logarithm values (w0, w1) over the
 cross-ratio z is
@@ -44,39 +46,17 @@ class NotTorsion(RegulatorError):
     pass
 
 
-def _converged(term):
-    """The series stopping rule: the term is below 2^-(prec + 10), an
-    exponent test that needs no complex absolute value."""
-    return mp.mag(term) < -mp.prec - 10
-
-
-def _li2_series(z):
-    """Power series sum z^k / k^2; caller guarantees |z| <= 1/2, up to one
-    rounding of 1/z, so the tail after a term is smaller than that term."""
-    zk = z
-    acc = z
-    k = 1
-    while True:
-        k += 1
-        zk *= z
-        term = zk / (k * k)
-        acc += term
-        if _converged(term):
-            return acc
-        if k > 100 * mp.dps + 1000:  # pragma: no cover
-            raise PrecisionExhausted("dilogarithm series did not converge")
-
-
 # binary precision -> [B_2j / (2j+1)! for j = 1, 2, ...], grown on demand
 _BERNOULLI = {}
 
 
-def _li2_log_series(z):
-    """Expansion sum B_n u^(n+1) / (n+1)! in u = -Log(1-z), convergent for
-    |u| < 2*pi; used on the annulus where neither z, 1/z nor 1-z is small.
-    B_1 = -1/2 and B_n = 0 for odd n > 1, so after u - u^2/4 the terms step
-    through even n in u^2, with coefficients from a table per precision."""
-    u = -mp.log(1 - z)
+def _li2_log_series(u):
+    """Li2(1 - e^-u) as sum B_n u^(n+1) / (n+1)!, convergent for
+    |u| < 2*pi; `_li2` calls it with |u| <= 3.33.  B_1 = -1/2 and B_n = 0
+    for odd n > 1, so after u - u^2/4 the terms step through even n in
+    u^2, with coefficients from a table per precision.  The sum stops at
+    the first term below 2^-(prec + 10), an exponent test that needs no
+    complex absolute value."""
     u2 = u * u
     coeffs = _BERNOULLI.setdefault(mp.prec, [])
     acc = u - u2 / 4
@@ -90,7 +70,7 @@ def _li2_log_series(z):
         term = coeffs[j] * upow
         acc += term
         j += 1
-        if _converged(term):
+        if mp.mag(term) < -mp.prec - 10:
             return acc
         if j > 50 * mp.dps + 500:  # pragma: no cover
             raise PrecisionExhausted("dilogarithm expansion did not converge")
@@ -103,20 +83,23 @@ def _li2(z):
         return mp.mpc(0)
     if z == 1:
         return mp.mpc(mp.pi ** 2 / 6)
-    if abs(z) <= mp.mpf("0.5"):
-        return _li2_series(z)
     if abs(z) >= 2:
         # inversion; the principal logarithm of -z also gives the limit
         # from below on the cut [1, oo)
-        return -_li2_series(1 / z) - mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+        return (-_li2_log_series(-mp.log(1 - 1 / z)) - mp.pi ** 2 / 6
+                - mp.log(-z) ** 2 / 2)
     if abs(1 - z) <= mp.mpf("0.5"):
-        return (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z)
-                - _li2_series(1 - z))
-    return _li2_log_series(z)
+        # reflection; Li2(1 - z) is the series at u = -Log z
+        logz = mp.log(z)
+        return (mp.pi ** 2 / 6 - logz * mp.log(1 - z)
+                - _li2_log_series(-logz))
+    return _li2_log_series(-mp.log(1 - z))
 
 
 def li2(z, precision=50):
-    """Principal-branch dilogarithm at the given decimal precision.
+    """Principal-branch dilogarithm, rounded to `precision` significant
+    digits.  Its error is about 10^-precision * max(1, |Li2(z)|): relative
+    for large values, absolute near z = 0, where 1 - z is rounded.
 
     >>> from mpmath import mp
     >>> with mp.workdps(30):

@@ -411,13 +411,16 @@ def test_triangulation_without_a_closed_cycle_is_math_error(capsys, tmp_path,
 
 
 def test_failed_gluing_equation_is_math_error(capsys, tmp_path):
-    data = _cyclic_triangulation_data()
-    data["shapes"][0] = [3]
-    fixture = tmp_path / "fixture.json"
-    fixture.write_text(json.dumps(data))
-    code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])
-    assert code == 3 and out == ""
-    assert err.startswith("math error") and "gluing equation" in err
+    cyclic = _cyclic_triangulation_data()
+    cyclic["shapes"][0] = [3]
+    glued = _changed("figure_eight_glued.json", shapes=[[0, 1], [2]])
+    for data in (cyclic, glued):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])
+        assert code == 3 and out == ""
+        assert err.startswith("math error")
+        assert "gluing equation of the 1-cell (0, (0, 1))" in err
 
 
 @pytest.mark.parametrize("error", [KeyError("m"), ValueError("bug"),

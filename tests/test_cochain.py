@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp
 
@@ -592,8 +593,8 @@ def test_every_flag_determinant_is_checked_for_zero():
 # ---------------------------------------------------------------------------
 # flattened triangulation files
 
-def _figure_eight():
-    with open("tests/fixtures/figure_eight.json") as fh:
+def _figure_eight(name="figure_eight"):
+    with open(f"tests/fixtures/{name}.json") as fh:
         return json.load(fh)
 
 
@@ -604,6 +605,27 @@ def test_figure_eight_fixture():
         assert abs(inv.imaginary_parts[0]
                    - mp.mpf("2.029883212819307250042405109")) \
             < mp.mpf(10) ** -25
+
+
+def test_glued_figure_eight_constrains_the_shapes():
+    # figure_eight.json glues each 1-cell from edges whose sums cancel for
+    # any shapes; this gluing has two 1-cells of six edges each, and its
+    # edge sums vanish only for shapes that satisfy the gluing equations
+    data = _figure_eight("figure_eight_glued")
+    cycle = Triangulated3Cycle(data["tets"], data["gluings"])
+    assert sorted(len(edges) for edges in cycle.edge_classes().values()) \
+        == [6, 6]
+    inv = manifold_invariant(data, 50)
+    assert inv.matches
+    with mp.workdps(60):
+        volume = 2 * mpmath.clsin(2, mp.pi / 3)
+        assert abs(inv.imaginary_parts[0] - volume) < mp.mpf(10) ** -45
+        assert abs(inv.dilogarithm_sums[0] - volume) < mp.mpf(10) ** -45
+    data["shapes"][1] = [2]
+    with pytest.raises(EdgeConditionFailed,
+                       match=r"the shapes fail the gluing equation of the "
+                             r"1-cell \(0, \(0, 1\)\)"):
+        manifold_invariant(data, 50)
 
 
 def test_explicit_flattenings_path():

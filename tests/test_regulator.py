@@ -11,6 +11,7 @@ from mpmath import mp
 from extbloch.field import NumberField
 from extbloch.extgroup import MultBasis, cover_to_C
 from extbloch.bloch import Flattening, chi, lift_five_term, normalize, rho_hat
+from extbloch import regulator
 from extbloch.regulator import (LiftInconsistent, RegulatorValue, bloch_wigner,
                                 li2, reg_flattening, reg_sum, reg_vector,
                                 torsion_order)
@@ -62,9 +63,10 @@ def test_bloch_wigner_antisymmetry(re, im):
 
 
 def _li2_branch_points(seed, per_branch):
-    """Seeded points off the real axis in each region of li2: |z| <= 1/2
-    (series), |z| >= 2 (inversion), |1 - z| <= 1/2 (reflection) and the
-    annulus between them (expansion in -log(1 - z))."""
+    """Seeded points off the real axis in each region of li2: the disc
+    |z| <= 1/2, |z| >= 2 (inversion), |1 - z| <= 1/2 (reflection) and the
+    annulus between them.  The series runs at u = -Log(1 - z) on the disc
+    and the annulus, and behind the maps on the other two."""
     rng = random.Random(seed)
     points = []
     while len(points) < 4 * per_branch:
@@ -84,10 +86,18 @@ def _li2_branch_points(seed, per_branch):
     return points
 
 
+def _disc_and_near_two_points():
+    """Tiny |z|, where the digits of Li2(z) ~ z sit far below 1, and
+    annulus points next to z = 2, where u = -Log(1 - z) is largest."""
+    return [cmath.rect(1e-30, 2), 1e-100j, -1e-60, 1.95 - 0.1j,
+            1.86 + 0.11j, 1.99999 + 1e-9j, 1.99999 - 1e-9j]
+
+
 @pytest.mark.parametrize("precision, per_branch",
                          [(20, 3), (50, 3), (200, 1)])
 def test_bloch_wigner_matches_polylog_on_every_branch(precision, per_branch):
-    for z in _li2_branch_points(precision, per_branch):
+    points = _li2_branch_points(precision, per_branch)
+    for z in points + _disc_and_near_two_points():
         ours = bloch_wigner(z, precision)
         with mp.workdps(2 * precision):
             z = mp.mpc(z)
@@ -109,12 +119,34 @@ def _li2_boundary_points():
 
 @pytest.mark.parametrize("precision", [40, 100, 240])
 def test_li2_matches_polylog_on_every_branch(precision):
-    points = _li2_branch_points(precision, 3) + _li2_boundary_points()
+    points = (_li2_branch_points(precision, 3) + _li2_boundary_points()
+              + _disc_and_near_two_points())
     for z in points:
         ours = li2(z, precision)
         with mp.workdps(2 * precision):
             ref = mpmath.polylog(2, mp.mpc(z))
             assert abs(ours - ref) < mp.mpf(10) ** -precision, z
+
+
+def test_li2_series_argument_within_its_radius(monkeypatch):
+    """The one series converges for |u| < 2*pi; after the inversion and
+    reflection maps every argument has |u| <= sqrt(log(3)^2 + pi^2) < 3.34.
+    Without either map, points near 1 or beyond 2 on the cut exceed it."""
+    seen = []
+    series = regulator._li2_log_series
+
+    def spy(u):
+        seen.append(abs(u))
+        return series(u)
+
+    monkeypatch.setattr(regulator, "_li2_log_series", spy)
+    rng = random.Random(0)
+    points = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+              for _ in range(300)] + _li2_boundary_points()
+    for z in points:
+        li2(z, 30)
+    assert len(seen) == len(points) - 2  # z = 0 and z = 1 are exact
+    assert max(seen) <= 3.34
 
 
 def test_bloch_wigner_vanishes_on_reals():

@@ -91,8 +91,7 @@ class ExtBlochSum:
                    fl.f.k % basis.m, fl.f.r)
             merged.setdefault(key, []).append((int(n), fl))
         out = []
-        for key in sorted(merged):
-            group = merged[key]
+        for group in merged.values():
             any_fl = group[0][1]
             # canonical translate: central coordinates reduced to [0, m)
             base = Flattening(
@@ -357,8 +356,7 @@ def galois_apply(tau, s):
     gen_imgs = {}
 
     def push(e):
-        out = ExtElement(basis, 0)
-        out = out + ExtElement(basis, e.k * k_img)
+        out = ExtElement(basis, e.k * k_img)
         for j, exp in e.r:
             if j not in gen_imgs:
                 gen_imgs[j] = basis.log_lift(basis.gen_value(j).substitute(tau))

@@ -283,8 +283,6 @@ _EDGE_PARAM = {(0, 1): "e", (2, 3): "e",
 @dataclass
 class EdgeReport:
     totals: dict
-    exact: dict
-    numeric: dict
     violations: list
 
     @property
@@ -307,31 +305,15 @@ def _edge_sums(cycle, pairs, zero):
     return sums
 
 
-def edge_conditions(cycle, flattenings, precision=None, tolerance=None):
+def edge_conditions(cycle, flattenings):
     """Signed log-parameter sums around every 1-cell (`_edge_sums` of the
-    flattenings).
-
-    A sum passes exactly when it is the zero extension element; with a
-    precision it may instead pass by the two-part certificate: its value
-    projection is 1 and its logarithm vanishes at every embedding.
-    """
+    flattenings); a sum passes when it is the zero extension element."""
     flattenings = list(flattenings)
-    basis = flattenings[0].basis
     totals = _edge_sums(cycle, [(fl.e, fl.f) for fl in flattenings],
-                        basis.element(0))
-    exact = {rep: tot.is_zero() for rep, tot in totals.items()}
-    numeric = {}
-    if precision is not None:
-        lifts = [cover_to_C(basis, ctx)
-                 for ctx in basis.field.embeddings(precision)]
-        for rep, tot in totals.items():
-            numeric[rep] = exact[rep] or (tot.pi().is_one() and all(
-                is_small(lift.lift(tot), precision, tolerance)
-                for lift in lifts))
-    violations = [rep for rep in sorted(totals)
-                  if not (exact[rep] or numeric.get(rep, False))]
-    return EdgeReport(totals=totals, exact=exact, numeric=numeric,
-                      violations=violations)
+                        flattenings[0].basis.element(0))
+    return EdgeReport(totals=totals,
+                      violations=[rep for rep in sorted(totals)
+                                  if not totals[rep].is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +575,9 @@ def flag_boundary_check(bases, basis=None):
 # ---------------------------------------------------------------------------
 # Flattened triangulation files
 
+SEARCH_BOUND = 4   # on each entry of searched translates
+
+
 @dataclass
 class ManifoldInvariant:
     element: ExtBlochSum
@@ -628,28 +613,21 @@ def _translate_coefficients(cycle, reps):
     return coeffs
 
 
-def _search_translates(cycle, basis, build, precision, search_bound):
-    """Lexicographically first translate assignment whose edge sums vanish.
-
-    The sums depend on the translates only through integer multiples of the
-    central unit, so the scan only needs the base lifts per 1-cell and the
-    integer coefficient of each translate (_translate_coefficients).  None
-    if no assignment within the bound meets integer targets; a 1-cell whose
-    edge sum does not project to 1 raises EdgeConditionFailed.
+def _edge_targets(basis, base, precision):
+    """Targets of the edge conditions sum_j x_j * coeffs[j] == targets
+    (`_translate_coefficients`), one per 1-cell of the edge sums `base` at
+    zero translates, in sorted order.  Translates add only central units,
+    and pi(iota) = 1, so each base sum must project to 1; its target is
+    minus its logarithm over the central unit's, rounded at every
+    embedding.  EdgeConditionFailed unless the roundings exist and agree.
     """
-    n = cycle.num_simplices
-    base = edge_conditions(cycle, build([(0, 0)] * n)).totals
     reps = sorted(base)
     for rep in reps:
-        # a translate changes only central coordinates, and pi(iota) = 1
         value = base[rep].pi()
         if not value.is_one():
             raise EdgeConditionFailed(
                 f"the shapes fail the gluing equation of the 1-cell {rep}: "
                 f"the value projection of its edge sum is {value!r}, not 1")
-    coeffs = _translate_coefficients(cycle, reps)
-    # the base lift of each class total is an integer multiple of the lift
-    # of the central unit; the translates must cancel exactly that multiple
     targets = None
     with working(precision):
         for ctx in basis.field.embeddings(precision):
@@ -657,21 +635,31 @@ def _search_translates(cycle, basis, build, precision, search_bound):
             unit = lift.lift(basis.iota())
             here = [nearest_integer(-lift.lift(base[rep]) / unit, precision)
                     for rep in reps]
-            if None in here or (targets is not None and targets != here):
-                return None
-            targets = here
-    # lexicographically first integer solution within the bound, pruning a
-    # branch when the remaining slots cannot reach the residual targets
-    nreps = len(reps)
-    reach = [[0] * nreps for _ in range(2 * n + 1)]
-    for j in range(2 * n - 1, -1, -1):
+            targets = targets or here
+            for rep, k, target in zip(reps, here, targets):
+                if k is None or k != target:
+                    raise EdgeConditionFailed(
+                        f"no integer translates cancel the edge sum of the "
+                        f"1-cell {rep}: its logarithms at the embeddings are "
+                        f"not one integer multiple of the central unit's")
+    return targets
+
+
+def _search_translates(coeffs, targets):
+    """Lexicographically first translate pairs, each entry within
+    SEARCH_BOUND, whose coefficient rows sum to the targets; None if there
+    are none."""
+    slots, nreps = len(coeffs), len(targets)
+    # prune a branch when the remaining slots cannot reach the targets
+    reach = [[0] * nreps for _ in range(slots + 1)]
+    for j in range(slots - 1, -1, -1):
         for i in range(nreps):
-            reach[j][i] = reach[j + 1][i] + search_bound * abs(coeffs[j][i])
+            reach[j][i] = reach[j + 1][i] + SEARCH_BOUND * abs(coeffs[j][i])
 
     def dfs(j, partial):
-        if j == 2 * n:
+        if j == slots:
             return [] if partial == targets else None
-        for x in range(-search_bound, search_bound + 1):
+        for x in range(-SEARCH_BOUND, SEARCH_BOUND + 1):
             nxt = [partial[i] + x * coeffs[j][i] for i in range(nreps)]
             if all(abs(targets[i] - nxt[i]) <= reach[j + 1][i]
                    for i in range(nreps)):
@@ -686,14 +674,17 @@ def _search_translates(cycle, basis, build, precision, search_bound):
     return list(zip(flat[0::2], flat[1::2]))
 
 
-def manifold_invariant(data, precision=50, tolerance=None, search_bound=4):
+def manifold_invariant(data, precision=50, tolerance=None):
     """Assemble the element of a flattened triangulation and evaluate its
     regulator.
 
     `data` is the object of a triangulation fixture: it supplies the shape
     field, the gluing combinatorics, one shape per simplex and optionally
     the integer translate pairs; missing translates are searched
-    lexicographically within the bound.  Edge conditions are enforced.
+    lexicographically, each entry within SEARCH_BOUND.  The edge
+    conditions are the integer system whose targets `_edge_targets`
+    rounds once: supplied translates must satisfy it exactly, searched
+    ones solve it.
 
     Only Im(regulator) and `matches` are invariants: no cusp conditions
     are imposed, so Re(regulator) depends on the translates, and without
@@ -718,25 +709,27 @@ def manifold_invariant(data, precision=50, tolerance=None, search_bound=4):
         shapes.append(z)
     sz = [basis.symbol(z) for z in shapes]
     s1z = [basis.symbol(field.one - z) for z in shapes]
-
-    def build(pqs):
-        return tuple(Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
-                     for t, (p, q) in enumerate(pqs))
-
+    base = _edge_sums(cycle, zip(sz, s1z), basis.element(0))
+    targets = _edge_targets(basis, base, precision)
+    reps = sorted(base)
+    coeffs = _translate_coefficients(cycle, reps)
     if data.get("flattenings"):
         pqs = [tuple(pq) for pq in data["flattenings"]]
+        flat = [x for pq in pqs for x in pq]
+        violations = [rep for i, rep in enumerate(reps)
+                      if sum(x * row[i] for x, row in zip(flat, coeffs))
+                      != targets[i]]
+        if violations:
+            raise EdgeConditionFailed(
+                f"edge sums do not vanish at {violations}")
     else:
-        pqs = _search_translates(cycle, basis, build, precision,
-                                 search_bound)
+        pqs = _search_translates(coeffs, targets)
         if pqs is None:
             raise EdgeConditionFailed("no translate assignment within the "
                                       "search bound satisfies the edge "
                                       "conditions")
-    fls = build(pqs)
-    report = edge_conditions(cycle, fls, precision, tolerance)
-    if not report.ok:
-        raise EdgeConditionFailed(
-            f"edge sums do not vanish at {report.violations}")
+    fls = tuple(Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
+                for t, (p, q) in enumerate(pqs))
     element = normalize(basis, [(cycle.orientations[t], fls[t])
                                 for t in range(cycle.num_simplices)])
     regulator = reg_vector(element, precision, tolerance)

@@ -17,11 +17,14 @@ rescaled by c in {1, 2, 3, 7, 10, 1000, 3*10^7}, on x^3 - 2, x^3 - 3,
 x^3 + x + 1, x^4 + 3x^2 + 1 and its shift by 7, on x^8 + 1 (Q(zeta_16),
 where a product folds seven slots) and on a degree-9 field rescaled by
 10^8; every fixture command; malformed fixtures for every
-command.  Each line runs with and without --json at --precision 20, 30, 50
-and 100.  An exception that escapes `main` is recorded as the exit code
-"raised NAME" with its message on standard error.  pytest does not collect
-this file; tests/test_cli_golden.py imports its base fields, `scaled` and
-`run`, which it calls with strict=True.
+command; the glued figure-eight fixture with supplied translates that
+meet the edge conditions, that break them, and that meet them for a shape
+that fails a gluing equation.  Each line runs with and without --json at
+--precision 20, 30, 50 and 100.  An exception that escapes `main` is
+recorded as the exit code "raised NAME" with its message on standard
+error.  pytest does not collect this file; tests/test_cli_golden.py
+imports its base fields, `scaled` and `run`, which it calls with
+strict=True.
 """
 import contextlib
 import io
@@ -68,6 +71,7 @@ FIXTURE_COMMANDS = [
     ["torsion", "generators", "field_rationals.json", "--prime", "3"],
     ["torsion", "order", "field_sqrt2.json", "--prime", "2"],
     ["cycle", "invariant", "figure_eight.json"],
+    ["cycle", "invariant", "figure_eight_glued.json"],
 ]
 # (name, fixture text, commands it is given to)
 MALFORMED = [
@@ -95,6 +99,20 @@ MALFORMED = [
      ' "shapes": 4}', [["cycle", "invariant"]]),
 ]
 
+# figure_eight_glued.json with the second shape and supplied translates
+GLUED = ('{{"field": [1, -1, 1], "tets": 2, "gluings": '
+         '[[0, 0, 1, 0, [1, 3, 2]], [0, 1, 1, 1, [2, 0, 3]], '
+         '[0, 2, 1, 2, [0, 3, 1]], [0, 3, 1, 3, [1, 0, 2]]], '
+         '"shapes": [[0, 1], {}], "flattenings": {}}}')
+SUPPLIED = [
+    ("glued-valid", GLUED.format("[0, 1]", "[[-4, -4], [0, -3]]"),
+     [["cycle", "invariant"]]),
+    ("glued-violating", GLUED.format("[0, 1]", "[[-3, -4], [0, -3]]"),
+     [["cycle", "invariant"]]),
+    ("glued-shape-2", GLUED.format("[2]", "[[-4, -4], [0, -3]]"),
+     [["cycle", "invariant"]]),
+]
+
 
 def scaled(poly, c):
     """c^d p(x/c): the same field, generator multiplied by c."""
@@ -115,7 +133,8 @@ def matrix():
                + argv[3:], None) for argv in FIXTURE_COMMANDS]
     lines += [(" ".join([*argv, name]), argv + ["FIELD"]
                + (["--prime", "2"] if argv[1] == "order" else []), text)
-              for name, text, commands in MALFORMED for argv in commands]
+              for name, text, commands in MALFORMED + SUPPLIED
+              for argv in commands]
     lines.append(("field info missing", ["field", "info", "FIELD"], ""))
     return [(f"{ident} --precision {p}{mode}",
              argv + ["--precision", p] + flag, text)

@@ -414,7 +414,9 @@ def test_failed_gluing_equation_is_math_error(capsys, tmp_path):
     cyclic = _cyclic_triangulation_data()
     cyclic["shapes"][0] = [3]
     glued = _changed("figure_eight_glued.json", shapes=[[0, 1], [2]])
-    for data in (cyclic, glued):
+    # supplied translates meet the same gluing-equation check first
+    supplied = dict(glued, flattenings=[[-4, -4], [0, -3]])
+    for data in (cyclic, glued, supplied):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps(data))
         code, out, err = run(capsys, ["cycle", "invariant", str(fixture)])

@@ -280,16 +280,6 @@ _EDGE_PARAM = {(0, 1): "e", (2, 3): "e",
                (0, 3): "f", (1, 2): "f"}
 
 
-@dataclass
-class EdgeReport:
-    totals: dict
-    violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def _edge_sums(cycle, pairs, zero):
     """The signed sum around every 1-cell of the log-parameters of the
     pairs (e, f), one per simplex: each simplex contributes e at edges 01
@@ -303,17 +293,6 @@ def _edge_sums(cycle, pairs, zero):
             rep = cycle.edge_class(t, *edge)
             sums[rep] = sums.get(rep, zero) + sign * params[kind]
     return sums
-
-
-def edge_conditions(cycle, flattenings):
-    """Signed log-parameter sums around every 1-cell (`_edge_sums` of the
-    flattenings); a sum passes when it is the zero extension element."""
-    flattenings = list(flattenings)
-    totals = _edge_sums(cycle, [(fl.e, fl.f) for fl in flattenings],
-                        flattenings[0].basis.element(0))
-    return EdgeReport(totals=totals,
-                      violations=[rep for rep in sorted(totals)
-                                  if not totals[rep].is_zero()])
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +561,7 @@ SEARCH_BOUND = 4   # on each entry of searched translates
 class ManifoldInvariant:
     element: ExtBlochSum
     flattenings: tuple
+    translates: tuple   # the (p, q) pair of each simplex, supplied or searched
     regulator: list
     imaginary_parts: list
     dilogarithm_sums: list
@@ -671,7 +651,7 @@ def _search_translates(coeffs, targets):
     flat = dfs(0, [0] * nreps)
     if flat is None:
         return None
-    return list(zip(flat[0::2], flat[1::2]))
+    return tuple(zip(flat[0::2], flat[1::2]))
 
 
 def manifold_invariant(data, precision=50, tolerance=None):
@@ -714,7 +694,7 @@ def manifold_invariant(data, precision=50, tolerance=None):
     reps = sorted(base)
     coeffs = _translate_coefficients(cycle, reps)
     if data.get("flattenings"):
-        pqs = [tuple(pq) for pq in data["flattenings"]]
+        pqs = tuple(tuple(pq) for pq in data["flattenings"])
         flat = [x for pq in pqs for x in pq]
         violations = [rep for i, rep in enumerate(reps)
                       if sum(x * row[i] for x, row in zip(flat, coeffs))
@@ -743,7 +723,7 @@ def manifold_invariant(data, precision=50, tolerance=None):
             dsums.append(+dsum)
         imaginary_parts = [mp.im(mp.mpc(val.value)) for val in regulator]
     return ManifoldInvariant(element=element, flattenings=fls,
-                             regulator=regulator,
+                             translates=pqs, regulator=regulator,
                              imaginary_parts=imaginary_parts,
                              dilogarithm_sums=dsums, precision=precision,
                              tolerance=tolerance)

@@ -3,11 +3,13 @@
 The dilogarithm uses the principal branch with cut along [1, oo), continuous
 from below.  One series serves the whole plane: the expansion of
 Li2(1 - e^-u) in u with Bernoulli coefficients, convergent for |u| < 2*pi.
-For |z| >= 2 it runs at u = -Log(1 - 1/z) behind the inversion map, for
-|1 - z| <= 1/2 at u = -Log z behind the reflection map, and elsewhere at
-u = -Log(1 - z); every such u has |u| <= sqrt(log(3)^2 + pi^2) < 3.33.  The
-series stops at the first term below 2^-(prec + 10), prec being the working
-binary precision.
+It runs at u = -Log(1 - z) (direct), at u = -Log(1 - 1/z) behind the
+inversion map or at u = -Log z behind the reflection map, whichever u is
+smallest in floats; then |u| <= pi/3 (up to that rounding), the value at
+z = e^(+-i*pi/3), where the three coincide.  The series is summed in fixed
+point, on Python integers scaled by 2^W, W = prec + 20 bits, prec being
+the working binary precision, in v = u/(2*pi).  It stops at the first
+term below 2^-(prec + 10).
 
 The regulator of a flattening with logarithm values (w0, w1) over the
 cross-ratio z is
@@ -21,9 +23,11 @@ canonical representative has real part in [0, 4*pi^2); the symmetric range
 """
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
 
 from .field import (PrecisionExhausted, is_small, nearest_integer,
                     tolerance as _tolerance, working)
@@ -46,34 +50,73 @@ class NotTorsion(RegulatorError):
     pass
 
 
-# binary precision -> [B_2j / (2j+1)! for j = 1, 2, ...], grown on demand
+# W -> [d_j * 2^W, truncated, for j = 0, 1, ...], grown on demand, where
+# d_j = B_(2j+2) * (2*pi)^(2j+3) / (2j+3)! is the coefficient of v^(2j+3)
+# in v = u / (2*pi).  |d_j| is about 4*pi / (2j+3), so with |v| < 1 every
+# term is within a unit or two of 2^-W.  (B_n / (n+1)! itself would not
+# do: it shrinks like (2*pi)^-n while u^n grows, and a fixed-point term
+# lost the digits the shrinking coefficient no longer carried.)
 _BERNOULLI = {}
 
 
-def _li2_log_series(u):
-    """Li2(1 - e^-u) as sum B_n u^(n+1) / (n+1)!, convergent for
-    |u| < 2*pi; `_li2` calls it with |u| <= 3.33.  B_1 = -1/2 and B_n = 0
-    for odd n > 1, so after u - u^2/4 the terms step through even n in
-    u^2, with coefficients from a table per precision.  The sum stops at
-    the first term below 2^-(prec + 10), an exponent test that needs no
-    complex absolute value."""
-    u2 = u * u
-    coeffs = _BERNOULLI.setdefault(mp.prec, [])
-    acc = u - u2 / 4
-    upow = u
-    j = 0
-    while True:
-        if j == len(coeffs):
+def _coefficients(w):
+    """The d_j of `_BERNOULLI` at W = w bits, j = 0, 1, ..., w - 1; a
+    series that needs more terms has |v| > 0.7 and raises."""
+    table = _BERNOULLI.setdefault(w, [])
+    for j in range(w):
+        if j == len(table):
             n = 2 * j + 2
-            coeffs.append(mp.bernoulli(n) / mp.factorial(n + 1))
-        upow *= u2
-        term = coeffs[j] * upow
-        acc += term
-        j += 1
-        if mp.mag(term) < -mp.prec - 10:
-            return acc
-        if j > 50 * mp.dps + 500:  # pragma: no cover
-            raise PrecisionExhausted("dilogarithm expansion did not converge")
+            with mp.workprec(w + 20):
+                d = (mp.bernoulli(n) * (2 * mp.pi) ** (n + 1)
+                     / mp.factorial(n + 1))
+            table.append(to_fixed(d._mpf_, w))
+        yield table[j]
+    raise PrecisionExhausted("dilogarithm expansion did not converge")
+
+
+def _li2_log_series(u):
+    """Li2(1 - e^-u) = sum B_n u^(n+1) / (n+1)!, convergent for
+    |u| < 2*pi; `_li2` calls it with |u| at most about pi/3.  B_1 = -1/2
+    and B_n = 0 for odd n > 1, so the sum is u - u^2/4 + sum_j d_j v^(2j+3)
+    with v = u / (2*pi), in integers scaled by 2^W; a real u keeps the
+    imaginary half exactly 0.  The sum stops at the first term below
+    2^-(prec + 10)."""
+    w = mp.prec + 20
+    small = 1 << 10   # 2^-(prec + 10) in units of 2^-w
+    twopi = pi_fixed(w) << 1
+    ur, ui = to_fixed(u.real._mpf_, w), to_fixed(u.imag._mpf_, w)
+    vr, vi = (ur << w) // twopi, (ui << w) // twopi
+    re = ur - ((ur * ur - ui * ui) >> w + 2)
+    im = ui - (ur * ui >> w + 1)
+    v2r, v2i = (vr * vr - vi * vi) >> w, vr * vi >> w - 1
+    pr, pi = (v2r * vr - v2i * vi) >> w, (v2r * vi + v2i * vr) >> w
+    for d in _coefficients(w):
+        tr, ti = d * pr >> w, d * pi >> w
+        re += tr
+        im += ti
+        if abs(tr) + abs(ti) < small:
+            break
+        pr, pi = (pr * v2r - pi * v2i) >> w, (pr * v2i + pi * v2r) >> w
+    return mp.make_mpc((from_man_exp(re, -w, mp.prec, round_nearest),
+                        from_man_exp(im, -w, mp.prec, round_nearest)))
+
+
+def _series_map(z):
+    """The map whose series argument u is smallest, judged in floats: 0 for
+    u = -Log(1 - z), 1 for the inversion u = -Log(1 - 1/z), 2 for the
+    reflection u = -Log z.  For |z| >= 8 that is always the inversion and
+    for |z| <= 1/8 the direct map, so the floats that decide never overflow.
+    """
+    zf = complex(z)
+    if abs(zf) >= 8:
+        return 1
+    if abs(zf) <= 0.125:
+        return 0
+    if zf == 1:
+        return 2
+    sizes = (abs(cmath.log(1 - zf)), abs(cmath.log(1 - 1 / zf)),
+             abs(cmath.log(zf)))
+    return sizes.index(min(sizes))
 
 
 def _li2(z):
@@ -83,12 +126,14 @@ def _li2(z):
         return mp.mpc(0)
     if z == 1:
         return mp.mpc(mp.pi ** 2 / 6)
-    if abs(z) >= 2:
+    way = _series_map(z)
+    if way == 1:
         # inversion; the principal logarithm of -z also gives the limit
-        # from below on the cut [1, oo)
+        # from below on the cut [1, oo).  Never taken for 0 < z < 1, where
+        # it would not: there |u| >= pi, and another map has |u| < 0.7
         return (-_li2_log_series(-mp.log(1 - 1 / z)) - mp.pi ** 2 / 6
                 - mp.log(-z) ** 2 / 2)
-    if abs(1 - z) <= mp.mpf("0.5"):
+    if way == 2:
         # reflection; Li2(1 - z) is the series at u = -Log z
         logz = mp.log(z)
         return (mp.pi ** 2 / 6 - logz * mp.log(1 - z)

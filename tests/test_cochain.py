@@ -17,9 +17,9 @@ from extbloch.cochain import (CochainError, EdgeConditionFailed,
                               FlagBoundaryReport, IdealCochain,
                               LiftedCochain, ManifoldInvariant, NotACocycle,
                               NotGeneralPosition, NotIdeal,
-                              Triangulated3Cycle, _edge_targets,
+                              Triangulated3Cycle, _edge_sums, _edge_targets,
                               _translate_coefficients,
-                              cyclic_cochain, cyclic_cycle, edge_conditions,
+                              cyclic_cochain, cyclic_cycle,
                               flag_boundary_check, flag_lambda,
                               is_lifted_five_term, lambda_sl2,
                               manifold_invariant, sigma_hat, z2_twist)
@@ -145,10 +145,16 @@ def test_explicit_lifts_must_project(cyclic6):
         LiftedCochain(co, lc.basis, lifts)
 
 
+def _edge_totals(cycle, fls):
+    """The edge sums of the flattenings' log-parameters at every 1-cell."""
+    return _edge_sums(cycle, [(fl.e, fl.f) for fl in fls],
+                      fls[0].basis.element(0))
+
+
 def test_edge_conditions_exact_zero(cyclic6):
     co, lc = cyclic6
-    report = edge_conditions(co.cycle, [lc.flattening(t) for t in range(6)])
-    assert report.ok
+    totals = _edge_totals(co.cycle, [lc.flattening(t) for t in range(6)])
+    assert all(tot.is_zero() for tot in totals.values())
 
 
 def test_edge_condition_locality(cyclic6):
@@ -157,10 +163,11 @@ def test_edge_condition_locality(cyclic6):
     co, lc = cyclic6
     fls = [lc.flattening(t) for t in range(6)]
     fls[2] = fls[2].translate(0, 1)
-    report = edge_conditions(co.cycle, fls)
+    totals = _edge_totals(co.cycle, fls)
     touched = {co.cycle.edge_class(2, *e)
                for e in ((0, 3), (1, 2), (0, 2), (1, 3))}
-    assert set(report.violations) == touched
+    assert {rep for rep, tot in totals.items() if not tot.is_zero()} \
+        == touched
 
 
 def test_twist_identity_and_coboundary(cyclic6):
@@ -503,11 +510,11 @@ def _sqrt2_bases(rng):
 
 
 def _outcome(build, field):
-    """(repr of the result, generator values of the basis it grew), or None
-    for NotGeneralPosition."""
+    """[repr of the result, repr of the generator values of the basis it
+    grew], or None for NotGeneralPosition."""
     basis = SymbolicBasis(field)
     try:
-        return repr(build(basis)), basis.values
+        return [repr(build(basis)), repr(basis.values)]
     except NotGeneralPosition:
         return None
 
@@ -515,7 +522,7 @@ def _outcome(build, field):
 def _reference_outcome(build, field):
     basis = SymbolicBasis(field)
     result = build(basis)
-    return None if result is None else (repr(result), basis.values)
+    return None if result is None else [repr(result), repr(basis.values)]
 
 
 def _reference_flag_lambda(basis, bases):
@@ -525,22 +532,58 @@ def _reference_flag_lambda(basis, bases):
     return normalize(basis, terms)
 
 
-@pytest.mark.parametrize("inputs, field, seed", [
-    (_criterion_06_bases, RATIONALS, 6), (_sqrt2_bases, SQRT2, 61)],
-    ids=["criterion_06", "sqrt2"])
-def test_flag_results_match_the_uncached_formula(inputs, field, seed):
+# The seeded inputs of the flag checks against the uncached formula: the
+# inputs of one case run until 100 of them are in general position.  The
+# formula's outcomes on them are recorded in FLAG_REFERENCE, since the
+# formula takes several times as long as the library; to re-record:
+#
+#     PYTHONPATH=src python3 tests/test_cochain.py --record-flag-reference
+FLAG_CASES = {"criterion_06": (_criterion_06_bases, RATIONALS, 6),
+              "sqrt2": (_sqrt2_bases, SQRT2, 61)}
+FLAG_REFERENCE = "tests/fixtures/flag_reference.json"
+
+
+def _reference_flag_rows(case, count=None):
+    """[boundary outcome, lambda outcome] of the uncached formula on the
+    inputs of a case, or on the first `count` of them."""
+    inputs, field, seed = FLAG_CASES[case]
+    rng = random.Random(seed)
+    rows, certified = [], 0
+    while certified < 100 and len(rows) != count:
+        bases = inputs(rng)
+        rows.append([
+            _reference_outcome(lambda b: _reference_flag_boundary(b, bases),
+                               field),
+            _reference_outcome(lambda b: _reference_flag_lambda(b, bases[:4]),
+                               field)])
+        certified += rows[-1][0] is not None
+    return rows
+
+
+def _flag_reference():
+    with open(FLAG_REFERENCE) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_flag_results_match_the_uncached_formula(case):
+    inputs, field, seed = FLAG_CASES[case]
     rng = random.Random(seed)
     certified = 0
-    while certified < 100:
+    for boundary, lam in _flag_reference()[case]:
         bases = inputs(rng)
         got = _outcome(lambda b: flag_boundary_check(bases, b), field)
-        assert got == _reference_outcome(
-            lambda b: _reference_flag_boundary(b, bases), field)
+        assert got == boundary
         certified += got is not None
         assert got is None or "False" not in got[0]   # the report is ok
-        assert _outcome(lambda b: flag_lambda(bases[:4], b), field) == \
-            _reference_outcome(
-                lambda b: _reference_flag_lambda(b, bases[:4]), field)
+        assert _outcome(lambda b: flag_lambda(bases[:4], b), field) == lam
+    assert certified == 100
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_flag_reference_is_the_uncached_formula(case):
+    # the recording starts with what the formula gives today
+    assert _flag_reference()[case][:8] == _reference_flag_rows(case, 8)
 
 
 def test_flag_check_computes_each_determinant_and_flattening_once(
@@ -680,18 +723,35 @@ def test_searched_rational_cycle():
     assert inv.imaginary_parts[0] == 0
 
 
+@pytest.mark.parametrize("source", ["figure_eight_glued", "cyclic"])
+def test_invariant_reports_its_translates(source):
+    # the searched pairs are those the flattenings carry over the symbols
+    # of z and 1 - z; supplied pairs come back as given
+    data = _cyclic_triangulation_data() if source == "cyclic" else \
+        _figure_eight(source)
+    inv = manifold_invariant(data, 20)
+    basis = inv.flattenings[0].basis
+    assert [x for pq in inv.translates for x in pq] == \
+        [(x - basis.symbol(x.pi())).k // basis.m
+         for fl in inv.flattenings for x in (fl.e, fl.f)]
+    again = manifold_invariant(
+        dict(data, flattenings=[list(pq) for pq in inv.translates]), 20)
+    assert again.translates == inv.translates
+
+
 def _trial_coefficients(cycle, field, shapes):
-    """The translate coefficients read off edge_conditions: one pass at zero
-    translates, then one per translate with a single unit set."""
+    """The translate coefficients read off the edge sums of flattenings:
+    one pass at zero translates, then one per translate with a single unit
+    set."""
     basis = SymbolicBasis(field)
     sz = [basis.symbol(z) for z in shapes]
     s1z = [basis.symbol(field.one - z) for z in shapes]
     n = cycle.num_simplices
 
     def totals_of(pqs):
-        return edge_conditions(cycle, [
+        return _edge_totals(cycle, [
             Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
-            for t, (p, q) in enumerate(pqs)]).totals
+            for t, (p, q) in enumerate(pqs)])
 
     zero = [(0, 0)] * n
     base = totals_of(zero)
@@ -732,15 +792,7 @@ def _certified(cycle, fls, precision):
              for ctx in basis.field.embeddings(precision)]
     return all(tot.is_zero() or (tot.pi().is_one() and all(
         is_small(lift.lift(tot), precision) for lift in lifts))
-        for tot in edge_conditions(cycle, fls).totals.values())
-
-
-def _translates(inv):
-    """The translate pairs of the flattenings of a manifold invariant,
-    flattened to p_0, q_0, p_1, q_1, ..."""
-    basis = inv.flattenings[0].basis
-    return [(x - basis.symbol(x.pi())).k // basis.m
-            for fl in inv.flattenings for x in (fl.e, fl.f)]
+        for tot in _edge_totals(cycle, fls).values())
 
 
 @pytest.mark.parametrize("source, accepted", [
@@ -760,7 +812,7 @@ def test_supplied_translates_agree_with_the_certificate(source, accepted):
         data = _figure_eight(source)
         steps = list(itertools.product((-1, 0, 1), repeat=4))
     center = [0] * 4 if source == "figure_eight" else \
-        _translates(manifold_invariant(data, 20))
+        [x for pq in manifold_invariant(data, 20).translates for x in pq]
     field = NumberField(data["field"])
     cycle = Triangulated3Cycle(data["tets"], data["gluings"])
     basis = SymbolicBasis(field)
@@ -840,7 +892,17 @@ def test_matches_uses_the_given_tolerance():
     # and fails an explicit 1e-40
     with mp.workdps(60):
         gap = [mp.mpf(1)], [1 + mp.mpf(10) ** -30]
-        inv = ManifoldInvariant(None, (), [], *gap, precision=30)
-        strict = ManifoldInvariant(None, (), [], *gap, precision=30,
+        inv = ManifoldInvariant(None, (), (), [], *gap, precision=30)
+        strict = ManifoldInvariant(None, (), (), [], *gap, precision=30,
                                    tolerance=mp.mpf(10) ** -40)
     assert inv.matches and not strict.matches
+
+
+if __name__ == "__main__":
+    import sys
+    if sys.argv[1:] != ["--record-flag-reference"]:
+        sys.exit("usage: tests/test_cochain.py --record-flag-reference")
+    with open(FLAG_REFERENCE, "w") as fh:
+        json.dump({case: _reference_flag_rows(case) for case in FLAG_CASES},
+                  fh, indent=0, sort_keys=True)
+        fh.write("\n")

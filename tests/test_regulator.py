@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import mp
 
-from extbloch.field import NumberField
+from extbloch.field import NumberField, working
 from extbloch.extgroup import MultBasis, cover_to_C
 from extbloch.bloch import Flattening, chi, lift_five_term, normalize, rho_hat
 from extbloch import regulator
@@ -129,9 +129,13 @@ def test_li2_matches_polylog_on_every_branch(precision):
 
 
 def test_li2_series_argument_within_its_radius(monkeypatch):
-    """The one series converges for |u| < 2*pi; after the inversion and
-    reflection maps every argument has |u| <= sqrt(log(3)^2 + pi^2) < 3.34.
-    Without either map, points near 1 or beyond 2 on the cut exceed it."""
+    """The one series converges for |u| < 2*pi.  `_li2` runs it at the
+    smallest |u| of the direct, inversion and reflection maps, so every
+    argument has |u| <= pi/3, the common value at z = e^(+-i*pi/3) (with
+    some slack for the floats that choose the map), well inside 3.34.
+    Without the inversion or the reflection map, points near 1 or beyond 2
+    on the cut exceed 3.34; with fixed annuli instead of the smallest |u|,
+    they exceed pi/3."""
     seen = []
     series = regulator._li2_log_series
 
@@ -147,6 +151,78 @@ def test_li2_series_argument_within_its_radius(monkeypatch):
         li2(z, 30)
     assert len(seen) == len(points) - 2  # z = 0 and z = 1 are exact
     assert max(seen) <= 3.34
+    assert max(seen) <= 1.05 * mp.pi / 3
+
+
+def _real_points():
+    """Real z in every region: z < 0 near 0 and far out, 0 < z < 1, z
+    next to 1 on both sides, and z > 1 on the cut, on both sides of 2."""
+    with mp.workdps(300):
+        return [mp.mpf(x) for x in
+                ("-1e6", "-50", "-3", "-1", "-0.3", "-1e-30", "1e-40", "0.1",
+                 "0.5", "0.9", "0.999", "1.0001", "1.3", "1.5", "1.95", "2",
+                 "2.05", "3", "10", "1e6")] + \
+            [1 + s * mp.mpf(10) ** -k for s in (-1, 1) for k in (5, 20, 250)]
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+def test_li2_matches_polylog_on_the_real_line(precision):
+    for x in _real_points():
+        ours = li2(x, precision)
+        with mp.workdps(2 * precision):
+            ref = mpmath.polylog(2, x)
+            if x > 1:   # the limit from below on the cut
+                ref = mp.mpc(mp.re(ref), -mp.pi * mp.log(x))
+            bound = mp.mpf(10) ** -precision * max(1, abs(ref))
+            assert abs(ours - ref) < bound, x
+
+
+def test_real_arguments_give_a_real_series_argument(monkeypatch):
+    """Every real z reaches the series with a real u, behind whichever map
+    gives the smallest |u|, and li2 gives the same value for x and for
+    x + 0i."""
+    seen = []
+    series = regulator._li2_log_series
+
+    def spy(u):
+        seen.append(mp.mpc(u).imag)
+        return series(u)
+
+    monkeypatch.setattr(regulator, "_li2_log_series", spy)
+    for x in _real_points():
+        with mp.workdps(300):
+            z = mp.mpc(x, 0)
+        assert li2(x, 240) == li2(z, 240)
+    assert len(seen) == 2 * len(_real_points())
+    assert all(im == 0 for im in seen)
+
+
+def test_real_and_complex_series_arguments_agree():
+    # a real u gives an exactly real sum, which agrees with the sum at a u
+    # just off the real axis, whose real part differs by O(Im(u)^2)
+    with mp.workdps(60):
+        for u in ("-1.04", "-0.3", "1e-20", "0.5", "1.04", "3.3"):
+            u = mp.mpf(u)
+            real = regulator._li2_log_series(u)
+            off = regulator._li2_log_series(mp.mpc(u, mp.mpf(10) ** -40))
+            assert real.imag == 0
+            assert abs(real.real - off.real) < mp.mpf(10) ** -58
+
+
+def test_li2_coefficient_scaling_regression():
+    # series coefficients B_n / (n+1)! stored unscaled in fixed point lose
+    # the digits of their shrinking values while u^n grows: a fixed-point
+    # sum with them missed Li2(1.5 + 0.5i) by 1.4e-31 at 40 digits, at
+    # u = -Log(1 - z), |u| = 2.4.  li2 now reaches z through the reflection
+    # map, so the series is also checked at that u itself.
+    z = mp.mpc("1.5", "0.5")
+    ours = li2(z, 40)
+    with working(40):
+        direct = regulator._li2_log_series(-mp.log(1 - z))
+    with mp.workdps(80):
+        ref = mpmath.polylog(2, z)
+        assert abs(ours - ref) < mp.mpf(10) ** -40
+        assert abs(direct - ref) < mp.mpf(10) ** -40
 
 
 def test_bloch_wigner_vanishes_on_reals():

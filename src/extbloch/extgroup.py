@@ -158,6 +158,16 @@ class _BasisCommon:
             out = out * self.gen_value(j) ** exp
         return out
 
+    def log_lift(self, z):
+        """Coordinates of a field element: a MultBasis only."""
+        raise ExtGroupError(f"a {type(self).__name__} does not lift field "
+                            "elements to coordinates")
+
+    def fstar_wedge_is_zero(self, terms):
+        """The wedge decision over F*: a MultBasis only."""
+        raise ExtGroupError(f"a {type(self).__name__} does not decide "
+                            "wedges over F*")
+
     def wedge_is_zero(self, terms):
         """Decide whether sum n_i * (e_i /\\ f_i) vanishes in the exterior
         square of E, treating the torsion lift and the free generator lifts
@@ -220,21 +230,19 @@ class MultBasis(_BasisCommon):
                 raise ExtGroupError("free generator is zero")
             if (p ** self.m).is_one():
                 raise ExtGroupError("free generator is a root of unity")
-        if self.free_gens:
-            if field.degree == 1:
-                # pairwise coprime integers > 1 are multiplicatively
-                # independent; this also matches the exact lifting path
-                vals = [p.as_fraction() for p in self.free_gens]
-                if any(v.denominator != 1 or v <= 1 for v in vals):
-                    raise ExtGroupError("rational basis values must be "
-                                        "integers greater than one")
-                if any(math.gcd(int(a), int(b)) != 1
-                       for i, a in enumerate(vals) for b in vals[i + 1:]):
-                    raise ExtGroupError("rational basis values must be "
-                                        "pairwise coprime")
-            elif not self._log_moduli_full_rank():
-                raise ExtGroupError("free generators are multiplicatively "
-                                    "dependent modulo roots of unity")
+        if field.degree == 1:
+            # pairwise coprime integers > 1 are multiplicatively
+            # independent; this also matches the exact lifting path
+            vals = [p.as_fraction() for p in self.free_gens]
+            if any(v.denominator != 1 or v <= 1 for v in vals):
+                raise ExtGroupError("rational basis values must be "
+                                    "integers greater than one")
+            if any(math.gcd(int(a), int(b)) != 1
+                   for i, a in enumerate(vals) for b in vals[i + 1:]):
+                raise ExtGroupError("rational basis values must be "
+                                    "pairwise coprime")
+        else:
+            self._least_squares = self._least_squares_map()
 
     def gen_value(self, j):
         return self.free_gens[j]
@@ -242,31 +250,31 @@ class MultBasis(_BasisCommon):
     def num_gens(self):
         return len(self.free_gens)
 
-    def _log_moduli(self):
+    def _least_squares_map(self):
+        """The rows of (M^T M)^-1 M^T, M the log moduli of the free
+        generators with a row per embedding, at EXPONENT_DIGITS.  M must
+        have full column rank: its Gram determinant must not round to 0."""
+        if not self.free_gens:
+            return []
         with working(EXPONENT_DIGITS):
-            rows = []
-            for ctx in self.field.embeddings(EXPONENT_DIGITS):
-                rows.append([mp.log(abs(ctx.evaluate(p)))
-                             for p in self.free_gens])
-            return rows
-
-    def _log_moduli_full_rank(self):
-        rows = self._log_moduli()
-        if len(rows) < len(self.free_gens):
-            return False
-        with mp.workdps(EXPONENT_DIGITS):
-            mat = mp.matrix(rows)
-            # the Gram determinant does not round to 0
-            return nearest_integer(mp.det(mat.T * mat), EXPONENT_DIGITS) != 0
+            mat = mp.matrix([[mp.log(abs(ctx.evaluate(p)))
+                              for p in self.free_gens]
+                             for ctx in self.field.embeddings(EXPONENT_DIGITS)])
+            gram = mat.T * mat
+            if mat.rows < mat.cols or nearest_integer(
+                    mp.det(gram), EXPONENT_DIGITS) == 0:
+                raise ExtGroupError("free generators are multiplicatively "
+                                    "dependent modulo roots of unity")
+            return (mp.inverse(gram) * mat.T).tolist()
 
     def log_lift(self, z):
         """Coordinates (k, r) of a field element lying in the subgroup
         generated by the basis; exact verification is the authority.
 
-        Free exponents, at most EXP_BOUND in absolute value, are recovered
-        by least squares on log-moduli across all embeddings (exact
-        small-prime factorization over Q), then k by exact matching of the
-        remaining root of unity."""
+        Free exponents, at most EXP_BOUND in absolute value, are the rounded
+        image of the log-moduli of z under the least-squares map of the
+        basis (exact small-prime factorization over Q), then k by exact
+        matching of the remaining root of unity."""
         if not isinstance(z, FieldElement) or z.field != self.field:
             raise FieldError("element belongs to a different field")
         if z.is_zero():
@@ -294,18 +302,12 @@ class MultBasis(_BasisCommon):
 
     def _free_exponents(self, z):
         with working(EXPONENT_DIGITS):
-            rows = self._log_moduli()
-            rhs = [mp.log(abs(ctx.evaluate(z)))
-                   for ctx in self.field.embeddings(EXPONENT_DIGITS)]
-            mat = mp.matrix(rows)
-            b = mp.matrix(rhs)
-            sol = mp.lu_solve(mat.T * mat, mat.T * b)
-        out = []
-        for x in sol:
-            e = int(mp.nint(x))
-            if abs(e) > EXP_BOUND:
-                raise NotInSubgroup("recovered exponent exceeds the bound")
-            out.append(e)
+            logs = [mp.log(abs(ctx.evaluate(z)))
+                    for ctx in self.field.embeddings(EXPONENT_DIGITS)]
+            out = [int(mp.nint(mp.fdot(row, logs)))
+                   for row in self._least_squares]
+        if any(abs(e) > EXP_BOUND for e in out):
+            raise NotInSubgroup("recovered exponent exceeds the bound")
         return out
 
     def _factor_rational(self, q):

@@ -24,7 +24,7 @@ canonical representative has real part in [0, 4*pi^2); the symmetric range
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
+import math
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
@@ -256,24 +256,18 @@ def reg_vector(s, precision=50, tolerance=None):
     return out
 
 
-TORSION_MAX_DEN = 10 ** 4   # the largest order `torsion_order` reconstructs
-
-
-def torsion_order(v, tolerance=None):
-    """Order of a regulator value as a torsion point of C/4pi^2: rational
-    reconstruction of value / 4pi^2 by continued fractions on an exact
-    dyadic snapshot.  Returns the denominator, or None when no
-    reconstruction fits the default tolerance of the precision.  A fit
-    within the default tolerance but not within a finer `tolerance` raises
-    PrecisionExhausted, naming both."""
+def torsion_order(v, w, tolerance=None):
+    """Order of a regulator value v as a torsion point of C/4pi^2 whose
+    order divides w: w / gcd(w, a) for a = nint(w * Re v / 4pi^2), or None
+    unless Im v and the rounding residual fit the default tolerance of the
+    precision.  A fit within the default tolerance but not within a finer
+    `tolerance` raises PrecisionExhausted, naming both."""
     prec = v.precision
     with working(prec):
-        x = mp.re(v.value) / (4 * mp.pi ** 2)
-        snap = Fraction(int(mp.nint(mp.ldexp(x, mp.prec))), 1 << mp.prec)
-        frac = snap.limit_denominator(TORSION_MAX_DEN)
+        x = w * mp.re(v.value) / (4 * mp.pi ** 2)
+        a = int(mp.nint(x))
         for what, r in (("imaginary part", mp.im(v.value)),
-                        ("reconstruction residual",
-                         x - mp.mpf(frac.numerator) / frac.denominator)):
+                        ("reconstruction residual", (x - a) / w)):
             if not is_small(r, prec, tolerance):
                 if not is_small(r, prec):
                     return None
@@ -281,4 +275,4 @@ def torsion_order(v, tolerance=None):
                     f"torsion order: {what} {mp.nstr(abs(r), 3)} passes the "
                     f"tolerance {mp.nstr(_tolerance(prec), 3)} of {prec} "
                     f"digits but not the requested {mp.nstr(tolerance, 3)}")
-        return frac.denominator
+        return w // math.gcd(w, a)

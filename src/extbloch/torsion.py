@@ -17,7 +17,7 @@ value, where the logs of v and -v are tied together by a half-unit.
 For p = 2 the flattened generator is the half-sum over k = 1..n/2 plus an
 explicit chi correction; the correction is what makes the wedge vanish and
 the regulator land on pi^2/4-type values.  Orders are certified through the
-regulator: rational reconstruction of each embedding's value against 4*pi^2.
+regulator: each embedding's value is rounded once against torsion_bound.
 Cosine membership is exact (field.element_in_field) and takes no precision.
 """
 from __future__ import annotations
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from mpmath import mp
 
 from .field import (MEMBERSHIP_DIGITS, NumberField, _primes, cos2pi_minpoly,
-                    element_in_field, is_prime, prime_factors, working)
+                    element_in_field, euler_phi, is_prime, prime_factors,
+                    working)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -180,15 +181,28 @@ def flattened_torsion(nf, p):
     return out
 
 
+def torsion_bound(d):
+    """2 * lcm{n : phi(n) <= 2d}: the torsion order w of every field of
+    degree d divides it, as each p^nu | w / 2 has 2*cos(2*pi/p^nu) in the
+    field, so phi(p^nu) <= 2d; and phi(n) >= sqrt(n / 2) bounds the range.
+
+    >>> [torsion_bound(d) for d in (1, 2, 4)]
+    [24, 240, 10080]
+    """
+    return 2 * math.lcm(*(n for n in range(1, 8 * d * d + 1)
+                          if euler_phi(n) <= 2 * d))
+
+
 def certify_order(s, precision=50, tolerance=None):
     """Certified order of a torsion element: the lcm over all embeddings of
-    the order of its regulator value in C modulo 4*pi^2.  `tolerance`
-    overrides the default of the precision (field.is_small)."""
+    the order of its regulator value in C/4pi^2 (`torsion_order` against
+    `torsion_bound`).  `tolerance` overrides the default of the precision."""
+    w = torsion_bound(s.basis.field.degree)
     orders = []
     for v in reg_vector(s, precision, tolerance):
-        k = torsion_order(v, tolerance=tolerance)
+        k = torsion_order(v, w, tolerance=tolerance)
         if k is None:
-            raise NotTorsion("a regulator value admits no rational "
-                             "reconstruction against 4*pi^2")
+            raise NotTorsion("a regulator value is not a multiple of "
+                             f"4*pi^2/{w}")
         orders.append(k)
     return math.lcm(*orders)

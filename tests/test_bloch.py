@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from extbloch.field import NumberField
-from extbloch.extgroup import MultBasis, NotInSubgroup, SymbolicBasis
+from extbloch.extgroup import (ExtGroupError, MultBasis, NotInSubgroup,
+                               SymbolicBasis)
 from extbloch.bloch import (BlochError, BlochSum, DegenerateTuple,
                             ExtBlochSum, Flattening, NotAFlattening, chi,
                             change_torsion_generator, five_term,
@@ -105,6 +106,17 @@ def test_lift_five_term_equations(basis23):
     assert f[4] == f[2] - f[1] + e[0]
 
 
+def test_lift_five_term_over_a_symbolic_basis_is_a_library_error(
+        rationals):
+    # the flattenings of 2 and 3 exist, the lift of 1 - 3/2 does not
+    basis = SymbolicBasis(rationals)
+    fl0, fl1 = [Flattening(basis.symbol(rationals.rational(x)),
+                           basis.symbol(rationals.rational(1 - x)))
+                for x in (2, 3)]
+    with pytest.raises(ExtGroupError, match="does not lift"):
+        lift_five_term(fl0, fl1)
+
+
 def test_lifted_relations_satisfy_the_equations(basis23):
     # every lift of a five-term relation in the {-1, 2, 3}-units passes the
     # check of the defining equations; a central shift of one coordinate
@@ -145,6 +157,14 @@ def test_plain_bloch_sum_membership(basis23, rationals):
     s = BlochSum(rationals, [(1, Fraction(4)), (1, Fraction(1, 4))])
     assert s.is_in_B(basis23)
     assert not BlochSum(rationals, [(1, Fraction(4))]).is_in_B(basis23)
+
+
+def test_symbolic_basis_decides_no_membership_in_B(rationals):
+    basis = SymbolicBasis(rationals)
+    with pytest.raises(ExtGroupError, match="does not decide"):
+        BlochSum(rationals, []).is_in_B(basis)
+    with pytest.raises(ExtGroupError, match="does not lift"):
+        BlochSum(rationals, [(1, Fraction(4))]).is_in_B(basis)
 
 
 def test_bloch_sum_merges_terms(rationals):
@@ -197,6 +217,17 @@ def test_galois_on_ext_sum():
     # the images of the cross-ratios are their Galois conjugates
     assert sorted(t[1].z.coeffs for t in imaged.terms) == \
         sorted([(-r - one).coeffs, (sqrt2.rational(2) + r).coeffs])
+
+
+def test_galois_on_symbolic_sum_is_a_library_error():
+    # a symbolic basis cannot lift the images of its symbols
+    sqrt2 = NumberField([-2, 0, 1])
+    basis = SymbolicBasis(sqrt2)
+    z = sqrt2.gen - sqrt2.one
+    s = normalize(basis, [(1, Flattening(basis.symbol(z),
+                                         basis.symbol(sqrt2.one - z)))])
+    with pytest.raises(ExtGroupError, match="does not lift"):
+        galois_apply(-sqrt2.gen, s)
 
 
 def test_galois_rejects_a_non_automorphism():
@@ -261,6 +292,11 @@ def test_psl_projection_collapses_half_chi(basis23):
         assert s != t
         assert psl_project(s) == psl_project(t)
         assert [n for n, _, _ in psl_project(s)[0]] == [n for n, _ in s.terms]
+
+
+def test_symbolic_basis_has_no_psl_lift_obstruction(rationals):
+    with pytest.raises(ExtGroupError, match="does not lift"):
+        psl_lift_obstruction(rationals.rational(4), SymbolicBasis(rationals))
 
 
 def test_psl_lift_obstruction(basis23, rationals):

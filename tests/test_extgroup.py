@@ -22,6 +22,17 @@ def basis23(rationals):
                                  rationals.rational(3)], saturated=True)
 
 
+def test_torsion_only_basis_lifts_roots_of_unity():
+    # Q(sqrt-3) = Q[x]/(x^2 - x + 1): x is a primitive sixth root of unity
+    # and the basis has no free generator, so no free exponent to recover
+    field = NumberField([1, -1, 1])
+    basis = MultBasis(field, [], saturated=True)
+    assert basis.log_lift(field.gen) == basis.element(1)
+    assert basis.log_lift(-field.one) == basis.element(3)
+    with pytest.raises(NotInSubgroup):
+        basis.log_lift(field.rational(2))
+
+
 def test_element_arithmetic(basis23):
     a = basis23.element(1, {0: 2})
     b = basis23.element(-3, {0: 1, 1: -1})

@@ -1,6 +1,7 @@
 """Certified membership: the split-prime certificate, precision escalation,
 and the torsion data it decides, against sympy and under rescaling."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from extbloch.field import (SIEVE_FIRST, NotSquarefree, NumberField,
                             cos2pi_minpoly, cyclotomic, discriminant,
                             element_in_field, euler_phi, integral_model,
                             nonmembership_prime)
-from extbloch.torsion import torsion_profile, two_cos
+from extbloch.torsion import (certify_order, flattened_torsion,
+                              torsion_bound, torsion_profile, two_cos)
 
 # base fields with their order m of roots of unity and nu_p for p = 2, 3
 # (nu_p = 0 for larger p), as in the torsion tables of the README fields
@@ -88,6 +90,19 @@ def test_m_and_nu_against_sympy():
 def test_torsion_is_invariant_under_rescaling(name, num, den):
     poly, m, nu = BASE[name]
     assert profile_of(poly, Fraction(num, den)) == (m, nu)
+
+
+@pytest.mark.parametrize("name", sorted(BASE))
+def test_certified_orders_are_the_prime_parts_of_w(name):
+    # the flattened generator at p has order the p-part of w = 2 prod p^nu
+    poly, _, nu = BASE[name]
+    nf = NumberField(poly)
+    w = torsion_profile(nf).w
+    assert torsion_bound(nf.degree) % w == 0
+    for p in (2, 3):
+        part = math.gcd(w, p ** w.bit_length())
+        assert part == p ** (nu[p] + (p == 2))
+        assert certify_order(flattened_torsion(nf, p)) == part, p
 
 
 def _divisors(n):

@@ -245,10 +245,15 @@ def test_regulator_value_ranges():
 def test_torsion_order_reconstruction():
     with mp.workdps(45):
         v = RegulatorValue(mp.mpc(4 * mp.pi ** 2 * Fraction(5, 24)), 40)
-        assert torsion_order(v) == 24
-        assert torsion_order(RegulatorValue(mp.mpc(0), 40)) == 1
-        # a non-torsion value has no small reconstruction
-        assert torsion_order(RegulatorValue(mp.mpc(mp.sqrt(2)), 40)) is None
+        assert torsion_order(v, 24) == 24
+        assert torsion_order(v, 240) == 24
+        assert torsion_order(RegulatorValue(mp.mpc(0), 40), 24) == 1
+        # the largest order of degree 4, above 10^4
+        v = RegulatorValue(mp.mpc(4 * mp.pi ** 2 * Fraction(-11, 10080)), 40)
+        assert torsion_order(v, 10080) == 10080
+        # a non-torsion value is no multiple of 4 pi^2 / w
+        assert torsion_order(RegulatorValue(mp.mpc(mp.sqrt(2)), 40),
+                             10080) is None
 
 
 @pytest.fixture(scope="module")

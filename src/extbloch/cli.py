@@ -12,19 +12,19 @@ Subcommands:
 
 Only `torsion generators` (optionally) and `torsion order` (always) take
 --prime P, a prime.  Common flags: --precision N (digits of embeddings,
-regulators and certified orders, >= 20, default 50), --tolerance E
-(exponent of the comparison tolerance, -(N + guard digits) < E < 0),
+regulators and certified orders, >= 20, default 50; a value that must
+vanish passes at 10^(10 - N), so a tighter check asks for more digits),
 --symmetric-range (display regulators with real part in [-2*pi^2, 2*pi^2)
 instead of [0, 4*pi^2)), --json.
 
 Exit codes: 0 success; 2 input error: a usage error (argparse exits with
 SystemExit(2)) or an InputError, raised for an unreadable fixture, a
 fixture key that is missing or has a value of the wrong shape, a constant
-or repeated-root defining polynomial, or an out-of-range --precision or
---tolerance; 3 mathematical failure; 4 precision exhausted (including a
-field member that did not reconstruct at escalated precision).  Any other
-exception propagates: it is a bug, not bad input.  Output is deterministic
-for a fixed configuration.
+or repeated-root defining polynomial, or a --precision below 20; 3
+mathematical failure; 4 precision exhausted (including a field member that
+did not reconstruct at escalated precision).  Any other exception
+propagates: it is a bug, not bad input.  Output is deterministic for a
+fixed command line.
 
 From Python, `main(argv)` runs one command line and returns its exit code
 (usage errors and --help raise SystemExit).  The argparse tree is built on
@@ -45,8 +45,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .field import (PRIME_LIMIT, DegreeZero, NotSquarefree, NumberField,
-                    PrecisionExhausted, element_in_field, guard_digits,
-                    is_prime, is_small, working)
+                    PrecisionExhausted, element_in_field, is_prime,
+                    is_small, working)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -212,12 +212,12 @@ def _fmt_complex(z, digits):
     return f"{re} {sign} {im}i"
 
 
-def _reg_strings(vec, cfg):
-    digits = min(cfg.precision, 30)
+def _reg_strings(vec, args):
+    digits = min(args.precision, 30)
     out = []
-    with working(cfg.precision):
+    with working(args.precision):
         for v in vec:
-            rep = v.symmetric() if cfg.symmetric_range else v.canonical()
+            rep = v.symmetric() if args.symmetric_range else v.canonical()
             out.append(_fmt_complex(rep, digits))
     return out
 
@@ -227,18 +227,18 @@ def _poly_string(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each takes the fixture's JSON object, the parsed arguments and
-# the run configuration, and returns a payload dict; rendering is shared.
+# Commands: each takes the fixture's JSON object and the parsed arguments,
+# and returns a payload dict; rendering is shared.
 
-def cmd_field_info(data, args, cfg):
+def cmd_field_info(data, args):
     field = _field_of(data)
     m, w = field.torsion
     autos = sum(element_in_field(list(field.poly), approx, field) is not None
-                for approx in field.all_roots(cfg.precision))
-    digits = min(cfg.precision, 30)
-    with working(cfg.precision):
+                for approx in field.all_roots(args.precision))
+    digits = min(args.precision, 30)
+    with working(args.precision):
         table = [_fmt_complex(root, digits)
-                 for root in field.roots(cfg.precision)]
+                 for root in field.roots(args.precision)]
     return {
         "poly": _poly_string(field.poly),
         "degree": field.degree,
@@ -250,7 +250,7 @@ def cmd_field_info(data, args, cfg):
     }
 
 
-def cmd_bloch_verify(data, args, cfg):
+def cmd_bloch_verify(data, args):
     s = _element_of(data)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -267,13 +267,13 @@ def cmd_bloch_verify(data, args, cfg):
     }
 
 
-def cmd_bloch_regulator(data, args, cfg):
+def cmd_bloch_regulator(data, args):
     s = _element_of(data)
-    vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
-    return {"regulator": _reg_strings(vec, cfg)}
+    vec = reg_vector(s, args.precision)
+    return {"regulator": _reg_strings(vec, args)}
 
 
-def cmd_fiveterm_check(data, args, cfg):
+def cmd_fiveterm_check(data, args):
     field = _field_of(data)
     basis = _basis_of(field, data)
     x, y = (field.element(_coeffs(_required(data, key), key, field.degree))
@@ -281,16 +281,16 @@ def cmd_fiveterm_check(data, args, cfg):
     fl0 = Flattening(basis.log_lift(x), basis.log_lift(field.one - x))
     fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y))
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
-    vec = reg_vector(s, cfg.precision, cfg.tolerance_value)
+    vec = reg_vector(s, args.precision)
     return {
         "wedge_zero": s.is_in_Bhat(),
-        "regulator_zero": all(is_small(v.distance(0), cfg.precision,
-                                       cfg.tolerance_value) for v in vec),
-        "regulator": _reg_strings(vec, cfg),
+        "regulator_zero": all(is_small(v.distance(0), args.precision)
+                              for v in vec),
+        "regulator": _reg_strings(vec, args),
     }
 
 
-def cmd_torsion_table(data, args, cfg):
+def cmd_torsion_table(data, args):
     field = _field_of(data)
     profile = torsion_profile(field)
     return {
@@ -301,7 +301,7 @@ def cmd_torsion_table(data, args, cfg):
     }
 
 
-def cmd_torsion_generators(data, args, cfg):
+def cmd_torsion_generators(data, args):
     field = _field_of(data)
     primes = [args.prime] if args.prime else \
         [p for p, nu in cosine_exponents(field).items() if nu > 0]
@@ -317,24 +317,23 @@ def cmd_torsion_generators(data, args, cfg):
     return {"generators": out}
 
 
-def cmd_torsion_order(data, args, cfg):
+def cmd_torsion_order(data, args):
     field = _field_of(data)
     s = flattened_torsion(field, args.prime)
-    order = certify_order(s, cfg.precision, tolerance=cfg.tolerance_value)
+    order = certify_order(s, args.precision)
     return {"prime": args.prime, "order": order}
 
 
-def cmd_cycle_invariant(data, args, cfg):
+def cmd_cycle_invariant(data, args):
     with _defining_polynomial():
-        inv = manifold_invariant(_triangulation_of(data), cfg.precision,
-                                 cfg.tolerance_value)
-    digits = min(cfg.precision, 30)
-    with working(cfg.precision):
+        inv = manifold_invariant(_triangulation_of(data), args.precision)
+    digits = min(args.precision, 30)
+    with working(args.precision):
         im = [_fmt_real(x, digits) for x in inv.imaginary_parts]
         ds = [_fmt_real(x, digits) for x in inv.dilogarithm_sums]
     return {
         "terms": len(inv.element.terms),
-        "regulator": _reg_strings(inv.regulator, cfg),
+        "regulator": _reg_strings(inv.regulator, args),
         "imaginary_parts": im,
         "dilogarithm_sums": ds,
         "matches": inv.matches,
@@ -343,12 +342,10 @@ def cmd_cycle_invariant(data, args, cfg):
 
 # ---------------------------------------------------------------------------
 
-def _render(payload, cfg, stream):
-    header = {"precision": cfg.precision,
-              "range": "symmetric" if cfg.symmetric_range else "canonical"}
-    if cfg.tolerance is not None:
-        header["tolerance"] = f"1e{cfg.tolerance}"
-    if cfg.json:
+def _render(payload, args, stream):
+    header = {"precision": args.precision,
+              "range": "symmetric" if args.symmetric_range else "canonical"}
+    if args.json:
         print(json.dumps({"config": header, "result": payload},
                          sort_keys=True, indent=1), file=stream)
         return
@@ -382,31 +379,9 @@ def prime(text):
 def _add_common(parser):
     parser.add_argument("--precision", type=int, default=50,
                         help="working decimal digits (>= 20)")
-    parser.add_argument("--tolerance", type=int, default=None,
-                        help="tolerance exponent, e.g. -30 for 1e-30")
     parser.add_argument("--symmetric-range", action="store_true",
                         dest="symmetric_range")
     parser.add_argument("--json", action="store_true")
-
-
-class RunConfig:
-    def __init__(self, args):
-        self.precision = args.precision
-        if self.precision < 20:
-            raise InputError("precision must be at least 20")
-        self.tolerance = args.tolerance
-        floor = -(self.precision + guard_digits(self.precision))
-        if self.tolerance is not None and not floor < self.tolerance < 0:
-            raise InputError(f"tolerance exponent must lie strictly between "
-                             f"{floor} and 0 at precision {self.precision}")
-        self.symmetric_range = args.symmetric_range
-        self.json = args.json
-
-    @property
-    def tolerance_value(self):
-        if self.tolerance is None:
-            return None
-        return mp.mpf(10) ** self.tolerance
 
 
 # (group, command, handler, --prime: None, "optional" or "required"), in
@@ -453,8 +428,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(args)
-        payload = args.handler(_load_fixture(args.fixture), args, cfg)
+        if args.precision < 20:
+            raise InputError("precision must be at least 20")
+        payload = args.handler(_load_fixture(args.fixture), args)
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4
@@ -465,7 +441,7 @@ def main(argv=None):
             CochainError) as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return 3
-    _render(payload, cfg, sys.stdout)
+    _render(payload, args, sys.stdout)
     return 0
 
 

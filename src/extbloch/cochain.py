@@ -566,14 +566,13 @@ class ManifoldInvariant:
     imaginary_parts: list
     dilogarithm_sums: list
     precision: int
-    tolerance: object = None   # overrides the default of the precision
 
     @property
     def matches(self):
         """Whether Im(regulator) equals the Bloch-Wigner sum at every
-        embedding, within the tolerance (field.is_small)."""
+        embedding: their difference passes `field.is_small`."""
         with working(self.precision):
-            return all(is_small(a - b, self.precision, self.tolerance)
+            return all(is_small(a - b, self.precision)
                        for a, b in zip(self.imaginary_parts,
                                        self.dilogarithm_sums))
 
@@ -654,7 +653,7 @@ def _search_translates(coeffs, targets):
     return tuple(zip(flat[0::2], flat[1::2]))
 
 
-def manifold_invariant(data, precision=50, tolerance=None):
+def manifold_invariant(data, precision=50):
     """Assemble the element of a flattened triangulation and evaluate its
     regulator.
 
@@ -712,7 +711,7 @@ def manifold_invariant(data, precision=50, tolerance=None):
                 for t, (p, q) in enumerate(pqs))
     element = normalize(basis, [(cycle.orientations[t], fls[t])
                                 for t in range(cycle.num_simplices)])
-    regulator = reg_vector(element, precision, tolerance)
+    regulator = reg_vector(element, precision)
     dsums = []
     with working(precision):
         for ctx in field.embeddings(precision):
@@ -725,5 +724,4 @@ def manifold_invariant(data, precision=50, tolerance=None):
     return ManifoldInvariant(element=element, flattenings=fls,
                              translates=pqs, regulator=regulator,
                              imaginary_parts=imaginary_parts,
-                             dilogarithm_sums=dsums, precision=precision,
-                             tolerance=tolerance)
+                             dilogarithm_sums=dsums, precision=precision)

@@ -30,7 +30,9 @@ precision.  A failed verification is an error (PrecisionExhausted), never
 a wrong answer, so membership takes no precision from the caller.
 
 Other modules decide on a value computed at N digits by `is_small` (it
-vanishes, within `tolerance`) or `nearest_integer` (it is an integer).
+vanishes: |x| <= 10^(10 - N)) or `nearest_integer` (it is an integer: it
+lies within 10^-ceil(N/2) of one).  Both bounds follow from N alone; a
+caller who wants a tighter check asks for more digits.
 """
 from __future__ import annotations
 
@@ -79,28 +81,26 @@ def working(precision):
     return mp.workdps(precision + guard_digits(precision))
 
 
-def tolerance(precision, override=None):
+def tolerance(precision):
     """The tolerance of `is_small` for values computed at `precision`
-    digits: `override` if given, else 10^(10 - precision).
+    digits: 10^(10 - precision).
 
-    >>> tolerance(30) == mp.mpf(10) ** -20, tolerance(30, 1e-5)
-    (True, 1e-05)
+    >>> tolerance(30) == mp.mpf(10) ** -20
+    True
     """
-    if override is not None:
-        return override
     return mp.mpf(10) ** (10 - precision)
 
 
-def is_small(x, precision, override=None):
-    """Whether |x| <= tolerance(precision, override), at the working
-    precision of `precision` digits: a value that must vanish."""
+def is_small(x, precision):
+    """Whether |x| <= tolerance(precision), at the working precision of
+    `precision` digits: a value that must vanish."""
     with working(precision):
-        return abs(x) <= tolerance(precision, override)
+        return abs(x) <= tolerance(precision)
 
 
 def nearest_integer(x, precision):
     """The integer k nearest Re x if |x - k| <= 10^(-precision // 2) at the
-    working precision, else None; no requested tolerance changes the bound.
+    working precision, else None; the bound follows from the precision.
     """
     with working(precision):
         k = int(mp.nint(mp.re(x)))

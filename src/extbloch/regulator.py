@@ -29,8 +29,7 @@ import math
 from mpmath import mp
 from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
 
-from .field import (PrecisionExhausted, is_small, nearest_integer,
-                    tolerance as _tolerance, working)
+from .field import PrecisionExhausted, is_small, nearest_integer, working
 from .extgroup import cover_to_C
 
 
@@ -235,7 +234,7 @@ def reg_sum(s, lift):
         return RegulatorValue(+acc, prec)
 
 
-def reg_vector(s, precision=50, tolerance=None):
+def reg_vector(s, precision=50):
     """One regulator value per real embedding (real part; the imaginary part
     must vanish) and per conjugate-pair representative."""
     basis = s.basis
@@ -246,7 +245,7 @@ def reg_vector(s, precision=50, tolerance=None):
             lift = cover_to_C(basis, ctx)
             val = reg_sum(s, lift)
             if ctx.is_real:
-                if not is_small(mp.im(val.value), precision, tolerance):
+                if not is_small(mp.im(val.value), precision):
                     raise RealSlotNotReal(
                         "regulator at a real embedding has imaginary part "
                         f"{mp.im(val.value)}")
@@ -256,23 +255,16 @@ def reg_vector(s, precision=50, tolerance=None):
     return out
 
 
-def torsion_order(v, w, tolerance=None):
+def torsion_order(v, w):
     """Order of a regulator value v as a torsion point of C/4pi^2 whose
     order divides w: w / gcd(w, a) for a = nint(w * Re v / 4pi^2), or None
-    unless Im v and the rounding residual fit the default tolerance of the
-    precision.  A fit within the default tolerance but not within a finer
-    `tolerance` raises PrecisionExhausted, naming both."""
+    unless Im v and the rounding residual pass `is_small` at the precision
+    of v."""
     prec = v.precision
     with working(prec):
         x = w * mp.re(v.value) / (4 * mp.pi ** 2)
         a = int(mp.nint(x))
-        for what, r in (("imaginary part", mp.im(v.value)),
-                        ("reconstruction residual", (x - a) / w)):
-            if not is_small(r, prec, tolerance):
-                if not is_small(r, prec):
-                    return None
-                raise PrecisionExhausted(
-                    f"torsion order: {what} {mp.nstr(abs(r), 3)} passes the "
-                    f"tolerance {mp.nstr(_tolerance(prec), 3)} of {prec} "
-                    f"digits but not the requested {mp.nstr(tolerance, 3)}")
+        if not (is_small(mp.im(v.value), prec)
+                and is_small((x - a) / w, prec)):
+            return None
         return w // math.gcd(w, a)

@@ -193,14 +193,14 @@ def torsion_bound(d):
                           if euler_phi(n) <= 2 * d))
 
 
-def certify_order(s, precision=50, tolerance=None):
+def certify_order(s, precision=50):
     """Certified order of a torsion element: the lcm over all embeddings of
     the order of its regulator value in C/4pi^2 (`torsion_order` against
-    `torsion_bound`).  `tolerance` overrides the default of the precision."""
+    `torsion_bound`)."""
     w = torsion_bound(s.basis.field.degree)
     orders = []
-    for v in reg_vector(s, precision, tolerance):
-        k = torsion_order(v, w, tolerance=tolerance)
+    for v in reg_vector(s, precision):
+        k = torsion_order(v, w)
         if k is None:
             raise NotTorsion("a regulator value is not a multiple of "
                              f"4*pi^2/{w}")

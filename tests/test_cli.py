@@ -3,14 +3,11 @@ import json
 import time
 
 import pytest
-from mpmath import mp
 
 import test_cli_golden
 from test_cochain import _cyclic_triangulation_data
 from extbloch.cli import build_parser, main
-from extbloch.field import PRIME_LIMIT, DivisionByZero, NumberField
-from extbloch.regulator import RealSlotNotReal
-from extbloch.torsion import certify_order, flattened_torsion
+from extbloch.field import PRIME_LIMIT, DivisionByZero
 
 FIXTURES = "tests/fixtures"
 
@@ -185,58 +182,15 @@ def test_field_info_automorphisms_of_a_non_galois_field(capsys, tmp_path):
     assert json.loads(out)["result"]["automorphisms"] == expected
 
 
-def test_torsion_order_honours_tolerance(capsys, monkeypatch):
-    # at 50 digits the regulator's imaginary part at the real embeddings
-    # is ~1e-61: within the default 1e-40, not within 1e-200
-    argv = ["torsion", "order", f"{FIXTURES}/field_sqrt2.json",
-            "--prime", "2"]
-    assert run(capsys, argv)[0] == 0
-    with pytest.raises(RealSlotNotReal):
-        certify_order(flattened_torsion(NumberField([-2, 0, 1]), 2), 50,
-                      tolerance=mp.mpf(10) ** -200)
-    # the CLI hands --tolerance to certify_order
-    seen = []
-
-    def recording(s, precision, tolerance=None):
-        seen.append(tolerance)
-        return certify_order(s, precision, tolerance)
-
-    monkeypatch.setattr("extbloch.cli.certify_order", recording)
-    code, out, _ = run(capsys, argv + ["--tolerance", "-45"])
-    assert code == 0 and "order: 16" in out
-    assert seen == [mp.mpf(10) ** -45]
-
-
-@pytest.mark.parametrize("exponent", ["-45", "-50"])
-def test_torsion_order_within_a_finer_tolerance(capsys, exponent):
-    # at 50 digits the reconstruction residual is ~3.6e-54
-    code, out, _ = run(capsys, ["torsion", "order",
-                                f"{FIXTURES}/field_sqrt2.json",
-                                "--prime", "2", "--tolerance", exponent])
-    assert code == 0 and "order: 16" in out
-
-
-@pytest.mark.parametrize("exponent", ["-55", "-59"])
-def test_tolerance_finer_than_reached_is_precision_exhausted(capsys,
-                                                             exponent):
-    # the residual passes the default 1e-40 of 50 digits but not 10^E: the
-    # precision is too low for the request, which is not a math error
-    code, out, err = run(capsys, ["torsion", "order",
-                                  f"{FIXTURES}/field_sqrt2.json",
-                                  "--prime", "2", "--tolerance", exponent])
-    assert code == 4 and out == ""
-    assert "precision exhausted" in err
-    assert "residual 3.65e-54" in err and f"1.0e{exponent}" in err
-
-
-@pytest.mark.parametrize("exponent", ["5", "0", "-200"])
-def test_tolerance_out_of_range_is_input_error(capsys, exponent):
-    # at 50 digits the exponent must lie strictly between -60 and 0
-    code, out, err = run(capsys, ["torsion", "order",
-                                  f"{FIXTURES}/field_sqrt2.json",
-                                  "--prime", "2", "--tolerance", exponent])
-    assert code == 2 and out == ""
-    assert "input error" in err
+def test_tolerance_is_no_option(capsys):
+    # a tighter check asks for more digits: the bound of a value that must
+    # vanish is 10^(10 - N) at --precision N
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion", "order", f"{FIXTURES}/field_sqrt2.json",
+              "--prime", "2", "--tolerance", "-45"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance -45" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["torsion", "generators"],

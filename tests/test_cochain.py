@@ -888,14 +888,14 @@ def test_degenerate_shape_rejected():
 
 
 def test_matches_uses_the_given_tolerance():
-    # a gap of 1e-30 passes the default tolerance of 30 digits (1e-20)
-    # and fails an explicit 1e-40
+    # the bound of 30 digits is 1e-20: a gap of 1e-30 passes it and a gap
+    # of 1e-10 does not
     with mp.workdps(60):
-        gap = [mp.mpf(1)], [1 + mp.mpf(10) ** -30]
-        inv = ManifoldInvariant(None, (), (), [], *gap, precision=30)
-        strict = ManifoldInvariant(None, (), (), [], *gap, precision=30,
-                                   tolerance=mp.mpf(10) ** -40)
-    assert inv.matches and not strict.matches
+        close = ManifoldInvariant(None, (), (), [], [mp.mpf(1)],
+                                  [1 + mp.mpf(10) ** -30], precision=30)
+        apart = ManifoldInvariant(None, (), (), [], [mp.mpf(1)],
+                                  [1 + mp.mpf(10) ** -10], precision=30)
+    assert close.matches and not apart.matches
 
 
 if __name__ == "__main__":

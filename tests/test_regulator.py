@@ -12,9 +12,11 @@ from extbloch.field import NumberField, working
 from extbloch.extgroup import MultBasis, cover_to_C
 from extbloch.bloch import Flattening, chi, lift_five_term, normalize, rho_hat
 from extbloch import regulator
-from extbloch.regulator import (LiftInconsistent, RegulatorValue, bloch_wigner,
-                                li2, reg_flattening, reg_sum, reg_vector,
+from extbloch.regulator import (LiftInconsistent, RealSlotNotReal,
+                                RegulatorValue, bloch_wigner, li2,
+                                reg_flattening, reg_sum, reg_vector,
                                 torsion_order)
+from extbloch.torsion import certify_order
 
 
 @given(re=st.floats(-3, 3), im=st.floats(-3, 3))
@@ -254,6 +256,21 @@ def test_torsion_order_reconstruction():
         # a non-torsion value is no multiple of 4 pi^2 / w
         assert torsion_order(RegulatorValue(mp.mpc(mp.sqrt(2)), 40),
                              10080) is None
+        # nor is a value off the real line, however close to it
+        assert torsion_order(RegulatorValue(mp.mpc(0, mp.mpf(10) ** -25), 40),
+                             24) is None
+
+
+def test_real_slot_not_real_at_the_default_bound():
+    # (log 2, log -1) over the flattening z = 2 has Im R = -1.09 at the
+    # real place: neither a regulator vector nor a torsion order exists
+    rationals = NumberField([0, 1])
+    basis = MultBasis(rationals, [rationals.rational(2)])
+    s = normalize(basis, [(1, fl_of(basis, 2))])
+    with pytest.raises(RealSlotNotReal, match="imaginary part -1.0887"):
+        reg_vector(s, 30)
+    with pytest.raises(RealSlotNotReal):
+        certify_order(s, 30)
 
 
 @pytest.fixture(scope="module")

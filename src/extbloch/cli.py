@@ -296,8 +296,8 @@ def cmd_torsion_table(data, args):
     return {
         "m": profile.m,
         "w": profile.w,
-        "nu": {str(p): profile.nu[p] for p in profile.primes},
-        "nu_prime": {str(p): profile.nu_prime[p] for p in profile.primes},
+        "nu": {str(p): nu for p, nu in profile.nu.items()},
+        "nu_prime": {str(p): profile.nu_prime[p] for p in profile.nu},
     }
 
 

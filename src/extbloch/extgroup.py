@@ -32,8 +32,8 @@ import warnings
 
 from mpmath import mp
 
-from .field import (FieldElement, FieldError, nearest_integer,
-                    prime_factors, working)
+from .field import (FieldElement, FieldError, PrecisionExhausted, _peval,
+                    is_small, nearest_integer, prime_factors, working)
 
 
 class ExtGroupError(Exception):
@@ -204,7 +204,6 @@ def _wedge_vanishes(terms, torsion_modulus):
     return True
 
 
-EXP_BOUND = 64        # largest |exponent| log_lift recovers per free generator
 EXPONENT_DIGITS = 50  # digits of the numeric exponent recovery and rank check
 
 
@@ -271,10 +270,9 @@ class MultBasis(_BasisCommon):
         """Coordinates (k, r) of a field element lying in the subgroup
         generated by the basis; exact verification is the authority.
 
-        Free exponents, at most EXP_BOUND in absolute value, are the rounded
-        image of the log-moduli of z under the least-squares map of the
-        basis (exact small-prime factorization over Q), then k by exact
-        matching of the remaining root of unity."""
+        Free exponents are the rounded image of the log-moduli of z under
+        the least-squares map of the basis (exact factorization over Q),
+        then k by exact matching of the remaining root of unity."""
         if not isinstance(z, FieldElement) or z.field != self.field:
             raise FieldError("element belongs to a different field")
         if z.is_zero():
@@ -301,14 +299,25 @@ class MultBasis(_BasisCommon):
         return self._caveat(_wedge_vanishes(terms, self.m), "nonzero wedge")
 
     def _free_exponents(self, z):
+        """The log-moduli of z under the least-squares map, rounded.  Where
+        the terms of sigma(z) = sum c_i sigma(alpha)^i cancel to within
+        10^(10 - D) of the sum of their moduli, D the working digits, fewer
+        than about 10 digits remain: PrecisionExhausted."""
         with working(EXPONENT_DIGITS):
-            logs = [mp.log(abs(ctx.evaluate(z)))
-                    for ctx in self.field.embeddings(EXPONENT_DIGITS)]
-            out = [int(mp.nint(mp.fdot(row, logs)))
-                   for row in self._least_squares]
-        if any(abs(e) > EXP_BOUND for e in out):
-            raise NotInSubgroup("recovered exponent exceeds the bound")
-        return out
+            coeffs = [abs(mp.mpf(c.numerator) / c.denominator)
+                      for c in z.coeffs]
+            logs = []
+            for ctx in self.field.embeddings(EXPONENT_DIGITS):
+                value = ctx.evaluate(z)
+                terms = _peval(coeffs, abs(ctx.root()), mp.mpf(0))
+                if is_small(value / terms, mp.dps):
+                    raise PrecisionExhausted(
+                        f"log_lift: the terms of the element cancel at an "
+                        f"embedding to {mp.nstr(abs(value), 3)}, fewer than "
+                        f"10 of the {mp.dps} working digits")
+                logs.append(mp.log(abs(value)))
+            return [int(mp.nint(mp.fdot(row, logs)))
+                    for row in self._least_squares]
 
     def _factor_rational(self, q):
         """Exact exponent recovery over Q: factor |q| over the basis values,
@@ -318,10 +327,10 @@ class MultBasis(_BasisCommon):
         num, den = abs(q.numerator), q.denominator
         for j, p in enumerate(self.free_gens):
             pv = p.as_fraction().numerator
-            while num % pv == 0 and out[j] < EXP_BOUND:
+            while num % pv == 0:
                 num //= pv
                 out[j] += 1
-            while den % pv == 0 and -out[j] < EXP_BOUND:
+            while den % pv == 0:
                 den //= pv
                 out[j] -= 1
         if num != 1 or den != 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -82,14 +82,14 @@ def nu_p(nf, p):
 
 @dataclass(frozen=True)
 class TorsionProfile:
-    """Per-prime table of the cosine exponents, the derived group order
-    w = 2 * prod p^nu_p, and the reduced exponents nu'_p = nu_p - v_p(m)
-    with m the order of the roots of unity of the field."""
+    """Per-prime tables, by ascending prime, of the cosine exponents and
+    the reduced exponents nu'_p = nu_p - v_p(m), with the derived group
+    order w = 2 * prod p^nu_p and m the order of the roots of unity of the
+    field."""
     nu: dict
     nu_prime: dict
     w: int
     m: int
-    primes: tuple = dc_field(default=())
 
 
 def cosine_exponents(nf):
@@ -107,8 +107,7 @@ def torsion_profile(nf):
     w = 2 * math.prod(p ** v for p, v in nu.items())
     v_m = Counter(prime_factors(m))
     nu_prime = {p: v - v_m[p] for p, v in nu.items()}
-    return TorsionProfile(nu=nu, nu_prime=nu_prime, w=w, m=m,
-                          primes=tuple(sorted(nu)))
+    return TorsionProfile(nu=nu, nu_prime=nu_prime, w=w, m=m)
 
 
 def _recurrence(c, first, second, length):

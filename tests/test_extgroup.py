@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from extbloch.field import NumberField
+from extbloch.field import NumberField, PrecisionExhausted
 from extbloch.extgroup import (BranchInvalid, ExtGroupError, MultBasis,
                                NotInSubgroup, SymbolicBasis,
                                UnsaturatedBasis, cover_to_C)
@@ -77,6 +77,38 @@ def test_log_lift_rejects_outsiders(basis23, rationals):
         basis23.log_lift(rationals.rational(5))
     with pytest.raises(NotInSubgroup):
         basis23.log_lift(rationals.zero)
+
+
+@pytest.mark.parametrize("n", [65, -65, 200])
+def test_log_lift_of_a_large_power_over_q(rationals, n):
+    basis = MultBasis(rationals, [rationals.rational(2)])
+    e = basis.log_lift(rationals.rational(2) ** n)
+    assert (e.k, e.coord(0)) == (0, n)
+
+
+@pytest.mark.parametrize("n", [65, -65])
+def test_log_lift_of_a_large_power_over_a_number_field(n):
+    # at the conjugate, (1 - sqrt2)^65 = -1.3e-25 keeps 11 of the 60
+    # working digits of the exponent recovery
+    sqrt2 = NumberField([-2, 0, 1])
+    unit = sqrt2.element([1, 1])
+    basis = MultBasis(sqrt2, [unit])
+    e = basis.log_lift(unit ** n)
+    assert (e.k, e.coord(0)) == (0, n)
+    assert basis.log_lift(-unit ** n) == e + basis.element(1)
+
+
+@pytest.mark.parametrize("n", [-80, 80, 100, -100])
+def test_log_lift_refuses_a_cancelled_evaluation(n):
+    # the conjugate of (1 + sqrt2)^n is (1 - sqrt2)^n: 2.4e-31 for n = 80
+    # and 1.4e-38 for n = 100, while the terms of sum c_i sigma(alpha)^i
+    # are near 10^31 and 10^38; at 60 working digits its value keeps under
+    # one digit or none, so no exponent can be rounded from its log
+    sqrt2 = NumberField([-2, 0, 1])
+    unit = sqrt2.element([1, 1])
+    basis = MultBasis(sqrt2, [unit])
+    with pytest.raises(PrecisionExhausted, match="cancel"):
+        basis.log_lift(unit ** n)
 
 
 def test_dependent_generators_rejected():

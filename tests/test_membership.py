@@ -71,7 +71,7 @@ def test_m_and_nu_against_sympy():
                      and has_root(sympy.cyclotomic_poly(m, x), domain))
         prof = torsion_profile(NumberField(poly))
         assert prof.m == want_m
-        for q in prof.primes:
+        for q in prof.nu:
             nu = 0
             while True:
                 target = sympy.minimal_polynomial(

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import mp
 
-from extbloch.field import NumberField, working
-from extbloch.extgroup import MultBasis, cover_to_C
-from extbloch.bloch import Flattening, chi, lift_five_term, normalize, rho_hat
+from extbloch.field import NumberField, is_small, working
+from extbloch.extgroup import MultBasis, UnsaturatedBasis, cover_to_C
+from extbloch.bloch import (Flattening, chi, galois_apply, lift_five_term,
+                            normalize, rho_hat)
 from extbloch import regulator
 from extbloch.regulator import (LiftInconsistent, RealSlotNotReal,
                                 RegulatorValue, bloch_wigner, li2,
@@ -271,6 +272,45 @@ def test_real_slot_not_real_at_the_default_bound():
         reg_vector(s, 30)
     with pytest.raises(RealSlotNotReal):
         certify_order(s, 30)
+
+
+def _flattening(basis, z):
+    return Flattening(basis.log_lift(z), basis.log_lift(basis.field.one - z))
+
+
+@pytest.mark.parametrize("terms", [
+    [(2, "w")], [(4, "w")], [(2, "1-w")], [(2, "w"), (-4, "1-w")],
+    [(1, "w"), (1, "1-w")]],
+    ids=["2[w]", "4[w]", "2[1-w]", "2[w]-4[1-w]", "[w]+[1-w]"])
+def test_regulator_is_galois_equivariant_on_bhat(terms):
+    # Q(sqrt-3) = Q[x]/(x^2 - x + 1) with w = x, a sixth root of unity;
+    # tau = 1 - w is complex conjugation, so the regulator of tau(s) at the
+    # one complex place is the conjugate of that of s, mod 4*pi^2
+    field = NumberField([1, -1, 1])
+    basis = MultBasis(field, [field.rational(2)])
+    w = field.gen
+    values = {"w": w, "1-w": field.one - w}
+    s = normalize(basis, [(n, _flattening(basis, values[z]))
+                          for n, z in terms])
+    assert s.is_in_Bhat()
+    [v] = reg_vector(s, 40)
+    [image] = reg_vector(galois_apply(field.one - w, s), 40)
+    with mp.workdps(60):
+        assert is_small(image.distance(mp.conj(v.value)), 40)
+
+
+def test_regulator_is_not_galois_equivariant_off_bhat():
+    # 1*[w] has a nonzero wedge: the two sides differ by 2*pi^2
+    field = NumberField([1, -1, 1])
+    basis = MultBasis(field, [field.rational(2)])
+    s = normalize(basis, [(1, _flattening(basis, field.gen))])
+    with pytest.warns(UnsaturatedBasis):
+        assert not s.is_in_Bhat()
+    [v] = reg_vector(s, 40)
+    [image] = reg_vector(galois_apply(field.one - field.gen, s), 40)
+    with mp.workdps(60):
+        gap = image.distance(mp.conj(v.value))
+        assert is_small(gap - 2 * mp.pi ** 2, 40)
 
 
 @pytest.fixture(scope="module")

@@ -213,6 +213,11 @@ class MultBasis(_BasisCommon):
 
     def __init__(self, field, free_gens, saturated=False, torsion_gen=None):
         self.field = field
+        self.free_gens = list(free_gens)
+        supplied = [] if torsion_gen is None else [torsion_gen]
+        if not all(isinstance(g, FieldElement) and g.field == field
+                   for g in self.free_gens + supplied):
+            raise ExtGroupError("generators must be elements of the field")
         self.m, self.torsion_gen = field.torsion
         if torsion_gen is not None:
             # any primitive generator of the roots of unity may serve
@@ -222,7 +227,6 @@ class MultBasis(_BasisCommon):
                 raise ExtGroupError("supplied torsion generator does not "
                                     f"have exact order {self.m}")
             self.torsion_gen = torsion_gen
-        self.free_gens = list(free_gens)
         self.saturated = bool(saturated)
         for p in self.free_gens:
             if p.is_zero():

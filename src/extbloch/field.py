@@ -16,18 +16,15 @@ both in fixed-point integer arithmetic; the field keeps its most precise
 refinement, rounds it for a request that needs no more digits and refines
 it further for one that needs more.  The refined roots must be separated
 (disjoint Newton disks) and leave a small residue, or the roots are
-isolated again at higher precision.  Membership of an algebraic number
-given by its minimal polynomial q (roots of unity, cosines 2cos(2pi/n),
-roots of p itself) is decided in four steps.  A "no" is always exact:
-either deg q does not divide deg p, or q has no root modulo a split prime
-of the field, a prime with a degree-one prime ideal above it.  A "yes"
-comes from exact integer lattice reduction (LLL) against powers of the
-generator in one embedding, at the root of q that Newton's method reaches
-from the caller's approximation, followed by exact verification.  The
-steps: the first few split primes; one reconstruction at MEMBERSHIP_DIGITS
-digits; the rest of the split primes; reconstruction at escalating
-precision.  A failed verification is an error (PrecisionExhausted), never
-a wrong answer, so membership takes no precision from the caller.
+isolated again at higher precision.
+
+Membership of an algebraic number given by its minimal polynomial q (roots
+of unity, cosines 2cos(2pi/n), roots of p itself) is decided on integers
+alone (`element_in_field`): a split prime at which q has no root proves
+that q has no root in F, and Hensel lifting at one split prime with exact
+lattice reduction (LLL) finds a root, verified exactly, or proves past a
+size bound that there is none.  Numerics remain only in embeddings and
+regulators.
 
 Other modules decide on a value computed at N digits by `is_small` (it
 vanishes: |x| <= 10^(10 - N)) or `nearest_integer` (it is an integer: it
@@ -41,9 +38,8 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 
 class FieldError(Exception):
@@ -66,19 +62,10 @@ class PrecisionExhausted(FieldError):
     pass
 
 
-class ReconstructionFailed(FieldError):
-    pass
-
-
-def guard_digits(precision):
-    """Internal guard digits: 20% of the requested precision, at least 10."""
-    return max(10, precision // 5)
-
-
 def working(precision):
     """The mpmath context of a computation whose result carries
-    `precision` digits: precision + guard digits."""
-    return mp.workdps(precision + guard_digits(precision))
+    `precision` digits: 20% more, and at least 10 more."""
+    return mp.workdps(precision + max(10, precision // 5))
 
 
 def tolerance(precision):
@@ -324,7 +311,7 @@ def cos2pi_minpoly(n):
 # in F, using integer arithmetic only.
 
 SPLIT_PRIMES = 30   # split primes a field keeps for the certificate
-SIEVE_FIRST = 4     # of them, the ones tried before any reconstruction
+SIEVE_FIRST = 4     # of them, the ones tried before any lattice reduction
 
 
 def integral_model(poly):
@@ -500,7 +487,7 @@ def lll_reduce(basis):
 # root, so that large and small roots alike carry the requested digits; the
 # Aberth-Ehrlich iteration moves all roots together on one binary point,
 # set below the smallest root.  A root becomes an mpmath number only where
-# it leaves this layer (NumberField.roots, _reconstruct_root).
+# it leaves this layer (NumberField.roots).
 
 ISOLATION_DIGITS = 20     # digits of the first isolation of a field's roots
 ISOLATION_DOUBLINGS = 5   # re-isolations at doubled digits before giving up
@@ -521,18 +508,6 @@ def _exponent(x, y, b):
     """The binary exponent of the fixed-point number (x, y, b): the least e
     with max(|x|, |y|) < 2^(b + e); 0 for zero."""
     return max(abs(x).bit_length(), abs(y).bit_length()) - b if x or y else 0
-
-
-def _fixed(z):
-    """An approximation as a fixed-point triple: a triple is kept, an
-    mpmath or Python number is converted exactly."""
-    if isinstance(z, tuple):
-        return z
-    z = mp.convert(z)
-    parts = [(-m if s else m, e) for s, m, e, _ in
-             (z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, fzero))]
-    b = max(0, *(-e for _, e in parts))
-    return (*(m << (e + b) for m, e in parts), b)
 
 
 def _mpc(z):
@@ -566,7 +541,7 @@ def _isolate_roots(poly, digits):
     converge.
 
     The Aberth-Ehrlich iteration (Bini, Numer. Algorithms 13, 1996) moves
-    each approximation z_i by w = N / (1 - N * sum_{j != i} 1/(z_i - z_j)),
+    each estimate z_i by w = N / (1 - N * sum_{j != i} 1/(z_i - z_j)),
     with N = p(z_i) / p'(z_i), and uses each new z_i at once.  A root is
     done when |w| <= 2^-_bits(digits) |z_i|; all must be done within 100
     sweeps.  The iteration works at twice the digits, on a binary point
@@ -633,15 +608,15 @@ def _isolate_roots(poly, digits):
 
 
 def _newton_fixed(poly, z, start, target):
-    """Refine an approximation z of a simple root of the integer poly by
-    Newton's method to `target` digits.  The working precision
+    """Refine a fixed-point triple z near a simple root of the integer
+    poly by Newton's method to `target` digits.  The working precision
     starts at `start` digits and doubles each time a step falls below
     10^(-dps/2) relative to z, as z then has about dps correct digits.
     Each step works on the binary point that gives z `dps` digits and
     guard bits.  Returns the root and the last step as fixed-point
     triples; raises PrecisionExhausted after NEWTON_STEPS steps without
     convergence."""
-    x, y, b = _fixed(z)
+    x, y, b = z
     dps = min(start, target)
     for _ in range(NEWTON_STEPS):
         nb = max(0, _bits(dps) - _exponent(x, y, b))
@@ -661,8 +636,8 @@ def _newton_fixed(poly, z, start, target):
                              f"digits")
 
 
-def _refine_roots(poly, approx, start, target):
-    """Newton-refine the approximations `approx` of all d roots of poly to
+def _refine_roots(poly, guesses, start, target):
+    """Newton-refine the estimates `guesses` of all d roots of poly to
     `target` digits, as fixed-point triples, or None if one does not
     converge or two are not separated.  Separated means that the disks of
     radius (d+1)*|last step| around the refined roots are pairwise
@@ -671,7 +646,7 @@ def _refine_roots(poly, approx, start, target):
     different roots.  The test is exact, with each |last step| rounded up."""
     d = len(poly) - 1
     try:
-        refined = [_newton_fixed(poly, z, start, target) for z in approx]
+        refined = [_newton_fixed(poly, z, start, target) for z in guesses]
     except PrecisionExhausted:
         return None
     for ((x, y, b), (rx, ry, _)), ((u, v, c), (sx, sy, _)) in \
@@ -1067,8 +1042,8 @@ class NumberField:
                 if raw:
                     break
                 isolation = ISOLATION_DIGITS << doublings
-                approx = _isolate_roots(self._int_poly, isolation)
-                raw = approx and _refine_roots(self._int_poly, approx,
+                guesses = _isolate_roots(self._int_poly, isolation)
+                raw = guesses and _refine_roots(self._int_poly, guesses,
                                                isolation, target)
             if not raw:
                 raise PrecisionExhausted(
@@ -1102,154 +1077,169 @@ class NumberField:
         self._root_cache[precision] = ordered
         return ordered
 
-    def all_roots(self, precision):
-        """All d roots of p at the given precision: those of `roots`, in
-        their order, each non-real one followed by its complex conjugate,
-        which is rounded to precision + guard digits."""
-        out = []
-        with working(precision):
-            for i, root in enumerate(self.roots(precision)):
-                out.append(root)
-                if i >= self.signature[0]:
-                    out.append(mpmath.conj(root))
-        return out
-
     def embeddings(self, precision):
         return [EmbeddingContext(self, i, precision)
                 for i in range(self.signature[0] + self.signature[1])]
 
 
 # ---------------------------------------------------------------------------
-# algebraic reconstruction
+# membership: the sieve, then one l-adic lattice per root of q mod l
 
-def reconstruct_at(nf, value, root, precision, den_bound):
-    """Find a field element whose image under the generator's map to
-    `root`, a root of the defining polynomial, approximates `value`, by
-    lattice reduction against powers of the generator, with denominators at
-    most den_bound.  A candidate only; callers must verify it exactly."""
+LIFT_BITS = 80     # bits of l^k at the first lattice reduction
+TURN_DIGITS = 30   # digits at which an image at the first embedding is read
+
+
+def _hensel_lift(poly, r, ell, k):
+    """The root mod ell^k of the integer poly above its simple root r mod
+    ell: Newton's method doubles the exponent at each step (Hensel's
+    lemma; Cohen, GTM 138, Sec. 3.5)."""
+    deriv, modulus, target = _pderiv(poly), ell, ell ** k
+    while modulus < target:
+        modulus = min(modulus * modulus, target)
+        r = (r - _peval(poly, r, 0)
+             * pow(_peval(deriv, r, 0), -1, modulus)) % modulus
+    return r
+
+
+def reconstruct_at(nf, a, b, modulus, scale):
+    """The candidate sum m_i theta^i / (s * scale) from the first vector
+    (m, s) of the LLL-reduced lattice
+    {(m, s) in Z^(d+1) : sum m_i a^i = s b (mod modulus)}, or None if
+    s = 0; theta = D*alpha is the root of the field's integral model, a
+    one of its roots and b one of q_E's mod `modulus` (element_in_field).
+    The residue b, not a complex embedding, pins the candidate down (see
+    `first_embedding_turn`).  Callers verify it exactly."""
     d = nf.degree
-    with working(precision):
-        powers = [mp.mpc(1)]
-        for _ in range(d - 1):
-            powers.append(powers[-1] * root)
-        scale = mp.mpf(10) ** (precision - 8)
-        rows = [[int(mp.nint(scale * part(v))) for part in (mp.re, mp.im)]
-                + [1 if i == j else 0 for i in range(d + 1)]
-                for j, v in enumerate(powers + [value])]
-        reduced = lll_reduce(rows)
-    for vec in reduced:
-        denom = vec[2 + d]
-        if denom == 0:
-            continue
-        coeffs = [Fraction(-vec[2 + j], denom) for j in range(d)]
-        if all(abs(c.denominator) <= den_bound for c in coeffs):
-            return FieldElement(nf, coeffs)
-    raise ReconstructionFailed("no short lattice vector yields a candidate")
+    # rows (modulus, 0), (-a^i, e_i) for 0 < i < d and (b, e_s)
+    rows = [[-pow(a, i, modulus) if i else modulus]
+            + [int(j == i) for j in range(1, d + 1)] for i in range(d + 1)]
+    rows[d][0] = b
+    *m, s = lll_reduce(rows)[0]
+    if s == 0:
+        return None
+    return FieldElement(nf, [Fraction(c * nf._den ** i, s * scale)
+                             for i, c in enumerate(m)])
 
 
-MEMBERSHIP_DIGITS = 48          # digits of the first reconstruction
-MEMBERSHIP_DEN_BOUND = 10 ** 6  # its bound on coordinate denominators
-ESCALATIONS = 3                 # precision doublings after it
+def element_in_field(min_poly, nf):
+    """A root in nf of the irreducible rational polynomial q = min_poly
+    (dense, low to high), verified exactly (q(beta) = 0, so q is its
+    minimal polynomial), or None, which proves that q has no root in nf.
 
+    Notation: d = nf.degree, theta = D*alpha the root of the integral
+    model p_D, Delta = nf.denominator_bound, q_E the integral model of q,
+    with roots E*beta.  The route, on integers only: (1) the degree test
+    and the first SIEVE_FIRST split primes; (2) at l, the first split
+    prime not dividing disc(q_E), the least root a of p_D and every root
+    b of q_E mod l, Hensel-lifted to l^k >= 2^LIFT_BITS; (3) per b, a
+    candidate from `reconstruct_at`, verified exactly; (4) the remaining
+    split primes; (5) k doubled, repeating (2)-(3), until
+    l^k > (2^(d/2+1) X^2 C)^d, with R = 1 + max|coeff of q_E|,
+    C = sqrt(d) R_p^(d-1) for R_p the same bound for p_D, and
+    X^2 = d^3 Delta C^(2d-2) R^2 + Delta^2, where a first vector that does
+    not verify proves that no root of q lies over b.
 
-def element_in_field(min_poly_coeffs, approx, nf):
-    """Search for an element of nf with the given minimal polynomial over Q.
+    Proof.  Let beta in nf be a root of q with E*beta over b at the prime
+    L = (l, theta - a) of degree one (every root in nf lies over some b).
+    As Delta O_F lies in Z[theta], E*beta = sum c_i theta^i / Delta with
+    c_i in Z, and (c, Delta) lies in the lattice.  By Cramer's rule on the
+    Vandermonde matrix V of the conjugates of theta, |det V| = sqrt(Delta),
+    expanded along the column of conjugates of E*beta (at most R, Cauchy)
+    against minors of at most C^(d-1) (Hadamard),
+    |c_i| <= d sqrt(Delta) R C^(d-1), so |(c, Delta)| <= X, and LLL
+    (delta = 99/100) returns a first vector with |(m, s)| <= 2^(d/2) X.
+    Then mu = s Delta E beta - Delta sum m_i theta^i is an algebraic
+    integer in L^k, and |sigma mu| <= Delta (|s| R + |m| C)
+    <= 2 X C 2^(d/2) X at every embedding sigma, as Delta <= X and
+    Delta R <= X C (sqrt(Delta) <= C^d by Hadamard).  So mu = 0 or
+    l^k <= |N mu| <= (2^(d/2+1) X^2 C)^d; past the bound mu = 0, s != 0
+    and beta = sum m_i theta^i / (s E) is the candidate.
 
-    The target is described by its minimal polynomial q (dense, low-to-high)
-    plus a complex approximation of one of its conjugates, or a function of
-    no arguments that returns one and is called only if a reconstruction
-    runs.  Returns a FieldElement verified exactly (its minimal polynomial
-    is recomputed and compared), or None.  None is an exact certificate
-    that q has no root in nf: either deg q does not divide the field
-    degree, or a split prime of nf leaves q without a root
-    (`nonmembership_prime`).
+    The root returned depends on l and b, not on a complex embedding;
+    `detect_roots_of_unity` and `torsion.two_cos` turn it into the
+    conjugate whose image at the first embedding is e^(2 pi i/m), resp.
+    2cos(2 pi/n) (`first_embedding_turn`).
 
-    The order of the search: the first SIEVE_FIRST split primes; one
-    reconstruction by lattice reduction at MEMBERSHIP_DIGITS digits with
-    the bound MEMBERSHIP_DEN_BOUND; the remaining split primes, up to
-    SPLIT_PRIMES; then reconstruction with the bound raised to the field's
-    `denominator_bound` and the precision doubled, up to 2^ESCALATIONS
-    times MEMBERSHIP_DIGITS.  A verified root makes the remaining primes
-    moot, since none of them can exclude a member.  If every escalation
-    fails too, PrecisionExhausted is raised: a numeric failure never reads
-    as absence.
+    >>> element_in_field(cyclotomic(8), NumberField([1, 0, 0, 0, 1]))
+    <x>
+    >>> element_in_field([-3, 0, 1], NumberField([-2, 0, 1])) is None
+    True
     """
-    q = _trim([Fraction(c) for c in min_poly_coeffs])
+    q = _trim([Fraction(c) for c in min_poly])
     if len(q) < 2:
         raise FieldError("minimal polynomial must be nonconstant")
     q = tuple(c / q[-1] for c in q)
-    deg_q = len(q) - 1
-    if nf.degree % deg_q != 0:
+    d, deg_q = nf.degree, len(q) - 1
+    if d % deg_q != 0:
         return None
     if deg_q == 1:
         return nf.rational(-q[0])
     den, q_int = integral_model(q)
     if nonmembership_prime(q_int, nf, 0, SIEVE_FIRST) is not None:
         return None
-    if callable(approx):
-        approx = approx()
-    # D q: the integer polynomial with the roots of q
-    q_roots = _integer(q)[1]
-    try:
-        found = _reconstruct_root(q_roots, approx, nf, MEMBERSHIP_DIGITS,
-                                  MEMBERSHIP_DEN_BOUND)
-    except PrecisionExhausted:
-        found = None
-    if found is not None:
-        return found
-    if nonmembership_prime(q_int, nf, SIEVE_FIRST) is not None:
+    disc = discriminant(q_int)
+    if disc == 0:
+        raise FieldError("minimal polynomial has repeated roots")
+    # the first split prime not dividing disc(q_E), new ones as needed
+    ell = next(ell for count in itertools.count(1)
+               for ell in nf.split_primes(count)[-1:] if disc % ell)
+    p_int, delta = integral_model(nf.poly)[1], nf.denominator_bound
+    # the bound of step 5, squared to stay in the integers: l^(2k) > bound
+    c2 = d * (1 + max(map(abs, p_int))) ** (2 * d - 2)
+    x2 = (d ** 3 * delta * c2 ** (d - 1) * (1 + max(map(abs, q_int))) ** 2
+          + delta ** 2)
+    bound = (2 ** (d + 2) * x2 * x2 * c2) ** d
+    k_proof = math.ceil(bound.bit_length() / (2 * math.log2(ell)))
+    while ell ** (2 * k_proof) <= bound:
+        k_proof += 1
+    # the roots mod l, by trial: l is small
+    a = next(r for r in range(ell) if _peval(p_int, r, 0) % ell == 0)
+    over = [r for r in range(ell) if _peval(q_int, r, 0) % ell == 0]
+
+    def verified_root(k):
+        modulus, a_k = ell ** k, _hensel_lift(p_int, a, ell, k)
+        for b in over:
+            beta = reconstruct_at(nf, a_k, _hensel_lift(q_int, b, ell, k),
+                                  modulus, den)
+            if beta is not None and _peval(q, beta, nf.zero).is_zero():
+                return beta
         return None
-    den_bound = max(MEMBERSHIP_DEN_BOUND, nf.denominator_bound * den)
-    for step in range(1, ESCALATIONS + 1):
-        found = _reconstruct_root(q_roots, approx, nf,
-                                  MEMBERSHIP_DIGITS << step, den_bound)
-        if found is not None:
-            return found
-    raise PrecisionExhausted(
-        f"no root of [{', '.join(map(str, q))}] reconstructed in {nf!r} up "
-        f"to {MEMBERSHIP_DIGITS << ESCALATIONS} digits, and none of its "
-        f"{SPLIT_PRIMES} split primes excludes one")
+
+    k = min(k_proof, math.ceil(LIFT_BITS / math.log2(ell)))
+    found = verified_root(k)
+    if found is None and k < k_proof and nonmembership_prime(
+            q_int, nf, SIEVE_FIRST) is None:
+        while found is None and k < k_proof:
+            k = min(2 * k, k_proof)
+            found = verified_root(k)
+    return found
 
 
-def _reconstruct_root(q, approx, nf, precision, den_bound):
-    """An exactly verified root of the integer q in nf, found by lattice
-    reduction at one precision, or None.
-
-    The root of q that `approx` approximates is refined by Newton's method
-    from approx to precision + guard digits; no other root of q is tried.
-    If Newton's method does not converge within NEWTON_STEPS steps,
-    PrecisionExhausted is raised."""
-    digits = precision + guard_digits(precision)
-    with mp.workdps(digits):
-        root = _mpc(_newton_fixed(q, approx, digits, digits)[0])
-    # q is a minimal polynomial, hence irreducible: if a root of q lies in
-    # the field at all, every root of q is hit by some embedding, so scanning
-    # all roots of p for the one root approximated is complete.  A root of
-    # q whose minimal polynomial has the degree of q has q as its minimal
-    # polynomial, up to a constant.
-    for t in nf.all_roots(precision):
-        try:
-            cand = reconstruct_at(nf, root, t, precision, den_bound)
-        except ReconstructionFailed:
-            continue
-        if (_peval(q, cand, nf.zero).is_zero()
-                and len(cand.min_poly()) == len(q)):
-            return cand
-    return None
+def first_embedding_turn(x, n, angle):
+    """The h mod n with angle(sigma(x)) = 2 pi h / n at the first
+    embedding sigma, read by one `nearest_integer` at TURN_DIGITS digits,
+    or PrecisionExhausted.  For sigma(x) = e^(2 pi i h/n) (angle mp.arg),
+    x^j with j = h^-1 mod n is the conjugate that sigma maps to
+    e^(2 pi i/n)."""
+    with working(TURN_DIGITS):
+        image = EmbeddingContext(x.field, 0, TURN_DIGITS).evaluate(x)
+        h = nearest_integer(angle(image) * n / (2 * mp.pi), TURN_DIGITS)
+    if h is None:
+        raise PrecisionExhausted(f"the image of {x!r} at the first "
+                                 f"embedding is no n-th turn for n = {n}")
+    return h % n
 
 
 def detect_roots_of_unity(nf):
     """The pair (m, w): m the order of the group of roots of unity of the
-    field and w a verified generator (a root of the m-th cyclotomic
-    polynomial, which certifies its exact order).  Every larger candidate
-    order is excluded by an exact certificate (see element_in_field)."""
+    field and w the generator whose image at the first embedding is
+    e^(2 pi i/m), a root of the m-th cyclotomic polynomial, which
+    certifies its order; every larger order is excluded exactly."""
     d = nf.degree
     for m in range(2 * d * d + 2, 2, -2):
         if euler_phi(m) <= d:
-            def approx():
-                with mp.workdps(MEMBERSHIP_DIGITS):
-                    return mp.expjpi(mp.mpf(2) / m)
-            w = element_in_field(cyclotomic(m), approx, nf)
+            w = element_in_field(cyclotomic(m), nf)
             if w is not None:
-                return (m, w)
+                return (m, w ** pow(first_embedding_turn(w, m, mp.arg),
+                                    -1, m))
     return (2, nf.rational(-1))

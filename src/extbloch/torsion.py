@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .field import (MEMBERSHIP_DIGITS, NumberField, _primes, cos2pi_minpoly,
-                    element_in_field, euler_phi, is_prime, prime_factors,
-                    working)
+from .field import (NumberField, _primes, cos2pi_minpoly, element_in_field,
+                    euler_phi, first_embedding_turn, is_prime,
+                    prime_factors)
 from .extgroup import SymbolicBasis
 from .bloch import BlochSum, ExtBlochSum, Flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
@@ -48,17 +48,19 @@ class NotApplicable(TorsionError):
 def two_cos(nf, n):
     """2*cos(2*pi/n) as an element of nf, or None if it does not lie there.
 
-    None is an exact certificate (see field.element_in_field); a value that
-    lies in nf but does not reconstruct raises PrecisionExhausted.  Results
-    are memoized on the field per n.  The returned element is only pinned
-    down up to Galois conjugacy (any primitive branch serves the
-    constructions below equally)."""
+    None is an exact certificate (see field.element_in_field).  The
+    element returned is the conjugate whose image at the first embedding
+    is 2cos(2pi/n): if the root c found there is 2cos(2pi h/n), it is
+    D_j(c) = 2cos(2pi hj/n) of the recurrence below, j = h^-1 mod n.
+    Results are memoized on the field per n."""
     key = ("two_cos", n)
     if key not in nf.memo:
-        def approx():
-            with working(MEMBERSHIP_DIGITS):
-                return 2 * mp.cos(2 * mp.pi / n)
-        nf.memo[key] = element_in_field(cos2pi_minpoly(n), approx, nf)
+        c = element_in_field(cos2pi_minpoly(n), nf)
+        if c is not None and not c.is_rational():
+            h = first_embedding_turn(c, n, lambda z: mp.acos(mp.re(z) / 2))
+            j = pow(h, -1, n)
+            c = _recurrence(c, nf.rational(2), c, j + 1)[j]
+        nf.memo[key] = c
     return nf.memo[key]
 
 

@@ -312,3 +312,13 @@ def test_explicit_torsion_generator():
     assert basis.element(1).pi() == w
     with pytest.raises(ExtGroupError):
         MultBasis(f, [], torsion_gen=w * w)  # order 3, not 6
+
+
+def test_generators_outside_the_field_are_rejected(rationals):
+    sqrt2 = NumberField([-2, 0, 1])
+    with pytest.raises(ExtGroupError, match="elements of the field"):
+        MultBasis(rationals, [2])
+    with pytest.raises(ExtGroupError, match="elements of the field"):
+        MultBasis(rationals, [rationals.rational(2)], torsion_gen=-1)
+    with pytest.raises(ExtGroupError, match="elements of the field"):
+        MultBasis(rationals, [sqrt2.gen])

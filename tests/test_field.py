@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -237,18 +238,16 @@ def test_embeddings_evaluate_generator_to_root(example_field):
 @pytest.mark.parametrize("poly", [[0, 1], [-2, 0, 1], [1, -2, 2, -1, 1],
                                   [-2, 0, 0, 1]])
 def test_all_roots_lists_every_root_once(poly):
+    # the roots of the embeddings and the conjugates of the non-real ones
+    # are the d roots of p, each once (mpmath.polyroots as the reference)
     nf = NumberField(poly)
-    roots, r1 = nf.all_roots(40), nf.signature[0]
-    assert len(roots) == nf.degree
-    assert roots[:r1] == nf.roots(40)[:r1]
+    roots, r1 = nf.roots(40), nf.signature[0]
     with mp.workdps(50):
-        # each non-real root of `roots` is followed by its conjugate
-        assert roots[r1::2] == nf.roots(40)[r1:]
-        for z, w in zip(roots[r1::2], roots[r1 + 1::2]):
-            assert abs(w - mp.conj(z)) < mp.mpf(10) ** -40
-        for i, z in enumerate(roots):
-            assert abs(mp.polyval(poly[::-1], z)) < mp.mpf(10) ** -35
-            assert all(abs(z - w) > mp.mpf("0.1") for w in roots[i + 1:])
+        found = roots + [mp.conj(z) for z in roots[r1:]]
+        reference = mpmath.polyroots(poly[::-1], maxsteps=200, extraprec=200)
+        assert len(found) == nf.degree
+        for z in reference:
+            assert sum(abs(w - z) < mp.mpf(10) ** -35 for w in found) == 1
 
 
 def test_embedding_respects_products(sqrt2):
@@ -394,17 +393,13 @@ def test_split_primes_match_the_definition(name, scale):
 
 
 def test_element_in_field_finds_sqrt2(sqrt2):
-    with mp.workdps(48):
-        approx = mp.sqrt(2)
-    found = element_in_field([-2, 0, 1], approx, sqrt2)
+    found = element_in_field([-2, 0, 1], sqrt2)
     assert found is not None
     assert found * found == sqrt2.rational(2)
 
 
 def test_element_in_field_rejects_sqrt3(sqrt2):
-    with mp.workdps(48):
-        approx = mp.sqrt(3)
-    assert element_in_field([-3, 0, 1], approx, sqrt2) is None
+    assert element_in_field([-3, 0, 1], sqrt2) is None
 
 
 def test_substitute_automorphism(sqrt2):

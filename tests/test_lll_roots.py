@@ -208,16 +208,19 @@ def test_close_roots_are_isolated_again(monkeypatch):
 
 def test_unseparated_roots_raise_precision_exhausted(monkeypatch):
     nf = NumberField([-2, 0, 1])
-    # every isolation returns the same root twice, so separation never holds
+    # every isolation returns the same root twice (1.375 and 1.5, as
+    # fixed-point triples), so separation never holds
     monkeypatch.setattr(field_mod, "_isolate_roots",
-                        lambda poly, digits: [mp.mpc(1.4), mp.mpc(1.5)])
+                        lambda poly, digits: [(11, 0, 3), (3, 0, 1)])
     with pytest.raises(PrecisionExhausted):
         nf.roots(44)
 
 
 def test_newton_converges_to_the_root_it_starts_near():
     poly = (-2, 0, 1)
-    root, (sr, si, b) = _newton_fixed(poly, mp.mpf("-1.41"), 15, 80)
+    # the start -1.41 as a fixed-point triple: -1.41 * 2^60 / 2^60
+    start = (-141 * 2 ** 60 // 100, 0, 60)
+    root, (sr, si, b) = _newton_fixed(poly, start, 15, 80)
     with mp.workdps(80):
         assert abs(_mpc(root) + mp.sqrt(2)) < mp.mpf(10) ** -75
         step = mp.ldexp(math.isqrt(sr * sr + si * si), -b)
@@ -228,7 +231,7 @@ def test_newton_step_budget_raises():
     # x^2 + 1 has no real root: Newton's method from a real start wanders
     poly = (1, 0, 1)
     with pytest.raises(PrecisionExhausted):
-        _newton_fixed(poly, mp.mpf("0.5"), 30, 30)
+        _newton_fixed(poly, (1, 0, 1), 30, 30)
 
 
 def test_roots_never_call_polyroots(monkeypatch):

@@ -1,18 +1,18 @@
-"""Certified membership: the split-prime certificate, precision escalation,
-and the torsion data it decides, against sympy and under rescaling."""
+"""Certified membership: the split-prime certificate, the l-adic lattice
+and its proven bound, and the torsion data they decide, against sympy and
+under rescaling."""
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
 
 import extbloch.field as field_mod
 from extbloch.cli import main
 from extbloch.field import (SIEVE_FIRST, NotSquarefree, NumberField,
-                            PrecisionExhausted, ReconstructionFailed,
                             cos2pi_minpoly, cyclotomic, discriminant,
                             element_in_field, euler_phi, integral_model,
                             nonmembership_prime)
@@ -51,6 +51,52 @@ def profile_of(poly, c=1):
 def test_rescaled_fields_keep_their_torsion(name, c):
     poly, m, nu = BASE[name]
     assert profile_of(poly, c) == (m, nu)
+
+
+# the smallest powers of ten, found by bisection, at which the
+# approximation-driven route exited 4 ("precision exhausted: no root of ...
+# reconstructed"); 10^100, 10^100 and 10^300 did too
+@pytest.mark.parametrize("name, exponent", [("x4+1", 63), ("quartic", 76),
+                                            ("sqrt2", 189)])
+def test_members_of_hugely_rescaled_fields_are_found(name, exponent,
+                                                     tmp_path, capsys):
+    with open("tests/fixtures/golden_cli.json") as fh:
+        want = json.load(fh)[f"torsion table {name}@1"]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(
+        {"field": [str(c) for c in scaled(BASE[name][0], 10 ** exponent)]}))
+    assert main(["torsion", "table", str(path)]) == want["code"] == 0
+    assert capsys.readouterr().out == want["stdout"]
+
+
+ORDERS = [n for n in range(1, 31) if euler_phi(n) <= 8]
+
+
+@given(poly=st.sampled_from([p for p, _, _ in BASE.values()]
+                            + [[-2, 0, 0, 1]]),
+       q=st.one_of(st.sampled_from(ORDERS).map(cyclotomic),
+                   st.sampled_from(ORDERS).map(cos2pi_minpoly),
+                   st.just(None),
+                   st.integers(-60, 60).filter(
+                       lambda a: a < 0 or math.isqrt(a) ** 2 != a).map(
+                       lambda a: (-a, 0, 1))))
+@settings(max_examples=40, deadline=None)
+def test_membership_matches_sympy(poly, q):
+    # None draws p itself; x^2 - a is drawn only for a non-square a, so
+    # that every q is irreducible, as element_in_field asks
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    q = tuple(poly) if q is None else q
+    nf = NumberField(poly)
+    beta = element_in_field(q, nf)
+    extension = {} if nf.degree == 1 else {"extension": sympy.CRootOf(
+        sympy.Poly(list(reversed(poly)), y), 0)}
+    factors = sympy.factor_list(sum(c * x ** i for i, c in enumerate(q)),
+                                x, **extension)[1]
+    assert (beta is not None) == any(sympy.degree(f, x) == 1
+                                     for f, _ in factors), (poly, q)
+    if beta is not None:
+        assert field_mod._peval(q, beta, nf.zero).is_zero()
 
 
 def test_m_and_nu_against_sympy():
@@ -134,44 +180,33 @@ def test_misses_run_no_lattice_reduction(monkeypatch):
 
     monkeypatch.setattr(field_mod, "reconstruct_at", refuse)
     sqrt2 = NumberField([-2, 0, 1])
-    with mp.workdps(48):
-        assert element_in_field([-3, 0, 1], mp.sqrt(3), sqrt2) is None
+    assert element_in_field([-3, 0, 1], sqrt2) is None
     assert sqrt2.torsion[0] == 2
 
 
+def _record(monkeypatch, name, calls, arg):
+    """Record argument `arg` of every call of field.<name>."""
+    original = getattr(field_mod, name)
+    monkeypatch.setattr(field_mod, name, lambda *a: calls.append(a[arg])
+                        or original(*a))
+
+
 def test_late_witness_still_excludes(monkeypatch):
-    # sqrt(285) is not in Q(i); the first split prime of Q(i) at which
-    # x^2 - 285 has no root comes after the first SIEVE_FIRST
+    # sqrt(285 * 2^12) is not in Q(i); the first split prime of Q(i) at
+    # which x^2 - 285 * 2^12 has no root comes after the first SIEVE_FIRST.
+    # Its coefficient puts the proven bound above the first lattice, so
+    # the full sieve decides after one lattice reduction per root mod l
     nf = NumberField([1, 0, 1])
-    q = [-285, 0, 1]
+    q = [-285 * 2 ** 12, 0, 1]
     assert nonmembership_prime(q, nf, 0, SIEVE_FIRST) is None
     assert nonmembership_prime(q, nf) is not None
-    attempts = []
-    reconstruct_at = field_mod.reconstruct_at
-    monkeypatch.setattr(field_mod, "reconstruct_at",
-                        lambda *a, **k: attempts.append(a[3])
-                        or reconstruct_at(*a, **k))
-    with mp.workdps(48):
-        assert element_in_field(q, mp.sqrt(285), nf) is None
-    # one reconstruction, at the requested precision, then the full sieve
-    assert attempts and set(attempts) == {48}
-
-
-def test_exhausted_first_reconstruction_leaves_the_sieve_to_decide(
-        monkeypatch):
-    # a PrecisionExhausted from the one reconstruction before the full
-    # sieve is caught, and the later split primes exclude sqrt(285)
-    nf = NumberField([1, 0, 1])
-    attempts = []
-
-    def exhausted(q, approx, nf, precision, den_bound):
-        attempts.append(precision)
-        raise PrecisionExhausted("forced")
-
-    monkeypatch.setattr(field_mod, "_reconstruct_root", exhausted)
-    with mp.workdps(48):
-        assert element_in_field([-285, 0, 1], mp.sqrt(285), nf) is None
-    assert attempts == [field_mod.MEMBERSHIP_DIGITS]
+    moduli, starts = [], []
+    _record(monkeypatch, "reconstruct_at", moduli, 3)
+    _record(monkeypatch, "nonmembership_prime", starts, 2)
+    assert element_in_field(q, nf) is None
+    assert len(moduli) == 2 and len(set(moduli)) == 1
+    assert moduli[0].bit_length() >= field_mod.LIFT_BITS
+    assert starts == [0, SIEVE_FIRST]
 
 
 def test_member_tests_only_the_first_split_primes(monkeypatch):
@@ -182,25 +217,37 @@ def test_member_tests_only_the_first_split_primes(monkeypatch):
     monkeypatch.setattr(field_mod, "_fp_has_root",
                         lambda poly, ell: tested.append(tuple(poly))
                         or has_root(poly, ell))
-    with mp.workdps(48):
-        w = element_in_field(q, 2 * mp.sqrt(2), nf)
+    w = element_in_field(q, nf)
     assert w * w == nf.rational(8)
     assert tested.count(q) == SIEVE_FIRST
 
 
-def test_unreconstructed_survivor_raises(monkeypatch, tmp_path, capsys):
-    def fail(*args, **kwargs):
-        raise ReconstructionFailed("forced")
-
-    monkeypatch.setattr(field_mod, "reconstruct_at", fail)
-    sqrt2 = NumberField([-2, 0, 1])
-    with mp.workdps(48):
-        with pytest.raises(PrecisionExhausted):
-            element_in_field([-2, 0, 1], mp.sqrt(2), sqrt2)
-    path = tmp_path / "field.json"
-    path.write_text('{"field": [1, 0, 1]}')
-    assert main(["torsion", "table", str(path)]) == 4
-    assert "precision exhausted" in capsys.readouterr().err
+@pytest.mark.parametrize("poly, q, member", [
+    # non-members with roots mod the lattice's prime l = 7
+    ([-2, 0, 1], [-11, 0, 1], False),                 # sqrt11, Q(sqrt2)
+    ([1, -2, 2, -1, 1], [-2, 0, 1], False),           # sqrt2, quartic
+    ([1, 0, 0, 0, 1], cos2pi_minpoly(8), True),       # sqrt2, Q(zeta_8)
+    (scaled([1, 1, 1], 10 ** 6), cyclotomic(6), True),
+])
+def test_lattice_bound_proves_absence_without_the_sieve(monkeypatch, poly,
+                                                        q, member):
+    # with no split prime allowed to exclude, the lattice alone decides:
+    # a non-member is refused only at a modulus past the proven bound
+    monkeypatch.setattr(field_mod, "nonmembership_prime",
+                        lambda *a, **k: None)
+    moduli = []
+    _record(monkeypatch, "reconstruct_at", moduli, 3)
+    nf = NumberField(poly)
+    beta = element_in_field(q, nf)
+    if member:
+        assert field_mod._peval(q, beta, nf.zero).is_zero()
+        return
+    assert beta is None
+    d, delta = nf.degree, nf.denominator_bound
+    r2 = (1 + max(map(abs, integral_model(q)[1]))) ** 2
+    c2 = d * (1 + max(map(abs, integral_model(nf.poly)[1]))) ** (2 * d - 2)
+    x2 = d ** 3 * delta * c2 ** (d - 1) * r2 + delta ** 2
+    assert moduli[-1] ** 2 > (2 ** (d + 2) * x2 * x2 * c2) ** d
 
 
 def test_torsion_is_lazy_and_two_cos_memoized(monkeypatch):
@@ -271,18 +318,16 @@ def test_denominator_bound_is_the_discriminant_of_the_integral_model():
     assert min(dens.values()) >= 20
 
 
-def test_two_cos_evaluates_a_cosine_only_to_reconstruct(monkeypatch):
-    calls = []
-    real_cos = mp.cos
-    monkeypatch.setattr(mp, "cos", lambda *a: calls.append(a) or
-                        real_cos(*a))
+def test_two_cos_reads_an_embedding_only_for_an_irrational_cosine():
     nf = NumberField([-2, 0, 1])
     assert two_cos(nf, 2) == nf.rational(-2)
     assert two_cos(nf, 3) == nf.rational(-1)
     assert two_cos(nf, 5) is None
-    assert calls == []
-    assert two_cos(nf, 8) ** 2 == nf.rational(2)
-    assert len(calls) == 1
+    assert nf._refined is None
+    # the first embedding of Q(sqrt2) is the real root -sqrt2, where -x
+    # is 2cos(2pi/8)
+    assert two_cos(nf, 8) == -nf.gen
+    assert nf._refined is not None
 
 
 @given(coeffs=st.lists(st.integers(min_value=-30, max_value=30),

@@ -17,6 +17,10 @@ vanish passes at 10^(10 - N), so a tighter check asks for more digits),
 --symmetric-range (display regulators with real part in [-2*pi^2, 2*pi^2)
 instead of [0, 4*pi^2)), --json.
 
+A fixture's defining polynomial must be irreducible over Q; nothing checks
+it, and a reducible one gives meaningless answers (`torsion table`: m = 2
+for x^6 + 1; `field info`: signature [2, 0] for x^2 - 1).
+
 Exit codes: 0 success; 2 input error: a usage error (argparse exits with
 SystemExit(2)) or an InputError, raised for an unreadable fixture, a
 fixture key that is missing or has a value of the wrong shape, a constant

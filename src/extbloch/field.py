@@ -1,13 +1,15 @@
 """Exact arithmetic in a number field F = Q[x]/(p(x)).
 
-A field is described by a squarefree (and, by caller assertion, irreducible)
-polynomial p with rational coefficients.  Elements are vectors of rationals of
-length deg(p), i.e. residues of polynomials of degree < deg(p).  Polynomials
-are dense lists of integers, lowest coefficient first; a rational polynomial
-that a caller passes in is multiplied by the least common denominator of its
-coefficients on entry.  One remainder sequence on integers (`_sturm_chain`)
-gives the signature, squarefreeness and the discriminant, and the same lists,
-reduced mod l, decide the split primes.
+A field is described by a squarefree polynomial p with rational
+coefficients, made monic; p must be irreducible, which nothing checks (a
+reducible p gives meaningless answers).  Elements are vectors of rationals
+of length deg(p), i.e. residues of polynomials of degree < deg(p).
+Polynomials are dense lists of integers, lowest coefficient first.  A
+field keeps one, the integral model p_D = D^d p(x/D) (D the least common
+denominator of p), monic with the roots theta = D*alpha: its Sturm chain
+(`_sturm_chain`) gives the signature, squarefreeness and the discriminant,
+its roots mod l the split primes, its complex roots, divided by D, the
+embeddings.
 
 Numeric embeddings evaluate elements at the complex roots of p at a
 requested decimal precision.  The roots are isolated once per field at low
@@ -21,9 +23,10 @@ isolated again at higher precision.
 Membership of an algebraic number given by its minimal polynomial q (roots
 of unity, cosines 2cos(2pi/n), roots of p itself) is decided on integers
 alone (`element_in_field`): a split prime at which q has no root proves
-that q has no root in F, and Hensel lifting at one split prime with exact
-lattice reduction (LLL) finds a root, verified exactly, or proves past a
-size bound that there is none.  Numerics remain only in embeddings and
+that q has no root in F (split primes are found only up to the first such
+witness), and Hensel lifting at one split prime with exact lattice
+reduction (LLL) finds a root, verified exactly, or proves past a size
+bound that there is none.  Numerics remain only in embeddings and
 regulators.
 
 Other modules decide on a value computed at N digits by `is_small` (it
@@ -172,17 +175,12 @@ def _sturm_chain(p):
     return [c for c in chain if c], scales
 
 
-def count_real_roots(p):
-    """Number of distinct real roots of a squarefree rational polynomial.
-    The last entry of the Sturm chain is gcd(p, p'), up to a constant
-    factor, so a nonconstant one raises NotSquarefree."""
-    return _chain_real_roots(_sturm_chain(_trim(_integer(p)[1]))[0])
-
-
 def _chain_real_roots(chain):
-    """`count_real_roots` of chain[0], from its Sturm chain: the sign
-    changes along the chain at -infinity less those at +infinity, read
-    from the leading coefficients."""
+    """The number of distinct real roots of chain[0], from its Sturm
+    chain: the sign changes along the chain at -infinity less those at
+    +infinity, read from the leading coefficients.  The last entry of the
+    chain is gcd(p, p'), up to a constant factor, so a nonconstant one
+    raises NotSquarefree."""
     if len(chain[-1]) > 1:
         raise NotSquarefree("defining polynomial has repeated roots")
     high = [c[-1] > 0 for c in chain]
@@ -310,7 +308,7 @@ def cos2pi_minpoly(n):
 # So q_E without a root mod one such split prime l proves that q has no root
 # in F, using integer arithmetic only.
 
-SPLIT_PRIMES = 30   # split primes a field keeps for the certificate
+SPLIT_PRIMES = 30   # split primes the certificate reads at most
 SIEVE_FIRST = 4     # of them, the ones tried before any lattice reduction
 
 
@@ -400,12 +398,13 @@ def _fp_has_root(poly, ell):
 
 
 def nonmembership_prime(q_int, nf, start=0, stop=SPLIT_PRIMES):
-    """A split prime of nf, from the start-th to the (stop-1)-th, at which
-    the monic integer polynomial q_int, the integral model of a monic q,
-    has no root, or None.  A prime is an exact proof that q has no root in
-    nf; None proves nothing."""
-    return next((ell for ell in nf.split_primes(stop)[start:]
-                 if not _fp_has_root(q_int, ell)), None)
+    """The first split prime of nf, from the start-th to the (stop-1)-th,
+    at which the monic integer polynomial q_int, the integral model of a
+    monic q, has no root, or None: an exact proof that q has no root in
+    nf, read from `nf.split_primes()` only up to itself; None proves
+    nothing."""
+    split = itertools.islice(nf.split_primes(), start, stop)
+    return next((ell for ell in split if not _fp_has_root(q_int, ell)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +821,13 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.field.one
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- exact invariants --------------------------------------------------
@@ -937,18 +936,21 @@ class NumberField:
             raise DegreeZero("defining polynomial must be nonconstant")
         lead = coeffs[-1]
         coeffs = tuple(c / lead for c in coeffs)
-        # the integer model D p, with D the least common denominator
-        self._den, self._int_poly = _integer(coeffs)
-        chain, scales = _sturm_chain(self._int_poly)
+        self._den, self._model = integral_model(coeffs)
+        chain, scales = _sturm_chain(self._model)
         r1 = _chain_real_roots(chain)
-        self._int_discriminant = _chain_discriminant(chain, scales)
+        # disc(p_D) O_F lies in Z[D alpha], so |disc(p_D)| clears the
+        # denominators of the coordinates of every algebraic integer
+        self.denominator_bound = abs(int(_chain_discriminant(chain, scales)))
         self.poly = coeffs
         self.degree = len(coeffs) - 1
         self.reduction_rows = _reduction_rows(coeffs)
         self._root_cache = {}
         self._refined = None     # (digits, roots): the most precise refinement
         self._split_primes = []  # split primes found so far, ascending
-        self._split_search = None
+        self._split_search = (ell for ell in _primes()
+                              if self.denominator_bound % ell
+                              and _fp_has_root(self._model, ell))
         self.signature = (r1, (self.degree - r1) // 2)
         self.one = self.rational(1)
         self.zero = self.rational(0)
@@ -963,33 +965,21 @@ class NumberField:
         generator, detected on first use."""
         return detect_roots_of_unity(self)
 
-    def split_primes(self, count=SPLIT_PRIMES):
-        """The first `count` primes at which the integral model p_D of the
-        defining polynomial is squarefree and has a root, found on first
-        use and kept.  As p_D is monic, it is squarefree mod l exactly when
-        l does not divide disc(p_D), whose absolute value is
-        `denominator_bound`."""
-        if len(self._split_primes) < count:
-            if self._split_search is None:
-                p_int = integral_model(self.poly)[1]
-                self._split_search = (
-                    ell for ell in _primes()
-                    if self.denominator_bound % ell
-                    and _fp_has_root(p_int, ell))
-            self._split_primes += itertools.islice(
-                self._split_search, count - len(self._split_primes))
-        return tuple(self._split_primes[:count])
+    def split_primes(self):
+        """The primes at which the integral model p_D of the defining
+        polynomial is squarefree and has a root, ascending: a stream that
+        finds each prime when it is first read and keeps it for every
+        later reader.  As p_D is monic, it is squarefree mod l exactly
+        when l does not divide disc(p_D), whose absolute value is
+        `denominator_bound`.
 
-    @functools.cached_property
-    def denominator_bound(self):
-        """|disc(p_D)| = |D^(d(d-1)) disc(p)| = |D^((d-1)(d-2)) disc(D p)|,
-        as p_D has the roots D times those of p: the coordinates of an
-        algebraic integer of the field in the power basis 1, alpha, ...
-        have denominators dividing it, since disc(p_D) O_F lies in
-        Z[D alpha], where they are integers."""
-        d = self.degree
-        return abs(int(self._den ** ((d - 1) * (d - 2))
-                       * self._int_discriminant))
+        >>> list(itertools.islice(NumberField([-2, 0, 1]).split_primes(), 5))
+        [7, 17, 23, 31, 41]
+        """
+        for i in itertools.count():
+            if i == len(self._split_primes):
+                self._split_primes.append(next(self._split_search))
+            yield self._split_primes[i]
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.poly == other.poly
@@ -1017,7 +1007,7 @@ class NumberField:
         request with no higher target.  The first request isolates the
         roots (the Aberth-Ehrlich iteration at ISOLATION_DIGITS digits).
         A refinement proves only that each returned root lies within
-        (d+1)*|last Newton step| of a root of p, a different one for each
+        (d+1)*|last Newton step| of a root of p_D, a different one for each
         (`_refine_roots`); roots in a tight cluster carry fewer digits than
         the target.  If those disks overlap, the roots are isolated again
         at doubled precision, up to ISOLATION_DOUBLINGS times, and then
@@ -1025,8 +1015,8 @@ class NumberField:
         then one representative per conjugate pair (positive imaginary
         part) by real part, then imaginary part.  Every root must leave a
         residue |p(z)| <= 10^-precision times the larger of 1 and the sum
-        of the |a_i| |z|^i that p(z) adds up.  Ordering and the residue run
-        on the fixed-point roots, returned as mpmath numbers.
+        of the |a_i| |z|^i that p(z) adds up.  All of this runs on the
+        fixed-point roots theta = D*alpha of p_D, divided by D at the end.
         """
         if precision in self._root_cache:
             return self._root_cache[precision]
@@ -1036,14 +1026,13 @@ class NumberField:
         if digits < target:
             # roots correct to `digits` digits pass Newton's convergence
             # test at twice as many, so refinement may start there
-            raw = raw and _refine_roots(self._int_poly, raw, 2 * digits,
-                                        target)
+            raw = raw and _refine_roots(self._model, raw, 2 * digits, target)
             for doublings in range(ISOLATION_DOUBLINGS + 1):
                 if raw:
                     break
                 isolation = ISOLATION_DIGITS << doublings
-                guesses = _isolate_roots(self._int_poly, isolation)
-                raw = guesses and _refine_roots(self._int_poly, guesses,
+                guesses = _isolate_roots(self._model, isolation)
+                raw = guesses and _refine_roots(self._model, guesses,
                                                isolation, target)
             if not raw:
                 raise PrecisionExhausted(
@@ -1055,25 +1044,26 @@ class NumberField:
         raw = sorted(((x << b - c, y << b - c) for x, y, c in raw),
                      key=lambda z: abs(z[1]))
         reals = sorted((x, 0) for x, _ in raw[:r1])
-        # one representative per conjugate pair; real parts that agree
-        # to `precision` digits count as equal, so that rounding noise
-        # cannot reorder two pairs with the same real part
-        scale, half = 10 ** precision, (1 << b) >> 1
+        # one representative per conjugate pair; real parts of alpha that
+        # agree to `precision` digits count as equal, so that rounding
+        # noise cannot reorder two pairs with the same real part
+        unit = self._den << b
+        scale, half = 10 ** precision, unit >> 1
         upper = sorted(((x, abs(y)) for x, y in raw[r1:]),
-                       key=lambda z: ((z[0] * scale + half) >> b, z[1]))
+                       key=lambda z: ((z[0] * scale + half) // unit, z[1]))
         ordered = reals + upper[::2]
+        # |p(alpha)| <= 10^-precision max(1, sum |a_i| |alpha|^i), with
+        # p(alpha) = (fr + i fi) / (D^d 2^b) and the sum s / (D^d 2^b)
+        one = self._den ** self.degree << b
         for x, y in ordered:
-            # |p(z)| <= 10^-precision max(1, sum |a_i| |z|^i), with
-            # p(z) = (fr + i fi) / (D 2^b) and the sum s / (D 2^b)
-            fr, fi = _horner(self._int_poly, x, y, b)[:2]
+            fr, fi = _horner(self._model, x, y, b)[:2]
             r, s = math.isqrt(x * x + y * y) + 1, 0
-            for c in reversed(self._int_poly):
+            for c in reversed(self._model):
                 s = (s * r >> b) + (abs(c) << b)
-            if (fr * fr + fi * fi) * 100 ** precision > max(self._den << b,
-                                                             s) ** 2:
+            if (fr * fr + fi * fi) * 100 ** precision > max(one, s) ** 2:
                 raise PrecisionExhausted("root verification residue too large")
         with mp.workdps(target):
-            ordered = [_mpc((x, y, b)) for x, y in ordered]
+            ordered = [_mpc((x, y, b)) / self._den for x, y in ordered]
         self._root_cache[precision] = ordered
         return ordered
 
@@ -1132,9 +1122,9 @@ def element_in_field(min_poly, nf):
     and the first SIEVE_FIRST split primes; (2) at l, the first split
     prime not dividing disc(q_E), the least root a of p_D and every root
     b of q_E mod l, Hensel-lifted to l^k >= 2^LIFT_BITS; (3) per b, a
-    candidate from `reconstruct_at`, verified exactly; (4) the remaining
-    split primes; (5) k doubled, repeating (2)-(3), until
-    l^k > (2^(d/2+1) X^2 C)^d, with R = 1 + max|coeff of q_E|,
+    candidate from `reconstruct_at`, verified exactly; (4) the split
+    primes up to the SPLIT_PRIMES-th; (5) k doubled, repeating (2)-(3),
+    until l^k > (2^(d/2+1) X^2 C)^d, with R = 1 + max|coeff of q_E|,
     C = sqrt(d) R_p^(d-1) for R_p the same bound for p_D, and
     X^2 = d^3 Delta C^(2d-2) R^2 + Delta^2, where a first vector that does
     not verify proves that no root of q lies over b.
@@ -1180,10 +1170,8 @@ def element_in_field(min_poly, nf):
     disc = discriminant(q_int)
     if disc == 0:
         raise FieldError("minimal polynomial has repeated roots")
-    # the first split prime not dividing disc(q_E), new ones as needed
-    ell = next(ell for count in itertools.count(1)
-               for ell in nf.split_primes(count)[-1:] if disc % ell)
-    p_int, delta = integral_model(nf.poly)[1], nf.denominator_bound
+    ell = next(ell for ell in nf.split_primes() if disc % ell)
+    p_int, delta = nf._model, nf.denominator_bound
     # the bound of step 5, squared to stay in the integers: l^(2k) > bound
     c2 = d * (1 + max(map(abs, p_int))) ** (2 * d - 2)
     x2 = (d ** 3 * delta * c2 ** (d - 1) * (1 + max(map(abs, q_int))) ** 2

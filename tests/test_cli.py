@@ -81,6 +81,22 @@ def test_fiveterm_check(capsys):
     assert "regulator_zero: True" in out
 
 
+def test_cancelled_log_lift_exits_4(capsys, tmp_path):
+    # x = (1 + sqrt2)^80 is a power of the one generator, but its two
+    # terms cancel at the embedding -sqrt2 to about 10^-31
+    a, b = 1, 0
+    for _ in range(80):
+        a, b = a + 2 * b, a + b
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"field": [-2, 0, 1],
+                                "basis": {"free_gens": [[1, 1]]},
+                                "x": [a, b], "y": [3]}))
+    code, out, err = run(capsys, ["fiveterm", "check", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("precision exhausted: log_lift: the terms of the "
+                          "element cancel at an embedding")
+
+
 def test_cycle_invariant(capsys):
     code, out, _ = run(capsys, ["cycle", "invariant",
                                 f"{FIXTURES}/figure_eight.json",

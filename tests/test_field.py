@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from mpmath import mp
 
 from cli_matrix import BASE_FIELDS, scaled
 from extbloch import field as field_module
-from extbloch.field import (PRIME_LIMIT, FieldError, NotSquarefree,
-                            NumberField, _solve_rational, cos2pi_minpoly,
-                            element_in_field, euler_phi, count_real_roots,
+from extbloch.field import (PRIME_LIMIT, FieldElement, FieldError,
+                            NotSquarefree, NumberField, _solve_rational,
+                            cos2pi_minpoly, element_in_field, euler_phi,
                             integral_model, is_prime, is_small,
                             nearest_integer, tolerance, working)
 
@@ -325,10 +326,11 @@ def test_is_prime_agrees_with_sympy():
 
 def test_count_real_roots():
     # x^3 - 2x: three real roots
-    assert count_real_roots((Fraction(0), Fraction(-2),
-                             Fraction(0), Fraction(1))) == 3
+    assert NumberField((Fraction(0), Fraction(-2),
+                        Fraction(0), Fraction(1))).signature[0] == 3
     # x^2 + 1: none
-    assert count_real_roots((Fraction(1), Fraction(0), Fraction(1))) == 0
+    assert NumberField((Fraction(1), Fraction(0),
+                        Fraction(1))).signature[0] == 0
 
 
 def _seeded_polynomials():
@@ -360,9 +362,10 @@ def test_count_real_roots_matches_sympy():
             if sympy.gcd(p, p.diff()).degree() > 0:
                 repeated += 1
                 with pytest.raises(NotSquarefree):
-                    count_real_roots(poly)
+                    NumberField(poly)
             else:
-                assert count_real_roots(poly) == p.count_roots(), (p, scale)
+                assert NumberField(poly).signature[0] == p.count_roots(), \
+                    (p, scale)
     assert repeated >= 21
 
 
@@ -389,7 +392,24 @@ def _split_primes_by_definition(p_int, count):
 def test_split_primes_match_the_definition(name, scale):
     nf = NumberField(scaled(BASE_FIELDS[name], scale))
     p_int = integral_model(nf.poly)[1]
-    assert nf.split_primes(30) == _split_primes_by_definition(p_int, 30)
+    assert tuple(itertools.islice(nf.split_primes(), 30)) \
+        == _split_primes_by_definition(p_int, 30)
+
+
+def test_powers_make_no_wasted_products(sqrt2, monkeypatch):
+    x = sqrt2.element([1, 1])
+    inv, fifth = x.inverse(), x * x * x * x * x
+    calls = []
+    mul = FieldElement.__mul__
+    monkeypatch.setattr(FieldElement, "__mul__",
+                        lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(FieldElement, "inverse",
+                        lambda a: calls.append("inverse") or inv)
+    for n, value, want in [(1, x, []), (2, x * x, ["mul"]),
+                           (-1, inv, ["inverse"]), (5, fifth, ["mul"] * 3),
+                           (0, sqrt2.one, [])]:
+        calls.clear()
+        assert x ** n == value and calls == want, n
 
 
 def test_element_in_field_finds_sqrt2(sqrt2):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import extbloch.field as field_mod
 from extbloch.cli import main
@@ -138,6 +139,25 @@ def test_torsion_is_invariant_under_rescaling(name, num, den):
     assert profile_of(poly, Fraction(num, den)) == (m, nu)
 
 
+@given(name=st.sampled_from(["sqrt2", "i", "sqrt-3", "quartic"]),
+       num=st.integers(min_value=1, max_value=10 ** 9),
+       den=st.integers(min_value=1, max_value=10 ** 3))
+@settings(max_examples=12, deadline=None)
+def test_rescaled_fields_keep_one_integral_model(name, num, den):
+    # the field of p(x/c) c^d for c = num/den keeps p_D; its bound is
+    # |disc(p_D)| (sympy) and its roots are c times those of p
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    poly, c = BASE[name][0], Fraction(num, den)
+    nf = NumberField(scaled(poly, c))
+    p_int = integral_model(nf.poly)[1]
+    want = sympy.discriminant(sympy.Poly(list(reversed(p_int)), x))
+    assert nf.denominator_bound == abs(int(want))
+    with mp.workdps(60):
+        for z, w in zip(nf.roots(30), NumberField(poly).roots(30)):
+            assert abs(z - w * num / den) <= abs(z) * mp.mpf(10) ** -50
+
+
 @pytest.mark.parametrize("name", sorted(BASE))
 def test_certified_orders_are_the_prime_parts_of_w(name):
     # the flattened generator at p has order the p-part of w = 2 prod p^nu
@@ -207,6 +227,14 @@ def test_late_witness_still_excludes(monkeypatch):
     assert len(moduli) == 2 and len(set(moduli)) == 1
     assert moduli[0].bit_length() >= field_mod.LIFT_BITS
     assert starts == [0, SIEVE_FIRST]
+
+
+def test_split_primes_are_found_only_up_to_the_witness():
+    # the split primes of Q(i) are the primes 1 mod 4; the witness for
+    # x^2 - 285 * 2^12 is the seventh, 53, and no later one is searched
+    nf = NumberField([1, 0, 1])
+    assert element_in_field([-285 * 2 ** 12, 0, 1], nf) is None
+    assert nf._split_primes == [5, 13, 17, 29, 37, 41, 53]
 
 
 def test_member_tests_only_the_first_split_primes(monkeypatch):

@@ -32,21 +32,24 @@ class NotAFlattening(BlochError):
 
 
 class Flattening:
-    """A pair (e, f) over one basis with pi(e) + pi(f) = 1 exactly."""
+    """A pair (e, f) over one basis with pi(e) + pi(f) = 1 exactly.  A
+    caller that knows z = pi(e), for a translate or a normal form, passes
+    it: then nothing is projected or checked."""
 
     __slots__ = ("e", "f", "z")
 
-    def __init__(self, e, f, _skip_check=False):
+    def __init__(self, e, f, z=None):
         if e.basis is not f.basis:
             raise NotAFlattening("components over different bases")
         self.e = e
         self.f = f
-        self.z = e.pi()
-        if not _skip_check:
-            if self.z.is_zero() or self.z.is_one():
+        if z is None:
+            z = e.pi()
+            if z.is_zero() or z.is_one():
                 raise NotAFlattening("cross-ratio must avoid 0 and 1")
-            if not (self.z + f.pi()).is_one():
+            if not (z + f.pi()).is_one():
                 raise NotAFlattening("pi(e) + pi(f) != 1")
+        self.z = z
 
     @property
     def basis(self):
@@ -55,8 +58,7 @@ class Flattening:
     def translate(self, p, q):
         """The flattening shifted by p and q central units."""
         iota = self.basis.iota()
-        return Flattening(self.e + p * iota, self.f + q * iota,
-                          _skip_check=True)
+        return Flattening(self.e + p * iota, self.f + q * iota, self.z)
 
     def __eq__(self, other):
         return (isinstance(other, Flattening)
@@ -87,8 +89,7 @@ class ExtBlochSum:
                 continue
             if fl.basis is not basis:
                 raise BlochError("terms over different bases")
-            key = (tuple(fl.z.coeffs), fl.e.k % basis.m, fl.e.r,
-                   fl.f.k % basis.m, fl.f.r)
+            key = (fl.e.k % basis.m, fl.e.r, fl.f.k % basis.m, fl.f.r)
             merged.setdefault(key, []).append((int(n), fl))
         out = []
         for group in merged.values():
@@ -97,7 +98,7 @@ class ExtBlochSum:
             base = Flattening(
                 ExtElement(basis, any_fl.e.k % basis.m, any_fl.e.r),
                 ExtElement(basis, any_fl.f.k % basis.m, any_fl.f.r),
-                _skip_check=True)
+                any_fl.z)
             total = 0
             for n, fl in group:
                 p = (fl.e.k - base.e.k) // basis.m

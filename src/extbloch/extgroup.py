@@ -209,7 +209,8 @@ EXPONENT_DIGITS = 50  # digits of the numeric exponent recovery and rank check
 
 class MultBasis(_BasisCommon):
     """Torsion generator plus a fixed list of multiplicatively independent
-    free generators of a subgroup of F*."""
+    free generators of a subgroup of F*.  Over a number field `log_lift`
+    reads exponents from log moduli, so theirs must have full rank."""
 
     def __init__(self, field, free_gens, saturated=False, torsion_gen=None):
         self.field = field
@@ -266,8 +267,11 @@ class MultBasis(_BasisCommon):
             gram = mat.T * mat
             if mat.rows < mat.cols or nearest_integer(
                     mp.det(gram), EXPONENT_DIGITS) == 0:
-                raise ExtGroupError("free generators are multiplicatively "
-                                    "dependent modulo roots of unity")
+                raise ExtGroupError(
+                    "log_lift cannot separate the free generators by their "
+                    "log moduli: these have rank below the number of "
+                    "generators, as for dependent ones and for some "
+                    "independent ones (2 and 3 in a quadratic field)")
             return (mp.inverse(gram) * mat.T).tolist()
 
     def log_lift(self, z):

@@ -8,8 +8,8 @@ Polynomials are dense lists of integers, lowest coefficient first.  A
 field keeps one, the integral model p_D = D^d p(x/D) (D the least common
 denominator of p), monic with the roots theta = D*alpha: its Sturm chain
 (`_sturm_chain`) gives the signature, squarefreeness and the discriminant,
-its roots mod l the split primes, its complex roots, divided by D, the
-embeddings.
+its roots mod l (`_roots_mod`, by trial evaluation) the split primes, its
+complex roots, divided by D, the embeddings.
 
 Numeric embeddings evaluate elements at the complex roots of p at a
 requested decimal precision.  The roots are isolated once per field at low
@@ -359,52 +359,25 @@ def _primes():
     return filter(is_prime, itertools.count(2))
 
 
-def _fp_rem(a, m, ell):
-    """a mod m over F_ell for a monic m (integer lists, low to high)."""
-    a = list(a)
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        t = a[k] % ell
-        if t:
-            for j in range(dm):
-                a[k - dm + j] -= t * m[j]
-    return _trim([c % ell for c in a[:dm]])
-
-
-def _fp_gcd(a, b, ell):
-    """gcd over F_ell of a monic a and any b."""
-    while b:
-        inv = pow(b[-1], -1, ell)
-        b = [c * inv % ell for c in b]
-        a, b = b, _fp_rem(a, b, ell)
-    return a
-
-
-def _fp_has_root(poly, ell):
-    """Whether a monic integer polynomial has a root mod ell, i.e. whether
-    gcd(x^ell - x, poly) is nontrivial over F_ell."""
-    m = _trim([c % ell for c in poly])
-    if len(m) == 2:
-        return True
-    power, base, e = [1], [0, 1], ell
-    while e:
-        if e & 1:
-            power = _fp_rem(_pmul(power, base), m, ell)
-        base = _fp_rem(_pmul(base, base), m, ell)
-        e >>= 1
-    power += [0] * (2 - len(power))
-    power[1] -= 1
-    return len(_fp_gcd(m, _trim([c % ell for c in power]), ell)) > 1
+def _roots_mod(poly, ell):
+    """The roots mod ell of the integer polynomial poly, ascending and
+    lazily: each r in [0, ell) with poly(r) = 0 mod ell, found by trial
+    evaluation, about ell * deg(poly) steps, which suits the small primes
+    that membership reads.  A caller that asks whether there is a root
+    compares `next(..., None)` with None: the root 0 is falsy."""
+    reduced = [c % ell for c in poly]
+    return (r for r in range(ell) if _peval(reduced, r, 0) % ell == 0)
 
 
 def nonmembership_prime(q_int, nf, start=0, stop=SPLIT_PRIMES):
     """The first split prime of nf, from the start-th to the (stop-1)-th,
     at which the monic integer polynomial q_int, the integral model of a
-    monic q, has no root, or None: an exact proof that q has no root in
-    nf, read from `nf.split_primes()` only up to itself; None proves
-    nothing."""
+    monic q, has no root (`_roots_mod` yields none), or None: an exact
+    proof that q has no root in nf, read from `nf.split_primes()` only up
+    to itself; None proves nothing."""
     split = itertools.islice(nf.split_primes(), start, stop)
-    return next((ell for ell in split if not _fp_has_root(q_int, ell)), None)
+    return next((ell for ell in split
+                 if next(_roots_mod(q_int, ell), None) is None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +923,8 @@ class NumberField:
         self._split_primes = []  # split primes found so far, ascending
         self._split_search = (ell for ell in _primes()
                               if self.denominator_bound % ell
-                              and _fp_has_root(self._model, ell))
+                              and next(_roots_mod(self._model, ell), None)
+                              is not None)
         self.signature = (r1, (self.degree - r1) // 2)
         self.one = self.rational(1)
         self.zero = self.rational(0)
@@ -967,11 +941,11 @@ class NumberField:
 
     def split_primes(self):
         """The primes at which the integral model p_D of the defining
-        polynomial is squarefree and has a root, ascending: a stream that
-        finds each prime when it is first read and keeps it for every
-        later reader.  As p_D is monic, it is squarefree mod l exactly
-        when l does not divide disc(p_D), whose absolute value is
-        `denominator_bound`.
+        polynomial is squarefree and has a root (`_roots_mod` yields one),
+        ascending: a stream that finds each prime when it is first read
+        and keeps it for every later reader.  As p_D is monic, it is
+        squarefree mod l exactly when l does not divide disc(p_D), whose
+        absolute value is `denominator_bound`.
 
         >>> list(itertools.islice(NumberField([-2, 0, 1]).split_primes(), 5))
         [7, 17, 23, 31, 41]
@@ -1180,9 +1154,8 @@ def element_in_field(min_poly, nf):
     k_proof = math.ceil(bound.bit_length() / (2 * math.log2(ell)))
     while ell ** (2 * k_proof) <= bound:
         k_proof += 1
-    # the roots mod l, by trial: l is small
-    a = next(r for r in range(ell) if _peval(p_int, r, 0) % ell == 0)
-    over = [r for r in range(ell) if _peval(q_int, r, 0) % ell == 0]
+    a = next(_roots_mod(p_int, ell))
+    over = list(_roots_mod(q_int, ell))
 
     def verified_root(k):
         modulus, a_k = ell ** k, _hensel_lift(p_int, a, ell, k)

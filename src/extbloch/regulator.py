@@ -27,9 +27,10 @@ import cmath
 import math
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, pi_fixed, round_nearest, to_fixed
+from mpmath.libmp import pi_fixed, to_fixed
 
-from .field import PrecisionExhausted, is_small, nearest_integer, working
+from .field import (PrecisionExhausted, _mpc, is_small, nearest_integer,
+                    working)
 from .extgroup import cover_to_C
 
 
@@ -96,8 +97,7 @@ def _li2_log_series(u):
         if abs(tr) + abs(ti) < small:
             break
         pr, pi = (pr * v2r - pi * v2i) >> w, (pr * v2i + pi * v2r) >> w
-    return mp.make_mpc((from_man_exp(re, -w, mp.prec, round_nearest),
-                        from_man_exp(im, -w, mp.prec, round_nearest)))
+    return _mpc((re, im, w))
 
 
 def _series_map(z):

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from extbloch.field import NumberField
 from extbloch.extgroup import (ExtGroupError, MultBasis, NotInSubgroup,
-                               SymbolicBasis)
+                               SymbolicBasis, _BasisCommon)
 from extbloch.bloch import (BlochError, BlochSum, DegenerateTuple,
                             ExtBlochSum, Flattening, NotAFlattening, chi,
                             change_torsion_generator, five_term,
@@ -150,6 +150,22 @@ def test_five_term_wedge_vanishes(basis23):
                             fl_of(basis23, Fraction(9)))
     s = normalize(basis23, rho_hat(lifted))
     assert s.is_in_Bhat()
+
+
+def test_normal_form_projects_no_flattening(basis23, monkeypatch):
+    # each term of the normal form takes its cross-ratio from the
+    # flattenings it folds, so normalizing projects nothing
+    # (cross-ratios 3, -3, -1, 1/2, -1/2: five terms, none merged)
+    lifted = lift_five_term(fl_of(basis23, Fraction(3)),
+                            fl_of(basis23, Fraction(-3)))
+    calls = []
+    pi = _BasisCommon.pi
+    monkeypatch.setattr(_BasisCommon, "pi",
+                        lambda self, e: calls.append(e) or pi(self, e))
+    s = normalize(basis23, rho_hat(lifted))
+    assert calls == []
+    assert {(n, fl.z) for n, fl in s.terms} == {
+        (n, fl.z) for n, fl in rho_hat(lifted)}
 
 
 def test_plain_bloch_sum_membership(basis23, rationals):

@@ -121,6 +121,18 @@ def test_dependent_generators_rejected():
         MultBasis(rationals, [rationals.rational(2), rationals.rational(4)])
 
 
+@pytest.mark.parametrize("poly, gens", [
+    ([-2, 0, 1], [[2], [3]]),    # 2 and 3 over Q(sqrt2)
+    ([1, 0, 1], [[1, 1], [3]]),  # 1 + i and 3 over Q(i)
+])
+def test_generators_with_dependent_log_moduli_rejected(poly, gens):
+    # independent generators whose log moduli have rank 1: the refusal
+    # names the log moduli, not a multiplicative dependence
+    nf = NumberField(poly)
+    with pytest.raises(ExtGroupError, match="by their log moduli"):
+        MultBasis(nf, [nf.element(g) for g in gens])
+
+
 def test_wedge_decision(basis23):
     two = basis23.element(0, {0: 1})
     three = basis23.element(0, {1: 1})

@@ -241,13 +241,16 @@ def test_member_tests_only_the_first_split_primes(monkeypatch):
     nf = NumberField([-2, 0, 1])
     q = (-8, 0, 1)   # 2*sqrt2
     tested = []
-    has_root = field_mod._fp_has_root
-    monkeypatch.setattr(field_mod, "_fp_has_root",
-                        lambda poly, ell: tested.append(tuple(poly))
-                        or has_root(poly, ell))
+    roots_mod = field_mod._roots_mod
+    monkeypatch.setattr(field_mod, "_roots_mod",
+                        lambda poly, ell: tested.append((tuple(poly), ell))
+                        or roots_mod(poly, ell))
     w = element_in_field(q, nf)
     assert w * w == nf.rational(8)
-    assert tested.count(q) == SIEVE_FIRST
+    # q is sieved at the first SIEVE_FIRST split primes; the lattice
+    # enumerates its roots once more, at its prime 7, the first of them
+    sieved = list(itertools.islice(nf.split_primes(), SIEVE_FIRST))
+    assert [ell for poly, ell in tested if poly == q] == sieved + [7]
 
 
 @pytest.mark.parametrize("poly, q, member", [
@@ -362,8 +365,20 @@ def test_two_cos_reads_an_embedding_only_for_an_irrational_cosine():
                        min_size=1, max_size=5),
        ell=st.sampled_from([2, 3, 5, 7, 11, 13]))
 @settings(max_examples=60, deadline=None)
-def test_root_test_mod_ell_matches_brute_force(coeffs, ell):
+def test_roots_mod_ell_match_sympy(coeffs, ell):
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.residue_ntheory import polynomial_congruence
+    x = sympy.symbols("x")
     poly = tuple(coeffs) + (1,)
-    brute = any(sum(c * r ** i for i, c in enumerate(poly)) % ell == 0
-                for r in range(ell))
-    assert field_mod._fp_has_root(poly, ell) == brute
+    want = polynomial_congruence(
+        sum(c * x ** i for i, c in enumerate(poly)), ell)
+    assert list(field_mod._roots_mod(poly, ell)) == sorted(want)
+
+
+def test_root_zero_mod_ell_is_a_root():
+    # x^2 - 98 over Q(sqrt2): at the first split prime 7 its only root is
+    # 0, which a truth test of the roots would take for none, making 7 a
+    # false witness against 7*sqrt2
+    nf = NumberField([-2, 0, 1])
+    assert list(field_mod._roots_mod((-98, 0, 1), 7)) == [0]
+    assert element_in_field([-98, 0, 1], nf) in (7 * nf.gen, -7 * nf.gen)

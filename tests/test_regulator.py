@@ -381,7 +381,7 @@ def test_swap_pair_regulator_value(basis23):
 def test_lift_inconsistency_detected(basis23):
     # a deliberately wrong lift pair is caught by the exponential check
     fl = fl_of(basis23, Fraction(3))
-    bad = Flattening(fl.e, fl.f + basis23.element(0, {0: 2}), _skip_check=True)
+    bad = Flattening(fl.e, fl.f + basis23.element(0, {0: 2}), fl.z)
     ctx = basis23.field.embeddings(45)[0]
     lift = cover_to_C(basis23, ctx)
     with pytest.raises(LiftInconsistent):

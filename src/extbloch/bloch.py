@@ -220,7 +220,8 @@ def normalize(basis, terms=(), chi_part=None):
 def five_term(x, y):
     """The five cross-ratios (x, y, y/x, (1-1/x)/(1-1/y), (1-x)/(1-y)).
 
-    All five must avoid 0 and 1; degenerate configurations are rejected."""
+    x and y must avoid 0 and 1 and be distinct; then so do the other three:
+    each is 0 only if y = 0 or x = 1, and 1 only if x = y."""
     field = x.field
     one = field.one
     for t in (x, y):
@@ -228,13 +229,9 @@ def five_term(x, y):
             raise DegenerateTuple("x and y must avoid 0 and 1")
     if x == y:
         raise DegenerateTuple("x and y must be distinct")
-    out = (x, y, y / x,
-           (one - x.inverse()) / (one - y.inverse()),
-           (one - x) / (one - y))
-    for t in out:
-        if t.is_zero() or t.is_one():
-            raise DegenerateTuple("derived cross-ratio hit 0 or 1")
-    return out
+    return (x, y, y / x,
+            (one - x.inverse()) / (one - y.inverse()),
+            (one - x) / (one - y))
 
 
 def _five_term_equations(fl0, fl1, f2):
@@ -257,24 +254,21 @@ def is_lifted_five_term(terms):
 
 def lift_five_term(fl0, fl1):
     """Lift a five-term relation: from flattenings of x0 and x1 compute the
-    remaining three flattenings by the defining linear equations.  The lift
-    of 1 - x1/x0 is taken with canonical coordinates over the basis."""
+    remaining three flattenings by the defining linear equations, with the
+    lift of 1 - x1/x0 in canonical coordinates over the basis.  As pi is a
+    homomorphism, they project to the rest of five_term(x0, x1)."""
     basis = fl0.basis
     if fl1.basis is not basis:
         raise NotAFlattening("flattenings over different bases")
-    zs = five_term(fl0.z, fl1.z)
+    if fl0.z == fl1.z:
+        raise DegenerateTuple("x and y must be distinct")
     try:
-        f2 = basis.log_lift(basis.field.one - zs[2])
+        f2 = basis.log_lift(basis.field.one - fl1.z / fl0.z)
     except NotInSubgroup as exc:
         raise NotAFlattening(str(exc)) from None
     e2, e3, f3, e4, f4 = _five_term_equations(fl0, fl1, f2)
-    out = (fl0, fl1, Flattening(e2, f2), Flattening(e3, f3),
-           Flattening(e4, f4))
-    for fl, z in zip(out, zs):
-        if fl.z != z:
-            raise NotAFlattening("lifted tuple does not project to the "
-                                 "five-term tuple")
-    return out
+    return (fl0, fl1, Flattening(e2, f2), Flattening(e3, f3),
+            Flattening(e4, f4))
 
 
 def rho_hat(lifted):

@@ -262,8 +262,8 @@ def cmd_bloch_verify(data, args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         in_bhat = s.is_in_Bhat()
-        projected = s.project()
-        in_b = projected.is_in_B(s.basis)
+        in_b = s.basis.fstar_wedge_is_zero(
+            [(n, fl.e, fl.f) for n, fl in s.terms])
         caveats = sorted({str(w.message) for w in caught
                           if issubclass(w.category, UnsaturatedBasis)})
     return {

@@ -33,7 +33,7 @@ import warnings
 from mpmath import mp
 
 from .field import (FieldElement, FieldError, PrecisionExhausted, _peval,
-                    is_small, nearest_integer, prime_factors, working)
+                    cyclotomic, is_small, nearest_integer, working)
 
 
 class ExtGroupError(Exception):
@@ -210,7 +210,8 @@ EXPONENT_DIGITS = 50  # digits of the numeric exponent recovery and rank check
 class MultBasis(_BasisCommon):
     """Torsion generator plus a fixed list of multiplicatively independent
     free generators of a subgroup of F*.  Over a number field `log_lift`
-    reads exponents from log moduli, so theirs must have full rank."""
+    reads exponents from log moduli, so theirs must have full rank.  A
+    supplied torsion generator w is certified by Phi_m(w) = 0."""
 
     def __init__(self, field, free_gens, saturated=False, torsion_gen=None):
         self.field = field
@@ -222,9 +223,8 @@ class MultBasis(_BasisCommon):
         self.m, self.torsion_gen = field.torsion
         if torsion_gen is not None:
             # any primitive generator of the roots of unity may serve
-            if not (torsion_gen ** self.m).is_one() or any(
-                    (torsion_gen ** (self.m // q)).is_one()
-                    for q in set(prime_factors(self.m))):
+            if not _peval(cyclotomic(self.m), torsion_gen,
+                          field.zero).is_zero():
                 raise ExtGroupError("supplied torsion generator does not "
                                     f"have exact order {self.m}")
             self.torsion_gen = torsion_gen
@@ -278,17 +278,17 @@ class MultBasis(_BasisCommon):
         """Coordinates (k, r) of a field element lying in the subgroup
         generated by the basis; exact verification is the authority.
 
-        Free exponents are the rounded image of the log-moduli of z under
-        the least-squares map of the basis (exact factorization over Q),
-        then k by exact matching of the remaining root of unity."""
+        Over Q they are the exact factorization of z.  Otherwise free
+        exponents are the rounded image of the log-moduli of z under the
+        least-squares map of the basis, then k by exact matching of the
+        remaining root of unity."""
         if not isinstance(z, FieldElement) or z.field != self.field:
             raise FieldError("element belongs to a different field")
         if z.is_zero():
             raise NotInSubgroup("zero is not in the multiplicative group")
         if self.field.degree == 1:
-            r = self._factor_rational(z.as_fraction())
-        else:
-            r = self._free_exponents(z)
+            return self._factor_rational(z.as_fraction())
+        r = self._free_exponents(z)
         rest = z
         for j, e in enumerate(r):
             if e:
@@ -328,9 +328,10 @@ class MultBasis(_BasisCommon):
                     for row in self._least_squares]
 
     def _factor_rational(self, q):
-        """Exact exponent recovery over Q: factor |q| over the basis values,
+        """Exact coordinates over Q: factor |q| over the basis values,
         integers greater than one (checked by the constructor), by repeated
-        exact division."""
+        exact division down to 1, which proves |q| = prod p_j^e_j; k is 1
+        for negative q, as -1 is the torsion generator (m = 2)."""
         out = [0] * len(self.free_gens)
         num, den = abs(q.numerator), q.denominator
         for j, p in enumerate(self.free_gens):
@@ -343,7 +344,7 @@ class MultBasis(_BasisCommon):
                 out[j] -= 1
         if num != 1 or den != 1:
             raise NotInSubgroup(f"{q} does not factor over the basis")
-        return out
+        return ExtElement(self, int(q < 0), enumerate(out))
 
 
 class SymbolicBasis(_BasisCommon):

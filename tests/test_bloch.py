@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from extbloch.field import NumberField
@@ -26,6 +26,12 @@ def rationals():
 def basis23(rationals):
     return MultBasis(rationals, [rationals.rational(2),
                                  rationals.rational(3)], saturated=True)
+
+
+@pytest.fixture(scope="module")
+def basis235(rationals):
+    return MultBasis(rationals, [rationals.rational(p) for p in (2, 3, 5)],
+                     saturated=True)
 
 
 def fl_of(basis, q):
@@ -143,6 +149,65 @@ def test_lifted_relations_satisfy_the_equations(basis23):
         bad[3] = bad[3].translate(0, 1)
         assert not is_lifted_five_term(rho_hat(bad))
     assert lifted_count >= 20
+
+
+def test_lift_five_term_makes_no_plain_tuple(basis23, monkeypatch):
+    # the lifted flattenings carry their cross-ratios, so the plain tuple
+    # is never built
+    def plain(x, y):
+        raise AssertionError("five_term called")
+
+    monkeypatch.setattr("extbloch.bloch.five_term", plain)
+    lifted = lift_five_term(fl_of(basis23, Fraction(3)),
+                            fl_of(basis23, Fraction(9)))
+    assert [fl.z.as_fraction() for fl in lifted] == [
+        Fraction(3), Fraction(9), Fraction(3), Fraction(3, 4),
+        Fraction(1, 4)]
+
+
+_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(field=st.sampled_from([NumberField([0, 1]), NumberField([-2, 0, 1])]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_five_term_values_avoid_zero_and_one(field, data):
+    # five_term checks x and y only: the other three values follow
+    x, y = (field.element(data.draw(st.lists(_COEFF, min_size=field.degree,
+                                              max_size=field.degree)))
+            for _ in range(2))
+    assume(x != y and not any(t.is_zero() or t.is_one() for t in (x, y)))
+    assert not any(t.is_zero() or t.is_one() for t in five_term(x, y))
+
+
+def _s_units_235(bound):
+    return {s * Fraction(2) ** a * Fraction(3) ** b * Fraction(5) ** c
+            for s in (1, -1) for a in range(-bound, bound + 1)
+            for b in range(-bound, bound + 1)
+            for c in range(-bound, bound + 1)}
+
+
+# the pairs of {-1, 2, 3, 5}-units x != y whose five-term tuple lies in
+# those units with each 1 - z, found with Fractions alone
+_UNITS_235 = _s_units_235(4)
+_FLATTENABLE_235 = sorted(x for x in _UNITS_235 if 1 - x in _UNITS_235)
+_LIFTABLE_235 = [(x, y) for x in _FLATTENABLE_235 for y in _FLATTENABLE_235
+                 if x != y and 1 - y / x in _UNITS_235]
+
+
+@given(pair=st.sampled_from(_LIFTABLE_235),
+       unit=st.sampled_from(sorted(_s_units_235(6))))
+@settings(max_examples=80, deadline=None)
+def test_lifted_five_term_projects_to_the_five_term_tuple(
+        rationals, basis235, pair, unit):
+    # the run-time comparison lift_five_term no longer makes, and the
+    # exactness of log_lift over Q on signed S-units
+    z = rationals.rational(unit)
+    assert basis235.log_lift(z).pi() == z
+    fl0, fl1 = (fl_of(basis235, q) for q in pair)
+    assert (fl0.z, fl1.z) == tuple(rationals.rational(q) for q in pair)
+    assert tuple(fl.z for fl in lift_five_term(fl0, fl1)) == \
+        five_term(fl0.z, fl1.z)
 
 
 def test_five_term_wedge_vanishes(basis23):

@@ -7,6 +7,7 @@ import pytest
 import test_cli_golden
 from test_cochain import _cyclic_triangulation_data
 from extbloch.cli import build_parser, main
+from extbloch.extgroup import MultBasis
 from extbloch.field import PRIME_LIMIT, DivisionByZero
 
 FIXTURES = "tests/fixtures"
@@ -60,6 +61,37 @@ def test_bloch_verify(capsys):
     assert code == 0
     assert "in_B: True" in out
     assert "in_Bhat: True" in out
+
+
+def test_bloch_verify_reads_in_b_off_the_flattenings(capsys, monkeypatch):
+    # the element's own coordinates decide B(F): no cross-ratio is lifted
+    # again (each is a numeric exponent recovery over the quartic)
+    calls = []
+    log_lift = MultBasis.log_lift
+    monkeypatch.setattr(MultBasis, "log_lift",
+                        lambda self, z: calls.append(z) or log_lift(self, z))
+    code, out, _ = run(capsys, ["bloch", "verify",
+                                f"{FIXTURES}/element_example.json"])
+    assert code == 0 and "in_B: True" in out
+    assert calls == []
+
+
+@pytest.mark.parametrize("saturated", [False, True])
+def test_bloch_verify_caveat_over_an_unsaturated_basis(capsys, tmp_path,
+                                                       saturated):
+    # the flattening (2, -1) over {2, 3}: both verdicts are negative, which
+    # only an unsaturated basis qualifies
+    fixture = tmp_path / "element.json"
+    fixture.write_text(json.dumps({
+        "field": [0, 1],
+        "basis": {"free_gens": [[2], [3]], "saturated": saturated},
+        "terms": [[1, [0, [[0, 1]]], [1, []]]]}))
+    code, out, _ = run(capsys, ["bloch", "verify", str(fixture), "--json"])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "terms": 1, "in_B": False, "in_Bhat": False,
+        "caveats": [] if saturated else
+        ["nonzero wedge verdict over an unsaturated basis"]}
 
 
 def test_bloch_regulator_symmetric(capsys):

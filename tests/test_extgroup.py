@@ -1,11 +1,12 @@
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from extbloch.field import NumberField, PrecisionExhausted
+from extbloch.field import FieldElement, NumberField, PrecisionExhausted
 from extbloch.extgroup import (BranchInvalid, ExtGroupError, MultBasis,
                                NotInSubgroup, SymbolicBasis,
                                UnsaturatedBasis, cover_to_C)
@@ -70,6 +71,22 @@ def test_log_lift_roundtrip(a, b, sign):
     assert e.pi() == z
     assert e.coord(0) == a and e.coord(1) == b
     assert e.k == (0 if sign == 1 else 1)
+
+
+def test_log_lift_over_q_makes_no_field_product(rationals, monkeypatch):
+    # the factorization of -75/8 over {2, 3, 5} is exact: nothing is
+    # divided out in field arithmetic and matched afterwards
+    basis = MultBasis(rationals, [rationals.rational(p) for p in (2, 3, 5)])
+    z = rationals.rational(Fraction(-75, 8))
+    calls = []
+    for name in ("__mul__", "inverse"):
+        method = getattr(FieldElement, name)
+        monkeypatch.setattr(FieldElement, name,
+                            lambda *a, method=method: calls.append(a)
+                            or method(*a))
+    e = basis.log_lift(z)
+    assert calls == []
+    assert e == basis.element(1, {0: -3, 1: 1, 2: 2})
 
 
 def test_log_lift_rejects_outsiders(basis23, rationals):
@@ -322,8 +339,10 @@ def test_explicit_torsion_generator():
     w = x ** 3 + x
     basis = MultBasis(f, [], saturated=True, torsion_gen=w)
     assert basis.element(1).pi() == w
-    with pytest.raises(ExtGroupError):
-        MultBasis(f, [], torsion_gen=w * w)  # order 3, not 6
+    assert MultBasis(f, [], torsion_gen=w ** 5).torsion_gen == w ** 5
+    for other in (w * w, -f.one):  # orders 3 and 2, not 6
+        with pytest.raises(ExtGroupError, match="exact order 6"):
+            MultBasis(f, [], torsion_gen=other)
 
 
 def test_generators_outside_the_field_are_rejected(rationals):

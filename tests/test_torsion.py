@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
 
+from cli_matrix import BASE_FIELDS, scaled
 from extbloch.field import NumberField, euler_phi
 from extbloch.regulator import NotTorsion, reg_vector
 from extbloch.torsion import (NotApplicable, TorsionError, beta_p,
-                              certify_order, flattened_torsion, nu_p,
-                              torsion_profile, two_cos)
+                              certify_order, cosine_exponents,
+                              flattened_torsion, nu_p, torsion_profile,
+                              two_cos)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,21 @@ def _polydiv(num, den):
     return out
 
 
+def _sympy_min_poly(x):
+    """The monic minimal polynomial of x over Q (coefficients high to low)
+    by sympy, independently of FieldElement.min_poly: the characteristic
+    polynomial of multiplication by x is a power of it."""
+    X = sympy.Symbol("X")
+    d = x.field.degree
+    modulus = sympy.Poly([sympy.Rational(c) for c in x.field.poly[::-1]], X)
+    a = sympy.Poly([sympy.Rational(c) for c in x.coeffs[::-1]], X)
+    columns = [(a * X ** i).rem(modulus).all_coeffs()[::-1] for i in range(d)]
+    mat = sympy.Matrix(d, d, lambda r, c: columns[c][r]
+                       if r < len(columns[c]) else 0)
+    (factor, _), = sympy.factor_list(mat.charpoly(X).as_expr(), X)[1]
+    return tuple(sympy.Poly(factor, X).monic().all_coeffs())
+
+
 def test_two_cos_base_cases(rationals):
     assert two_cos(rationals, 1) == rationals.rational(2)
     assert two_cos(rationals, 2) == rationals.rational(-2)
@@ -61,9 +79,11 @@ def test_two_cos_against_cyclotomic_oracle():
     c = two_cos(nf, 16)
     assert c is not None
     # any Galois conjugate is a primitive cosine; verify by minimal poly
-    from extbloch.field import cos2pi_minpoly
-    assert c.min_poly() == cos2pi_minpoly(16)
-    assert (z + z.inverse()).min_poly() == cos2pi_minpoly(16)
+    X = sympy.Symbol("X")
+    want = sympy.Poly(sympy.minimal_polynomial(
+        2 * sympy.cos(2 * sympy.pi / 16), X), X).all_coeffs()
+    assert _sympy_min_poly(c) == tuple(want)
+    assert _sympy_min_poly(z + z.inverse()) == tuple(want)
 
 
 def test_nu_p_values(rationals, sqrt2):
@@ -129,8 +149,8 @@ def test_beta_recurrence_against_cyclotomic_oracle():
     # the recurrence may land on a Galois conjugate cosine; compare the
     # multisets of minimal polynomials and multiplicities instead
     assert sorted(want.values()) == sorted(got_counts.values())
-    assert sorted(nf.element(list(t)).min_poly() for t in want) == \
-        sorted(nf.element(list(t)).min_poly() for t in got_counts)
+    assert sorted(_sympy_min_poly(nf.element(list(t))) for t in want) == \
+        sorted(_sympy_min_poly(nf.element(list(t))) for t in got_counts)
 
 
 def test_not_applicable(rationals):
@@ -144,6 +164,18 @@ def test_flattened_orders(rationals, sqrt2):
     assert certify_order(flattened_torsion(rationals, 3)) == 3
     assert certify_order(flattened_torsion(rationals, 2)) == 8
     assert certify_order(flattened_torsion(sqrt2, 2)) == 16
+
+
+@pytest.mark.parametrize("c", [1, 7, 1000])
+@pytest.mark.parametrize("name", sorted(BASE_FIELDS))
+def test_beta_is_the_projection_of_the_flattened_generator(name, c):
+    # the flattened torsion generator lifts the plain one, on the base
+    # fields of the CLI matrix with their generators multiplied by c
+    nf = NumberField(scaled(BASE_FIELDS[name], c))
+    primes = [p for p, nu in cosine_exponents(nf).items() if nu > 0]
+    assert primes
+    for p in primes:
+        assert beta_p(nf, p) == flattened_torsion(nf, p).project()
 
 
 def test_flattened_generators_have_zero_wedge(rationals, sqrt2):

@@ -1,13 +1,13 @@
 """Flattenings, five-term relations and formal Bloch-type element algebra.
 
 A flattening is a pair (e, f) of extension-group elements with
-pi(e) + pi(f) = 1 and pi(e) outside {0, 1}.  Formal integer combinations of
-flattenings carry an extra additive part tracked through the translation
-homomorphism chi: translating a flattening by central elements (p, q) changes
-the combination by chi(q*e - p*f + p*q), and chi kills even central elements.
-Normalization merges, per cross-ratio, all translates onto one base
-flattening and accumulates the difference in the chi part, giving a
-deterministic normal form.
+pi(e) + pi(f) = 1 and pi(e) outside {0, 1}, built from six edge labels by
+`edge_flattening`.  Formal integer combinations of flattenings carry an extra
+additive part tracked through the translation homomorphism chi: translating a
+flattening by central elements (p, q) changes the combination by
+chi(q*e - p*f + p*q), and chi kills even central elements.  Normalization
+merges, per cross-ratio, all translates onto one base flattening and
+accumulates the difference in the chi part, giving a deterministic normal form.
 
 The PSL variant allows half-central translates; a PSL-level element lifts
 if and only if an explicit field element is a square, which over a
@@ -72,6 +72,17 @@ class Flattening:
 
     def __repr__(self):
         return f"Fl({self.e!r}, {self.f!r})"
+
+
+EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def edge_flattening(c, z=None):
+    """The flattening (c03 + c12 - c02 - c13, c01 + c23 - c02 - c13) of
+    six edge labels c, keyed by EDGES; z as for Flattening."""
+    c02_13 = c[(0, 2)] + c[(1, 3)]
+    return Flattening(c[(0, 3)] + c[(1, 2)] - c02_13,
+                      c[(0, 1)] + c[(2, 3)] - c02_13, z)
 
 
 class ExtBlochSum:

@@ -12,16 +12,16 @@ elements instead.  The per-simplex flattening of a lift is
 
     (c~03 + c~12 - c~02 - c~13,  c~01 + c~23 - c~02 - c~13),
 
-and the signed sum over simplices is the element of the cycle.  Edge
-conditions attach log-parameters e, f - e, -f to the edge pairs
-{01,23}, {02,13}, {03,12} and require the signed sum around every 1-cell
-to vanish.
+`bloch.edge_flattening` with the cochain's proven cross-ratio as z, and the
+signed sum over simplices is the element of the cycle.  Edge conditions attach
+log-parameters e, f - e, -f to the edge pairs {01,23}, {02,13}, {03,12} and
+require the signed sum around every 1-cell to vanish.
 
-The same flattening formula drives two linear-group constructions, both
-through one routine for determinant labels: from pairwise 2x2 determinants
-of vectors hit by SL(2) matrices, and from 3x3 determinants of ordered
-bases of F^3 (with one basis vector swapped for its successor, and a sign
-that depends on where the reference vector is inserted).  For the latter,
+The same routine drives two linear-group constructions, both through
+`_determinant_flattening`, which keeps the projection check: from pairwise 2x2
+determinants of vectors hit by SL(2) matrices, and from 3x3 determinants of
+ordered bases of F^3 (with one basis vector swapped for its successor, and a
+sign that depends on where the reference vector is inserted).  For the latter,
 the boundary of a 5-tuple of bases decomposes termwise into six explicitly
 recognizable lifted five-term relations, which certifies that it vanishes.
 """
@@ -36,8 +36,8 @@ from mpmath import mp
 from .field import (FieldElement, NumberField, is_small, nearest_integer,
                     working)
 from .extgroup import SymbolicBasis, cover_to_C
-from .bloch import (ExtBlochSum, Flattening, NotAFlattening, chi,
-                    is_lifted_five_term, normalize)
+from .bloch import (EDGES, ExtBlochSum, Flattening, NotAFlattening, chi,
+                    edge_flattening, is_lifted_five_term, normalize)
 from .regulator import bloch_wigner, reg_vector
 from .torsion import _recurrence
 
@@ -62,19 +62,8 @@ class EdgeConditionFailed(CochainError):
     pass
 
 
-EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _edge_flattening(c):
-    """The flattening (c03 + c12 - c02 - c13, c01 + c23 - c02 - c13) of
-    six edge labels c, keyed by EDGES."""
-    c02_13 = c[(0, 2)] + c[(1, 3)]
-    return Flattening(c[(0, 3)] + c[(1, 2)] - c02_13,
-                      c[(0, 1)] + c[(2, 3)] - c02_13)
-
-
 def _determinant_flattening(basis, dets):
-    """`_edge_flattening` of the log symbols of six determinant labels,
+    """`edge_flattening` of the log symbols of six determinant labels,
     keyed by EDGES.  A zero label, or labels that give no flattening, mean
     that the vectors are not in general position."""
     c = {}
@@ -84,7 +73,7 @@ def _determinant_flattening(basis, dets):
                                      "vanishes")
         c[edge] = basis.symbol(dets[edge])
     try:
-        return _edge_flattening(c)
+        return edge_flattening(c)
     except NotAFlattening as exc:
         raise NotGeneralPosition(str(exc)) from None
 
@@ -181,7 +170,8 @@ class Triangulated3Cycle:
 
 
 class IdealCochain:
-    """Nonzero field values on the 1-cells, with per-simplex cross-ratios."""
+    """Nonzero field values on the 1-cells, with per-simplex cross-ratios z
+    proven by 1 - z, which keeps z out of {0, 1} (z = 1 needs c01 c23 = 0)."""
 
     def __init__(self, cycle, field, values):
         self.cycle = cycle
@@ -210,8 +200,6 @@ class IdealCochain:
         c = {e: self.label(t, *e) for e in EDGES}
         den = c[(0, 2)] * c[(1, 3)]
         z = c[(0, 3)] * c[(1, 2)] / den
-        if z.is_zero() or z.is_one():
-            raise NotIdeal("cross-ratio hit 0 or 1")
         if c[(0, 1)] * c[(2, 3)] / den != self.field.one - z:
             raise NotIdeal("labels do not satisfy the complementary ratio")
         return z
@@ -224,8 +212,8 @@ class IdealCochain:
 
 
 class LiftedCochain:
-    """Extension-group labels on the 1-cells, projecting to an ideal
-    cochain.  Default lifts are shared log symbols per labeled value."""
+    """Extension-group labels on the 1-cells, checked to project to an ideal
+    cochain; by default shared log symbols per labeled value."""
 
     def __init__(self, cochain, basis=None, lifts=None):
         self.cochain = cochain
@@ -247,7 +235,8 @@ class LiftedCochain:
         return self.class_lifts[self.cycle.edge_class(t, i, j)]
 
     def flattening(self, t):
-        return _edge_flattening({e: self.label(t, *e) for e in EDGES})
+        return edge_flattening({e: self.label(t, *e) for e in EDGES},
+                               self.cochain.cross_ratios[t])
 
     def shifted(self, rep, amount):
         """A lift with one 1-cell's label shifted by an integer multiple of
@@ -707,8 +696,8 @@ def manifold_invariant(data, precision=50):
             raise EdgeConditionFailed("no translate assignment within the "
                                       "search bound satisfies the edge "
                                       "conditions")
-    fls = tuple(Flattening(sz[t] + basis.iota(p), s1z[t] + basis.iota(q))
-                for t, (p, q) in enumerate(pqs))
+    fls = tuple(Flattening(e + basis.iota(p), f + basis.iota(q), z)
+                for e, f, z, (p, q) in zip(sz, s1z, shapes, pqs))
     element = normalize(basis, [(cycle.orientations[t], fls[t])
                                 for t in range(cycle.num_simplices)])
     regulator = reg_vector(element, precision)

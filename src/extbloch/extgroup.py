@@ -32,8 +32,8 @@ import warnings
 
 from mpmath import mp
 
-from .field import (FieldElement, FieldError, PrecisionExhausted, _peval,
-                    cyclotomic, is_small, nearest_integer, working)
+from .field import (READ_DIGITS, FieldElement, FieldError, PrecisionExhausted,
+                    _peval, cyclotomic, is_small, nearest_integer, working)
 
 
 class ExtGroupError(Exception):
@@ -41,10 +41,6 @@ class ExtGroupError(Exception):
 
 
 class NotInSubgroup(ExtGroupError):
-    pass
-
-
-class BranchInvalid(ExtGroupError):
     pass
 
 
@@ -204,9 +200,6 @@ def _wedge_vanishes(terms, torsion_modulus):
     return True
 
 
-EXPONENT_DIGITS = 50  # digits of the numeric exponent recovery and rank check
-
-
 class MultBasis(_BasisCommon):
     """Torsion generator plus a fixed list of multiplicatively independent
     free generators of a subgroup of F*.  Over a number field `log_lift`
@@ -256,17 +249,17 @@ class MultBasis(_BasisCommon):
 
     def _least_squares_map(self):
         """The rows of (M^T M)^-1 M^T, M the log moduli of the free
-        generators with a row per embedding, at EXPONENT_DIGITS.  M must
+        generators with a row per embedding, at READ_DIGITS.  M must
         have full column rank: its Gram determinant must not round to 0."""
         if not self.free_gens:
             return []
-        with working(EXPONENT_DIGITS):
+        with working(READ_DIGITS):
             mat = mp.matrix([[mp.log(abs(ctx.evaluate(p)))
                               for p in self.free_gens]
-                             for ctx in self.field.embeddings(EXPONENT_DIGITS)])
+                             for ctx in self.field.embeddings(READ_DIGITS)])
             gram = mat.T * mat
             if mat.rows < mat.cols or nearest_integer(
-                    mp.det(gram), EXPONENT_DIGITS) == 0:
+                    mp.det(gram), READ_DIGITS) == 0:
                 raise ExtGroupError(
                     "log_lift cannot separate the free generators by their "
                     "log moduli: these have rank below the number of "
@@ -311,11 +304,11 @@ class MultBasis(_BasisCommon):
         the terms of sigma(z) = sum c_i sigma(alpha)^i cancel to within
         10^(10 - D) of the sum of their moduli, D the working digits, fewer
         than about 10 digits remain: PrecisionExhausted."""
-        with working(EXPONENT_DIGITS):
+        with working(READ_DIGITS):
             coeffs = [abs(mp.mpf(c.numerator) / c.denominator)
                       for c in z.coeffs]
             logs = []
-            for ctx in self.field.embeddings(EXPONENT_DIGITS):
+            for ctx in self.field.embeddings(READ_DIGITS):
                 value = ctx.evaluate(z)
                 terms = _peval(coeffs, abs(ctx.root()), mp.mpf(0))
                 if is_small(value / terms, mp.dps):
@@ -417,26 +410,17 @@ class LogLift:
             return +acc
 
 
-def cover_to_C(basis, ctx, branch=None):
-    """Build the covering of the basis into C at an embedding.  By default
-    every generator gets its principal logarithm; an explicit branch value
-    for the torsion generator may be supplied and is verified."""
+def cover_to_C(basis, ctx):
+    """The principal covering at an embedding sigma (other coverings are
+    LogLift's), with k_unit, m lambda_w = 2 pi i k_unit, rounded once or
+    PrecisionExhausted.  k_unit is prime to m: w has exact order m
+    (Phi_m(w) = 0 is certified, or w = -1 and m = 2), so
+    sigma(w) = e^(2 pi i h/m) with gcd(h, m) = 1 and k_unit = h (mod m)."""
     prec = ctx.precision
-    m = basis.m
     with working(prec):
         lambda_w = mp.log(ctx.evaluate(basis.torsion_gen))
-        if branch is not None:
-            # a logarithm differs from the principal one by 2*pi*i * k
-            if nearest_integer((branch - lambda_w) / (2j * mp.pi),
-                               prec) is None:
-                raise BranchInvalid("explicit branch does not exponentiate "
-                                    "to the torsion generator's image")
-            lambda_w = mp.mpc(branch)
-        k_unit = nearest_integer(m * lambda_w / (2j * mp.pi), prec)
-        if k_unit is None:
-            raise BranchInvalid("m * lambda_w is not a multiple of 2*pi*i")
-    if math.gcd(k_unit, m) != 1:
-        raise BranchInvalid("branch does not define a covering: "
-                            f"gcd({k_unit}, {m}) != 1")
+        k_unit = nearest_integer(basis.m * lambda_w / (2j * mp.pi), prec)
+    if k_unit is None:
+        raise PrecisionExhausted("m * lambda_w does not round to a multiple "
+                                 f"of 2*pi*i at {prec} digits")
     return LogLift(basis, ctx, lambda_w, k_unit)
-

@@ -1050,7 +1050,7 @@ class NumberField:
 # membership: the sieve, then one l-adic lattice per root of q mod l
 
 LIFT_BITS = 80     # bits of l^k at the first lattice reduction
-TURN_DIGITS = 30   # digits at which an image at the first embedding is read
+READ_DIGITS = 50   # digits of every embedding read for an exact decision
 
 
 def _hensel_lift(poly, r, ell, k):
@@ -1178,13 +1178,13 @@ def element_in_field(min_poly, nf):
 
 def first_embedding_turn(x, n, angle):
     """The h mod n with angle(sigma(x)) = 2 pi h / n at the first
-    embedding sigma, read by one `nearest_integer` at TURN_DIGITS digits,
-    or PrecisionExhausted.  For sigma(x) = e^(2 pi i h/n) (angle mp.arg),
-    x^j with j = h^-1 mod n is the conjugate that sigma maps to
-    e^(2 pi i/n)."""
-    with working(TURN_DIGITS):
-        image = EmbeddingContext(x.field, 0, TURN_DIGITS).evaluate(x)
-        h = nearest_integer(angle(image) * n / (2 * mp.pi), TURN_DIGITS)
+    embedding sigma, read by one `nearest_integer` at READ_DIGITS digits,
+    the CLI's default precision, or PrecisionExhausted.  For
+    sigma(x) = e^(2 pi i h/n) (angle mp.arg), x^j with j = h^-1 mod n is
+    the conjugate that sigma maps to e^(2 pi i/n)."""
+    with working(READ_DIGITS):
+        image = EmbeddingContext(x.field, 0, READ_DIGITS).evaluate(x)
+        h = nearest_integer(angle(image) * n / (2 * mp.pi), READ_DIGITS)
     if h is None:
         raise PrecisionExhausted(f"the image of {x!r} at the first "
                                  f"embedding is no n-th turn for n = {n}")

@@ -33,7 +33,7 @@ from .field import (NumberField, _primes, cos2pi_minpoly, element_in_field,
                     euler_phi, first_embedding_turn, is_prime,
                     prime_factors)
 from .extgroup import SymbolicBasis
-from .bloch import BlochSum, ExtBlochSum, Flattening
+from .bloch import BlochSum, ExtBlochSum, edge_flattening
 from .regulator import NotTorsion, reg_vector, torsion_order
 
 
@@ -137,44 +137,39 @@ def _cosine_sequence(nf, p):
 
 
 def beta_p(nf, p):
-    """The in-field torsion generator of the plain Bloch group at p.
+    """The in-field torsion generator of the plain Bloch group at p, the sum of
+    z_k = s_{k+1} s_{k-1} / s_k^2, none 0 or 1: for x of order n = p^nu,
+    s_k = 0 needs x^(2k) = -1 (n odd) or x^(2k-1) = 1 (n even), and
+    s_{k+1} s_{k-1} - s_k^2, c^2 - 4 (odd p) or -(c + 2) (p = 2) at every k,
+    vanishes only for n <= 2.
 
     >>> beta_p(NumberField([0, 1]), 3).terms[0][0]
     2
     """
     _, seq, span = _cosine_sequence(nf, p)
-    terms = []
-    for k in span:
-        if seq[k].is_zero() or seq[k + 1].is_zero() or seq[k - 1].is_zero():
-            raise TorsionError("degenerate recurrence value")
-        z = seq[k + 1] * seq[k - 1] / seq[k] ** 2
-        if z.is_zero() or z.is_one():
-            raise TorsionError("degenerate cross-ratio in the generator")
-        terms.append((1, z))
-    return BlochSum(nf, terms)
+    return BlochSum(nf, [(1, seq[k + 1] * seq[k - 1] / seq[k] ** 2)
+                         for k in span])
 
 
 def flattened_torsion(nf, p):
     """The flattened torsion generator over a fresh symbolic log basis.
 
-    Odd p: sum over k = 1..n of flattenings
-        (l_{k+1} + l_{k-1} - 2 l_k,  l(c+2) + l(2-c) - 2 l_k).
-    p = 2: half-range sum over k = 1..n/2 of
-        (l_{k+1} + l_{k-1} - 2 l_k,  l(c+2) - 2 l_k)
-    plus the chi part l(c+2) + half; without that correction the wedge of
-    the half-sum does not vanish.  The wedge is verified before returning.
+    Term k is the `edge_flattening` of the log symbols of the labels of a
+    cyclic simplex: 01 is 1 (p = 2) or 2 - c (odd p), 23 is c + 2, 02 and 13
+    are s_k, 03 is s_{k+1} and 12 is s_{k-1}; k = 1..n for odd p.  For p = 2 it
+    is the half-range sum over k = 1..n/2 plus the chi part l(c+2) + half;
+    without that correction the wedge of the half-sum does not vanish.  The
+    wedge is verified before returning.
     """
     c, seq, span = _cosine_sequence(nf, p)
     basis = SymbolicBasis(nf)
     lifts = [basis.symbol(v) for v in seq]
     a_plus = basis.symbol(c + nf.rational(2))
-    if p == 2:
-        f_base, chi_part = a_plus, a_plus + basis.element(1)
-    else:
-        f_base = a_plus + basis.symbol(nf.rational(2) - c)
-        chi_part = None
-    terms = [(1, Flattening(lifts[k + 1] + lifts[k - 1] - 2 * lifts[k],
-                            f_base - 2 * lifts[k]))
+    c01 = basis.symbol(nf.one if p == 2 else nf.rational(2) - c)
+    chi_part = a_plus + basis.element(1) if p == 2 else None
+    terms = [(1, edge_flattening({(0, 1): c01, (0, 2): lifts[k],
+                                  (0, 3): lifts[k + 1], (1, 2): lifts[k - 1],
+                                  (1, 3): lifts[k], (2, 3): a_plus}))
              for k in span]
     out = ExtBlochSum(basis, terms, chi_part)
     if not out.is_in_Bhat():

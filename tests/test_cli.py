@@ -129,6 +129,34 @@ def test_cancelled_log_lift_exits_4(capsys, tmp_path):
                           "element cancel at an embedding")
 
 
+def test_failed_covering_rounding_exits_4(capsys, monkeypatch):
+    # a k_unit that does not round is a numeric failure, not a math error
+    monkeypatch.setattr("extbloch.extgroup.nearest_integer",
+                        lambda x, precision: None)
+    code, out, err = run(capsys, ["bloch", "regulator",
+                                  f"{FIXTURES}/element_example.json"])
+    assert code == 4 and out == ""
+    assert err.startswith("precision exhausted: ")
+
+
+def test_default_torsion_order_refines_the_roots_once(capsys, monkeypatch):
+    # the conjugate of 2cos(2pi/n) is read at the default precision, so
+    # the roots it needs are the ones the regulator needs
+    import extbloch.field as field
+    calls = []
+    real = field._refine_roots
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(field, "_refine_roots", spy)
+    code, out, _ = run(capsys, ["torsion", "order",
+                                f"{FIXTURES}/field_sqrt2.json",
+                                "--prime", "2"])
+    assert code == 0 and "order: 16" in out
+    assert len(calls) == 1
+
+
 def test_cycle_invariant(capsys):
     code, out, _ = run(capsys, ["cycle", "invariant",
                                 f"{FIXTURES}/figure_eight.json",

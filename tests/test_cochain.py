@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from extbloch.field import NumberField, is_small
-from extbloch.extgroup import SymbolicBasis, cover_to_C
+from extbloch.extgroup import SymbolicBasis, _BasisCommon, cover_to_C
 from extbloch.bloch import Flattening, chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
@@ -192,6 +192,41 @@ def test_twist_rejects_non_cocycle(cyclic6):
     alpha[axis] = -1
     with pytest.raises(NotACocycle):
         z2_twist(lc, alpha)
+
+
+def test_sigma_hat_projects_no_label(cyclic6, monkeypatch):
+    # the ideal cochain proves each cross-ratio once; its flattenings take it
+    co, _ = cyclic6
+    lc = LiftedCochain(co)
+    calls = []
+    real = _BasisCommon.pi
+
+    def spy(self, e):
+        calls.append(e)
+        return real(self, e)
+    monkeypatch.setattr(_BasisCommon, "pi", spy)
+    assert sigma_hat(lc).is_in_Bhat()
+    assert calls == []
+
+
+@pytest.mark.parametrize("source", ["cyclic6", "twist", "shifted",
+                                    "figure_eight", "figure_eight_glued"])
+def test_flattenings_project_to_the_cross_ratio_they_take(cyclic6, source):
+    # the projection check these flattenings no longer make
+    co, lc = cyclic6
+    if source == "twist":
+        classes = co.cycle.edge_classes()
+        axis = [rep for rep in classes if len(classes[rep]) == 4]
+        lc = z2_twist(lc, {rep: (-1 if rep in axis else 1)
+                           for rep in classes}).twisted
+    elif source == "shifted":
+        lc = lc.shifted(next(iter(co.class_values)), 3)
+    if source.startswith("figure_eight"):
+        fls = manifold_invariant(_figure_eight(source), 40).flattenings
+    else:
+        fls = [lc.flattening(t) for t in range(co.cycle.num_simplices)]
+    for fl in fls:
+        assert fl.e.pi() == fl.z and fl.f.pi() == 1 - fl.z
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import math
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from cli_matrix import BASE_FIELDS, FIXTURES, scaled
 from extbloch.field import FieldElement, NumberField, PrecisionExhausted
-from extbloch.extgroup import (BranchInvalid, ExtGroupError, MultBasis,
-                               NotInSubgroup, SymbolicBasis,
-                               UnsaturatedBasis, cover_to_C)
+from extbloch.extgroup import (ExtGroupError, MultBasis, NotInSubgroup,
+                               SymbolicBasis, UnsaturatedBasis, cover_to_C)
 
 
 @pytest.fixture(scope="module")
@@ -323,14 +325,45 @@ def test_cover_lift_exponentiates(basis23, rationals):
         lift.k_unit % basis23.m == (basis23.m - 1)
 
 
-def test_cover_branch_validation(basis23, rationals):
-    ctx = rationals.embeddings(40)[0]
-    with mp.workdps(45):
-        # -i*pi is also a logarithm of -1 and stays a covering
-        lift = cover_to_C(basis23, ctx, branch=-1j * mp.pi)
-        assert lift.k_unit == -1
-        with pytest.raises(BranchInvalid):
-            cover_to_C(basis23, ctx, branch=mp.mpc(0.5))
+def _torsion_basis(case):
+    """A basis with no free generator: the default one of a base field of
+    the CLI matrix with its generator multiplied by c ("name@c"), the
+    element fixture's supplied torsion generator w or w^5, or a symbolic
+    one."""
+    if case == "symbolic":
+        return SymbolicBasis(NumberField([1, 0, 1]))
+    if case.startswith("fixture"):
+        with open(f"{FIXTURES}/element_example.json") as fh:
+            data = json.load(fh)
+        field = NumberField(data["field"])
+        w = field.element(data["basis"]["torsion_gen"])
+        return MultBasis(field, [], torsion_gen=w ** int(case[-1]))
+    name, c = case.split("@")
+    return MultBasis(NumberField(scaled(BASE_FIELDS[name], int(c))), [])
+
+
+@pytest.mark.parametrize("case", [f"{name}@{c}"
+                                  for name in sorted(BASE_FIELDS)
+                                  for c in (1, 7, 1000)]
+                         + ["fixture^1", "fixture^5", "symbolic"])
+def test_principal_covering_unit_is_prime_to_m(case):
+    # the check cover_to_C no longer makes, by its docstring's proof:
+    # k_unit = round(m arg sigma(w) / 2 pi), prime to m, at every embedding
+    basis = _torsion_basis(case)
+    for ctx in basis.field.embeddings(40):
+        with mp.workdps(60):
+            h = int(mp.nint(basis.m * mp.arg(ctx.evaluate(basis.torsion_gen))
+                            / (2 * mp.pi)))
+        assert cover_to_C(basis, ctx).k_unit == h
+        assert math.gcd(h, basis.m) == 1
+
+
+def test_failed_cover_rounding_is_precision_exhausted(basis23, rationals,
+                                                      monkeypatch):
+    monkeypatch.setattr("extbloch.extgroup.nearest_integer",
+                        lambda x, precision: None)
+    with pytest.raises(PrecisionExhausted):
+        cover_to_C(basis23, rationals.embeddings(40)[0])
 
 
 def test_explicit_torsion_generator():

@@ -9,7 +9,8 @@ import mpmath
 from mpmath import mp
 
 from extbloch.field import NumberField, is_small, working
-from extbloch.extgroup import MultBasis, UnsaturatedBasis, cover_to_C
+from extbloch.extgroup import (LogLift, MultBasis, UnsaturatedBasis,
+                               cover_to_C)
 from extbloch.bloch import (Flattening, chi, galois_apply, lift_five_term,
                             normalize, rho_hat)
 from extbloch import regulator
@@ -365,7 +366,7 @@ def test_regulator_independent_of_branch(basis23):
     ctx = basis23.field.embeddings(45)[0]
     with mp.workdps(50):
         l1 = cover_to_C(basis23, ctx)
-        l2 = cover_to_C(basis23, ctx, branch=-1j * mp.pi)
+        l2 = LogLift(basis23, ctx, -1j * mp.pi, -1)
         assert reg_sum(s, l1).distance(reg_sum(s, l2)) < mp.mpf(10) ** -35
 
 

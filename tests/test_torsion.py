@@ -8,8 +8,8 @@ from mpmath import mp
 from cli_matrix import BASE_FIELDS, scaled
 from extbloch.field import NumberField, euler_phi
 from extbloch.regulator import NotTorsion, reg_vector
-from extbloch.torsion import (NotApplicable, TorsionError, beta_p,
-                              certify_order, cosine_exponents,
+from extbloch.torsion import (NotApplicable, TorsionError, _cosine_sequence,
+                              beta_p, certify_order, cosine_exponents,
                               flattened_torsion, nu_p, torsion_profile,
                               two_cos)
 
@@ -170,11 +170,17 @@ def test_flattened_orders(rationals, sqrt2):
 @pytest.mark.parametrize("name", sorted(BASE_FIELDS))
 def test_beta_is_the_projection_of_the_flattened_generator(name, c):
     # the flattened torsion generator lifts the plain one, on the base
-    # fields of the CLI matrix with their generators multiplied by c
+    # fields of the CLI matrix with their generators multiplied by c; the
+    # recurrence values and cross-ratios avoid what beta_p no longer checks
     nf = NumberField(scaled(BASE_FIELDS[name], c))
     primes = [p for p, nu in cosine_exponents(nf).items() if nu > 0]
     assert primes
     for p in primes:
+        _, seq, span = _cosine_sequence(nf, p)
+        assert not any(seq[k].is_zero() for k in range(span[-1] + 2))
+        for k in span:
+            z = seq[k + 1] * seq[k - 1] / seq[k] ** 2
+            assert not (z.is_zero() or z.is_one())
         assert beta_p(nf, p) == flattened_torsion(nf, p).project()
 
 

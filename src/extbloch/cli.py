@@ -49,7 +49,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .field import (PRIME_LIMIT, DegreeZero, NotSquarefree, NumberField,
-                    PrecisionExhausted, is_prime, is_small, working)
+                    PrecisionExhausted, is_prime, is_small)
 from .extgroup import ExtGroupError, MultBasis, UnsaturatedBasis
 from .bloch import (BlochError, ExtBlochSum, Flattening, lift_five_term,
                     normalize, rho_hat)
@@ -152,9 +152,13 @@ def _basis_of(field, data):
 
 
 def _ext_element(basis, coords, key):
-    """The element of E written [k, [[generator, exponent], ...]]."""
+    """The element of E written [k, [[generator, exponent], ...]], each
+    generator index at most once."""
     k, pairs = _list(coords, key, 2)
-    exponents = dict(_ints(pair, key, 2) for pair in _list(pairs, key))
+    pairs = [_ints(pair, key, 2) for pair in _list(pairs, key)]
+    exponents = dict(pairs)
+    if len(exponents) < len(pairs):
+        raise _bad(key, "repeated generator index")
     if not all(0 <= j < len(basis.free_gens) for j in exponents):
         raise _bad(key, "generator index out of range")
     return basis.element(_convert(int, k, key), exponents)
@@ -203,26 +207,21 @@ def _triangulation_of(data):
     return out
 
 
-def _fmt_real(x, digits):
-    return mp.nstr(x, digits, strip_zeros=False)
-
-
-def _fmt_complex(z, digits):
-    z = mp.mpc(z)
-    re = _fmt_real(mp.re(z), digits)
-    im = _fmt_real(abs(mp.im(z)), digits)
-    sign = "-" if mp.im(z) < 0 else "+"
+def _fmt(x, args):
+    """The real or complex number x as it is, at min(P, 30) digits: printing
+    reads the value and needs no precision context."""
+    digits = min(args.precision, 30)
+    re = mp.nstr(mp.re(x), digits, strip_zeros=False)
+    if not isinstance(x, mp.mpc):
+        return re
+    im = mp.nstr(mp.im(x), digits, strip_zeros=False)
+    sign, im = ("-", im[1:]) if im.startswith("-") else ("+", im)
     return f"{re} {sign} {im}i"
 
 
 def _reg_strings(vec, args):
-    digits = min(args.precision, 30)
-    out = []
-    with working(args.precision):
-        for v in vec:
-            rep = v.symmetric() if args.symmetric_range else v.canonical()
-            out.append(_fmt_complex(rep, digits))
-    return out
+    return [_fmt(v.symmetric() if args.symmetric_range else v.canonical(),
+                 args) for v in vec]
 
 
 def _poly_string(coeffs):
@@ -242,10 +241,6 @@ def cmd_field_info(data, args):
     # tests/test_cli.py, the golden file and aut = 4 in bench/oracles.py,
     # so a correct count waits for ROADMAP direction 1.
     autos = field.degree
-    digits = min(args.precision, 30)
-    with working(args.precision):
-        table = [_fmt_complex(root, digits)
-                 for root in field.roots(args.precision)]
     return {
         "poly": _poly_string(field.poly),
         "degree": field.degree,
@@ -253,7 +248,8 @@ def cmd_field_info(data, args):
         "torsion_order": m,
         "torsion_generator": _poly_string(w.coeffs),
         "automorphisms": autos,
-        "embeddings": table,
+        "embeddings": [_fmt(root, args)
+                       for root in field.roots(args.precision)],
     }
 
 
@@ -334,15 +330,11 @@ def cmd_torsion_order(data, args):
 def cmd_cycle_invariant(data, args):
     with _defining_polynomial():
         inv = manifold_invariant(_triangulation_of(data), args.precision)
-    digits = min(args.precision, 30)
-    with working(args.precision):
-        im = [_fmt_real(x, digits) for x in inv.imaginary_parts]
-        ds = [_fmt_real(x, digits) for x in inv.dilogarithm_sums]
     return {
         "terms": len(inv.element.terms),
         "regulator": _reg_strings(inv.regulator, args),
-        "imaginary_parts": im,
-        "dilogarithm_sums": ds,
+        "imaginary_parts": [_fmt(x, args) for x in inv.imaginary_parts],
+        "dilogarithm_sums": [_fmt(x, args) for x in inv.dilogarithm_sums],
         "matches": inv.matches,
     }
 

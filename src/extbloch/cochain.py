@@ -36,8 +36,8 @@ from mpmath import mp
 from .field import (FieldElement, NumberField, is_small, nearest_integer,
                     working)
 from .extgroup import SymbolicBasis, cover_to_C
-from .bloch import (EDGES, ExtBlochSum, Flattening, NotAFlattening, chi,
-                    edge_flattening, is_lifted_five_term, normalize)
+from .bloch import (EDGES, ExtBlochSum, Flattening, chi, edge_flattening,
+                    is_lifted_five_term, normalize)
 from .regulator import bloch_wigner, reg_vector
 from .torsion import _recurrence
 
@@ -64,18 +64,18 @@ class EdgeConditionFailed(CochainError):
 
 def _determinant_flattening(basis, dets):
     """`edge_flattening` of the log symbols of six determinant labels,
-    keyed by EDGES.  A zero label, or labels that give no flattening, mean
-    that the vectors are not in general position."""
+    keyed by EDGES.  A zero label means that the vectors are not in general
+    position.  Nonzero labels always give a flattening: z = 0 would need a
+    zero label, and z = 1 would force d01*d23 = 0 through the Plucker
+    relation that the projection check verifies, so a NotAFlattening from
+    it is a bug, not a verdict on the vectors."""
     c = {}
     for edge in EDGES:
         if dets[edge].is_zero():
             raise NotGeneralPosition("a determinant of the chosen vectors "
                                      "vanishes")
         c[edge] = basis.symbol(dets[edge])
-    try:
-        return edge_flattening(c)
-    except NotAFlattening as exc:
-        raise NotGeneralPosition(str(exc)) from None
+    return edge_flattening(c)
 
 
 def face_vertices(face):
@@ -389,13 +389,10 @@ def _matvec(g, v):
             g[1][0] * v[0] + g[1][1] * v[1])
 
 
-def lambda_sl2(tuples, v, basis=None):
+def lambda_sl2(tuples, v):
     """The flattening sum of signed 4-tuples of 2x2 matrices acting on a
     base vector, via pairwise determinant labels."""
-    tuples = list(tuples)
-    field = v[0].field
-    if basis is None:
-        basis = SymbolicBasis(field)
+    basis = SymbolicBasis(v[0].field)
     terms = []
     for sign, gs in tuples:
         us = [_matvec(g, v) for g in gs]
@@ -560,10 +557,9 @@ class ManifoldInvariant:
     def matches(self):
         """Whether Im(regulator) equals the Bloch-Wigner sum at every
         embedding: their difference passes `field.is_small`."""
-        with working(self.precision):
-            return all(is_small(a - b, self.precision)
-                       for a, b in zip(self.imaginary_parts,
-                                       self.dilogarithm_sums))
+        return all(is_small(a - b, self.precision)
+                   for a, b in zip(self.imaginary_parts,
+                                   self.dilogarithm_sums))
 
 
 def _translate_coefficients(cycle, reps):
@@ -709,8 +705,8 @@ def manifold_invariant(data, precision=50):
                 dsum += cycle.orientations[t] * \
                     bloch_wigner(ctx.evaluate(z), precision)
             dsums.append(+dsum)
-        imaginary_parts = [mp.im(mp.mpc(val.value)) for val in regulator]
     return ManifoldInvariant(element=element, flattenings=fls,
                              translates=pqs, regulator=regulator,
-                             imaginary_parts=imaginary_parts,
+                             imaginary_parts=[mp.im(val.value)
+                                              for val in regulator],
                              dilogarithm_sums=dsums, precision=precision)

@@ -32,7 +32,10 @@ regulators.
 Other modules decide on a value computed at N digits by `is_small` (it
 vanishes: |x| <= 10^(10 - N)) or `nearest_integer` (it is an integer: it
 lies within 10^-ceil(N/2) of one).  Both bounds follow from N alone; a
-caller who wants a tighter check asks for more digits.
+caller who wants a tighter check asks for more digits.  Only code that
+makes a number enters a precision context (`working`); the decisions, like
+the printing of the CLI, read a value as it is and run in the caller's
+context.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_int
 
 
 class FieldError(Exception):
@@ -67,7 +70,8 @@ class PrecisionExhausted(FieldError):
 
 def working(precision):
     """The mpmath context of a computation whose result carries
-    `precision` digits: 20% more, and at least 10 more."""
+    `precision` digits: 20% more, and at least 10 more.  Only code that
+    makes a number enters it; reading a value needs no context."""
     return mp.workdps(precision + max(10, precision // 5))
 
 
@@ -82,19 +86,18 @@ def tolerance(precision):
 
 
 def is_small(x, precision):
-    """Whether |x| <= tolerance(precision), at the working precision of
-    `precision` digits: a value that must vanish."""
-    with working(precision):
-        return abs(x) <= tolerance(precision)
+    """Whether |x| <= tolerance(precision): a value computed at `precision`
+    digits that must vanish.  It runs in the caller's context."""
+    return abs(x) <= tolerance(precision)
 
 
 def nearest_integer(x, precision):
-    """The integer k nearest Re x if |x - k| <= 10^(-precision // 2) at the
-    working precision, else None; the bound follows from the precision.
+    """The integer k nearest Re x if |x - k| <= 10^(-precision // 2), else
+    None; the bound follows from the precision.  k is read exactly, in any
+    context; the comparison runs in the caller's.
     """
-    with working(precision):
-        k = int(mp.nint(mp.re(x)))
-        return k if abs(x - k) <= mp.mpf(10) ** (-precision // 2) else None
+    k = to_int(mp.re(x)._mpf_, round_nearest)
+    return k if abs(x - k) <= mp.mpf(10) ** (-precision // 2) else None
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ where a product folds seven slots) and on a degree-9 field rescaled by
 command; the glued figure-eight fixture with supplied translates that
 meet the edge conditions, that break them, and that meet them for a shape
 that fails a gluing equation.  Each line runs with and without --json at
---precision 20, 30, 50 and 100.  An exception that escapes `main` is
-recorded as the exit code "raised NAME" with its message on standard
-error.  pytest does not collect this file; tests/test_cli_golden.py
-imports its base fields, `scaled` and `run`, which it calls with
-strict=True.
+--precision 20, 30, 50 and 100, and each fixture command also at
+--precision 200, where the printed digits are read from values carried
+at 240.  An exception that escapes `main` is recorded as the exit code
+"raised NAME" with its message on standard error.  pytest does not
+collect this file; tests/test_cli_golden.py imports its base fields,
+`scaled` and `run`, which it calls with strict=True.
 """
 import contextlib
 import io
@@ -129,16 +130,19 @@ def matrix():
     lines = [(" ".join([*argv[:2], name, *argv[2:]]),
               argv[:2] + ["FIELD"] + argv[2:], json.dumps({"field": poly}))
              for name, poly in fields.items() for argv in FIELD_COMMANDS]
-    lines += [(" ".join(argv), argv[:2] + [f"{FIXTURES}/{argv[2]}"]
-               + argv[3:], None) for argv in FIXTURE_COMMANDS]
+    fixtures = [(" ".join(argv), argv[:2] + [f"{FIXTURES}/{argv[2]}"]
+                 + argv[3:], None) for argv in FIXTURE_COMMANDS]
+    lines += fixtures
     lines += [(" ".join([*argv, name]), argv + ["FIELD"]
                + (["--prime", "2"] if argv[1] == "order" else []), text)
               for name, text, commands in MALFORMED + SUPPLIED
               for argv in commands]
     lines.append(("field info missing", ["field", "info", "FIELD"], ""))
+    runs = [(line, p) for line in lines for p in PRECISIONS]
+    runs += [(line, "200") for line in fixtures]
     return [(f"{ident} --precision {p}{mode}",
              argv + ["--precision", p] + flag, text)
-            for ident, argv, text in lines for p in PRECISIONS
+            for (ident, argv, text), p in runs
             for mode, flag in (("", []), (" --json", ["--json"]))]
 
 

@@ -3,12 +3,14 @@ import json
 import time
 
 import pytest
+from mpmath import mp
 
 import test_cli_golden
 from test_cochain import _cyclic_triangulation_data
-from extbloch.cli import build_parser, main
+from extbloch.cli import _fmt, build_parser, main
 from extbloch.extgroup import MultBasis
-from extbloch.field import PRIME_LIMIT, DivisionByZero
+from extbloch.field import PRIME_LIMIT, DivisionByZero, NumberField, working
+from extbloch.regulator import RegulatorValue
 
 FIXTURES = "tests/fixtures"
 
@@ -164,6 +166,27 @@ def test_cycle_invariant(capsys):
     assert code == 0
     assert "2.0298832128193" in out
     assert "matches: True" in out
+
+
+@pytest.mark.parametrize("precision", [20, 50, 200])
+def test_printing_reads_values_as_they_are(precision):
+    # values made at the working precision print the same in the caller's
+    # context and under mpmath's default 15 digits
+    args = argparse.Namespace(precision=precision)
+    root = NumberField([1, -2, 2, -1, 1]).roots(precision)[-1]
+    with working(precision):
+        value = RegulatorValue(mp.mpc(5 * mp.pi ** 2, -mp.pi / 3), precision)
+        real = mp.sqrt(2)
+    values = [root, value.canonical(), value.symmetric(), real, -real]
+    with working(precision):
+        want = [_fmt(x, args) for x in values]
+    with mp.workdps(15):
+        assert [_fmt(x, args) for x in values] == want
+    with mp.workdps(60):
+        digits = min(precision, 30)
+        assert want[1].endswith(
+            f" - {mp.nstr(mp.pi / 3, digits, strip_zeros=False)}i")
+        assert want[3] == mp.nstr(mp.sqrt(2), digits, strip_zeros=False)
 
 
 def test_output_is_deterministic(capsys):
@@ -357,6 +380,9 @@ MALFORMED_KEYS = {
                        "terms"),
     "chi-number": (["bloch", "regulator"],
                    _changed("element_example.json", chi=3), "chi"),
+    "chi-repeated-generator": (["bloch", "regulator"],
+                               _changed("element_example.json",
+                                        chi=[0, [[0, -3], [0, 0]]]), "chi"),
     "x-missing": (["fiveterm", "check"],
                   _changed("fiveterm_rational.json", x=None), "x"),
     "y-string": (["fiveterm", "check"],

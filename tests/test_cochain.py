@@ -10,7 +10,7 @@ from mpmath import mp
 
 from extbloch.field import NumberField, is_small
 from extbloch.extgroup import SymbolicBasis, _BasisCommon, cover_to_C
-from extbloch.bloch import Flattening, chi, normalize
+from extbloch.bloch import Flattening, NotAFlattening, chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
 from extbloch.cochain import (CochainError, EdgeConditionFailed,
@@ -279,6 +279,18 @@ def test_sl2_degenerate_orbit_rejected():
     g = ((RATIONALS.one, RATIONALS.zero), (RATIONALS.zero, RATIONALS.one))
     with pytest.raises(NotGeneralPosition):
         lambda_sl2([(1, (g, g, g, g))], (RATIONALS.one, RATIONALS.zero))
+
+
+def test_broken_flattening_identity_is_no_verdict_on_the_vectors(monkeypatch):
+    # nonzero determinant labels always give a flattening, so a failure of
+    # the identity is a bug of the library, not a degenerate orbit
+    def broken(c):
+        raise NotAFlattening("pi(e) + pi(f) != 1")
+
+    monkeypatch.setattr("extbloch.cochain.edge_flattening", broken)
+    tuples = _sl2_torsion_data(3, RATIONALS.rational(-1))
+    with pytest.raises(NotAFlattening):
+        lambda_sl2(tuples, (RATIONALS.one, RATIONALS.zero))
 
 
 def _random_sl2(rng, field):

@@ -14,7 +14,7 @@ from extbloch.field import (PRIME_LIMIT, FieldElement, FieldError,
                             NotSquarefree, NumberField, _solve_rational,
                             cos2pi_minpoly, element_in_field, euler_phi,
                             integral_model, is_prime, is_small,
-                            nearest_integer, tolerance, working)
+                            nearest_integer, tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -197,28 +197,36 @@ def test_solve_rational_matches_sympy():
 @pytest.mark.parametrize("precision", [20, 50, 200])
 def test_decisions_at_their_boundaries(precision):
     # the inputs carry more digits than the decisions use: at mpmath's
-    # default 15 digits, k + 10^-22 would already be k
-    with mp.workdps(2 * precision + 40):
+    # default 15 digits, k + 10^-22 would already be k.  The decisions run
+    # in the caller's context, the one of the inputs or mpmath's default,
+    # and read k exactly in both: 10^30 has more than 15 digits.
+    made = 2 * precision + 40
+    with mp.workdps(made):
         tol = mp.mpf(10) ** (10 - precision)
         assert tolerance(precision) == tol
         step = mp.mpf(10) ** (-precision // 2)
-        for sign in (1, -1):
-            assert is_small(sign * tol / 2, precision)
-            assert not is_small(sign * 2 * tol, precision)
-            assert is_small(mp.mpc(tol / 4, sign * tol / 4), precision)
-            assert not is_small(mp.mpc(tol, sign * tol), precision)
-            for k in (-3, 0, 7, 10 ** 30):
-                assert nearest_integer(k + sign * step / 2, precision) == k
-                assert nearest_integer(k + sign * 2 * step, precision) is None
-                assert nearest_integer(mp.mpc(k, sign * step / 2),
-                                       precision) == k
-                assert nearest_integer(mp.mpc(k, sign * 2 * step),
-                                       precision) is None
-    # the bound itself passes
-    with working(precision):
-        assert is_small(tolerance(precision), precision)
-        assert nearest_integer(mp.mpf(10) ** (-precision // 2), precision) \
-            == 0
+        inputs = [(k, k + sign * step / 2, k + sign * 2 * step,
+                   mp.mpc(k, sign * step / 2), mp.mpc(k, sign * 2 * step))
+                  for sign in (1, -1) for k in (-3, 0, 7, 10 ** 30)]
+        small = [(sign * tol / 2, sign * 2 * tol,
+                  mp.mpc(tol / 4, sign * tol / 4), mp.mpc(tol, sign * tol))
+                 for sign in (1, -1)]
+    for caller in (made, 15):
+        with mp.workdps(caller):
+            for half, double, half_mpc, double_mpc in small:
+                assert is_small(half, precision)
+                assert not is_small(double, precision)
+                assert is_small(half_mpc, precision)
+                assert not is_small(double_mpc, precision)
+            for k, near, far, near_mpc, far_mpc in inputs:
+                assert nearest_integer(near, precision) == k
+                assert nearest_integer(far, precision) is None
+                assert nearest_integer(near_mpc, precision) == k
+                assert nearest_integer(far_mpc, precision) is None
+            # the bound itself passes
+            assert is_small(tolerance(precision), precision)
+            bound = mp.mpf(10) ** (-precision // 2)
+            assert nearest_integer(bound, precision) == 0
 
 
 def test_min_poly_of_generator(example_field):

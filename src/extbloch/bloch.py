@@ -32,9 +32,22 @@ class NotAFlattening(BlochError):
 
 
 class Flattening:
-    """A pair (e, f) over one basis with pi(e) + pi(f) = 1 exactly.  A
-    caller that knows z = pi(e), for a translate or a normal form, passes
-    it: then nothing is projected or checked."""
+    """A pair (e, f) over one basis with pi(e) + pi(f) = 1 exactly and
+    z = pi(e) outside {0, 1}.
+
+    Each flattening is proven once.  Without z both components are
+    projected and checked: for pairs from outside the library (a fixture's
+    terms, a caller's Flattening(e, f)) and for edge labels (determinant
+    and cyclic labels), where the check is the label identity, the
+    Plucker relation or the cosine recurrence.  A flattening the library
+    derives from proven data passes the image z of its cross-ratio and
+    nothing is projected: translates and normal forms, the lifted
+    five-term relation, Galois images, torsion-generator changes, the
+    flattenings of a lifted cochain or of log symbols of z and 1 - z, and
+    (log_lift(x), log_lift(1 - x)), whose projections log_lift proves.
+    A wrong z is caught wherever the flattening is regulated:
+    `reg_flattening` checks at every embedding that the lifts of e and f
+    are logarithms of z and 1 - z."""
 
     __slots__ = ("e", "f", "z")
 
@@ -267,19 +280,24 @@ def lift_five_term(fl0, fl1):
     """Lift a five-term relation: from flattenings of x0 and x1 compute the
     remaining three flattenings by the defining linear equations, with the
     lift of 1 - x1/x0 in canonical coordinates over the basis.  As pi is a
-    homomorphism, they project to the rest of five_term(x0, x1)."""
+    homomorphism, they project to the rest of five_term(x0, x1), and they
+    carry those cross-ratios: x2 = x1/x0, x3 = x2*x4 and
+    x4 = (1 - x0)/(1 - x1)."""
     basis = fl0.basis
     if fl1.basis is not basis:
         raise NotAFlattening("flattenings over different bases")
     if fl0.z == fl1.z:
         raise DegenerateTuple("x and y must be distinct")
+    one = basis.field.one
+    x2 = fl1.z / fl0.z
     try:
-        f2 = basis.log_lift(basis.field.one - fl1.z / fl0.z)
+        f2 = basis.log_lift(one - x2)
     except NotInSubgroup as exc:
         raise NotAFlattening(str(exc)) from None
+    x4 = (one - fl0.z) / (one - fl1.z)
     e2, e3, f3, e4, f4 = _five_term_equations(fl0, fl1, f2)
-    return (fl0, fl1, Flattening(e2, f2), Flattening(e3, f3),
-            Flattening(e4, f4))
+    return (fl0, fl1, Flattening(e2, f2, x2), Flattening(e3, f3, x2 * x4),
+            Flattening(e4, f4, x4))
 
 
 def rho_hat(lifted):
@@ -336,7 +354,7 @@ def change_torsion_generator(s, new_basis):
     def tr(e):
         return ExtElement(new_basis, a * e.k, dict(e.r))
 
-    terms = [(n, Flattening(tr(fl.e), tr(fl.f))) for n, fl in s.terms]
+    terms = [(n, Flattening(tr(fl.e), tr(fl.f), fl.z)) for n, fl in s.terms]
     return ExtBlochSum(new_basis, terms, a * tr(s.chi_part))
 
 
@@ -369,5 +387,6 @@ def galois_apply(tau, s):
             out = out + exp * gen_imgs[j]
         return out
 
-    terms = [(n, Flattening(push(fl.e), push(fl.f))) for n, fl in s.terms]
+    terms = [(n, Flattening(push(fl.e), push(fl.f), fl.z.substitute(tau)))
+             for n, fl in s.terms]
     return ExtBlochSum(basis, terms, push(s.chi_part))

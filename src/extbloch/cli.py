@@ -281,8 +281,8 @@ def cmd_fiveterm_check(data, args):
     basis = _basis_of(field, data)
     x, y = (field.element(_coeffs(_required(data, key), key, field.degree))
             for key in ("x", "y"))
-    fl0 = Flattening(basis.log_lift(x), basis.log_lift(field.one - x))
-    fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y))
+    fl0 = Flattening(basis.log_lift(x), basis.log_lift(field.one - x), x)
+    fl1 = Flattening(basis.log_lift(y), basis.log_lift(field.one - y), y)
     s = normalize(basis, rho_hat(lift_five_term(fl0, fl1)))
     vec = reg_vector(s, args.precision)
     return {

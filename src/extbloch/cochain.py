@@ -159,6 +159,9 @@ class Triangulated3Cycle:
         """Canonical representative of the 1-cell through edge (i, j)."""
         if i > j:
             i, j = j, i
+        if (t, (i, j)) not in self._parent:
+            raise CochainError(f"no edge ({i}, {j}) of simplex {t} in the "
+                               "cycle")
         return self._find((t, (i, j)))
 
     def edge_classes(self):
@@ -226,6 +229,10 @@ class LiftedCochain:
                 for rep in sorted(cochain.class_values)}
         else:
             self.class_lifts = dict(lifts)
+            odd = set(self.class_lifts) ^ set(cochain.class_values)
+            if odd:
+                raise NotIdeal("the lifts must label exactly the 1-cells; "
+                               f"they differ at {sorted(odd, key=repr)}")
             for rep, value in cochain.class_values.items():
                 if self.class_lifts[rep].pi() != value:
                     raise NotIdeal("lift does not project to the label "

@@ -140,6 +140,13 @@ class _BasisCommon:
             powers.append(powers[-1] * self.torsion_gen)
         return powers
 
+    @functools.cached_property
+    def _generator_logs(self):
+        """Principal logarithms of the free generators, keyed by (root
+        index, precision, j) and filled by `LogLift.lambda_p`: one per
+        generator and embedding, shared by every covering of the basis."""
+        return {}
+
     def torsion_log(self, x):
         """The k in [0, m) with w^k = x for the torsion generator w, or None
         if x is not a power of w."""
@@ -393,14 +400,16 @@ class LogLift:
         self.ctx = ctx
         self.lambda_w = lambda_w
         self.k_unit = k_unit
-        self._lambda_p = {}
 
     def lambda_p(self, j):
-        if j not in self._lambda_p:
+        """The principal logarithm of free generator j, whatever lambda_w
+        is, so that all coverings at one embedding share it."""
+        logs = self.basis._generator_logs
+        key = (self.ctx.root_index, self.ctx.precision, j)
+        if key not in logs:
             with working(self.ctx.precision):
-                self._lambda_p[j] = mp.log(self.ctx.evaluate(
-                    self.basis.gen_value(j)))
-        return self._lambda_p[j]
+                logs[key] = mp.log(self.ctx.evaluate(self.basis.gen_value(j)))
+        return logs[key]
 
     def lift(self, e):
         with working(self.ctx.precision):

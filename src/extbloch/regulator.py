@@ -259,7 +259,14 @@ def torsion_order(v, w):
     """Order of a regulator value v as a torsion point of C/4pi^2 whose
     order divides w: w / gcd(w, a) for a = nint(w * Re v / 4pi^2), or None
     unless Im v and the rounding residual pass `is_small` at the precision
-    of v."""
+    of v.
+
+    Acceptance is a vanishing decision, not a rounding: (x - a)/w is the
+    distance of v to the lattice point 4pi^2 a/w, and `mp.nint` only picks
+    that point.  `nearest_integer` would loosen it: at precision 50 and
+    w = 24 its bound on |x - a| is 1e-25 instead of 2.4e-39, and rounding
+    the complex value would accept an imaginary part of 1e-25 at
+    precision 40, which test_torsion_order_reconstruction refuses."""
     prec = v.precision
     with working(prec):
         x = w * mp.re(v.value) / (4 * mp.pi ** 2)

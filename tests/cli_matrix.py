@@ -19,7 +19,8 @@ where a product folds seven slots) and on a degree-9 field rescaled by
 10^8; every fixture command; malformed fixtures for every
 command; the glued figure-eight fixture with supplied translates that
 meet the edge conditions, that break them, and that meet them for a shape
-that fails a gluing equation.  Each line runs with and without --json at
+that fails a gluing equation; a valid `fiveterm check` over Q(sqrt2).
+Each line runs with and without --json at
 --precision 20, 30, 50 and 100, and each fixture command also at
 --precision 200, where the printed digits are read from values carried
 at 240.  An exception that escapes `main` is recorded as the exit code
@@ -112,6 +113,10 @@ SUPPLIED = [
      [["cycle", "invariant"]]),
     ("glued-shape-2", GLUED.format("[2]", "[[-4, -4], [0, -3]]"),
      [["cycle", "invariant"]]),
+    # x = sqrt2 and y = -1 over the units {sqrt2, 1 + sqrt2}
+    ("sqrt2-fiveterm", '{"field": [-2, 0, 1], "basis": {"free_gens": '
+     '[[0, 1], [1, 1]], "saturated": true}, "x": [0, 1], "y": [-1]}',
+     [["fiveterm", "check"]]),
 ]
 
 

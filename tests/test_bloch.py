@@ -13,8 +13,10 @@ from extbloch.bloch import (BlochError, BlochSum, DegenerateTuple,
                             change_torsion_generator, five_term,
                             galois_apply, lift_five_term, normalize,
                             psl_lift_obstruction, psl_project, rho_hat)
+from extbloch.cli import main
 from extbloch.cochain import is_lifted_five_term
 from extbloch.regulator import reg_vector
+from test_regulator import GALOIS_ELEMENTS, _flattening, galois_element
 
 
 @pytest.fixture(scope="module")
@@ -217,20 +219,105 @@ def test_five_term_wedge_vanishes(basis23):
     assert s.is_in_Bhat()
 
 
+def _pi_calls(monkeypatch):
+    """The list of the elements that `_BasisCommon.pi` projects from now
+    on."""
+    calls = []
+    pi = _BasisCommon.pi
+    monkeypatch.setattr(_BasisCommon, "pi",
+                        lambda self, e: calls.append(e) or pi(self, e))
+    return calls
+
+
 def test_normal_form_projects_no_flattening(basis23, monkeypatch):
     # each term of the normal form takes its cross-ratio from the
     # flattenings it folds, so normalizing projects nothing
     # (cross-ratios 3, -3, -1, 1/2, -1/2: five terms, none merged)
     lifted = lift_five_term(fl_of(basis23, Fraction(3)),
                             fl_of(basis23, Fraction(-3)))
-    calls = []
-    pi = _BasisCommon.pi
-    monkeypatch.setattr(_BasisCommon, "pi",
-                        lambda self, e: calls.append(e) or pi(self, e))
+    calls = _pi_calls(monkeypatch)
     s = normalize(basis23, rho_hat(lifted))
     assert calls == []
     assert {(n, fl.z) for n, fl in s.terms} == {
         (n, fl.z) for n, fl in rho_hat(lifted)}
+
+
+# Flattenings that the library derives from proven data carry their
+# cross-ratio; the projections they skip are the oracle of the property
+# test below.
+
+def test_lift_five_term_projects_no_flattening(basis23, monkeypatch):
+    fl0, fl1 = fl_of(basis23, Fraction(3)), fl_of(basis23, Fraction(9))
+    calls = _pi_calls(monkeypatch)
+    lift_five_term(fl0, fl1)
+    assert calls == []
+
+
+def _inverse_torsion_basis(s):
+    """The basis of s with the inverse torsion generator."""
+    return MultBasis(s.basis.field, s.basis.free_gens,
+                     torsion_gen=s.basis.torsion_gen.inverse())
+
+
+def test_change_torsion_generator_projects_no_flattening(monkeypatch):
+    s = galois_element(GALOIS_ELEMENTS["2[w]"])
+    new_basis = _inverse_torsion_basis(s)
+    calls = _pi_calls(monkeypatch)
+    change_torsion_generator(s, new_basis)
+    assert calls == []
+
+
+def test_galois_apply_projects_no_flattening(monkeypatch):
+    s = galois_element(GALOIS_ELEMENTS["2[w]-4[1-w]"])
+    field = s.basis.field
+    calls = _pi_calls(monkeypatch)
+    galois_apply(field.one - field.gen, s)
+    assert calls == []
+
+
+def test_fiveterm_check_projects_no_flattening(monkeypatch, capsys):
+    calls = _pi_calls(monkeypatch)
+    assert main(["fiveterm", "check",
+                 "tests/fixtures/fiveterm_rational.json"]) == 0
+    assert "wedge_zero: True" in capsys.readouterr().out
+    assert calls == []
+
+
+def _sqrt2_lifted():
+    """The lifted five-term relation of x = sqrt2 and y = -1 over the
+    units {sqrt2, 1 + sqrt2} of Q(sqrt2)."""
+    field = NumberField([-2, 0, 1])
+    r = field.gen
+    basis = MultBasis(field, [r, field.one + r], saturated=True)
+    return lift_five_term(_flattening(basis, r),
+                          _flattening(basis, -field.one))
+
+
+def _derived_flattenings(basis235, source, arg):
+    if source == "five-term over Q":
+        return lift_five_term(*(fl_of(basis235, q) for q in arg))[2:]
+    if source == "five-term over Q(sqrt2)":
+        return _sqrt2_lifted()[2:]
+    s = galois_element(arg)
+    field = s.basis.field
+    if source == "Galois image":
+        moved = galois_apply(field.one - field.gen, s)
+    else:
+        moved = change_torsion_generator(s, _inverse_torsion_basis(s))
+    return [fl for _, fl in moved.terms]
+
+
+@given(case=st.one_of(
+    st.tuples(st.just("five-term over Q"), st.sampled_from(_LIFTABLE_235)),
+    st.just(("five-term over Q(sqrt2)", None)),
+    st.tuples(st.sampled_from(["Galois image", "new torsion generator"]),
+              st.sampled_from(list(GALOIS_ELEMENTS.values())))))
+@settings(max_examples=80, deadline=None)
+def test_derived_flattenings_project_to_the_cross_ratio_they_carry(
+        basis235, case):
+    for fl in _derived_flattenings(basis235, *case):
+        assert fl.e.pi() == fl.z
+        assert (fl.z + fl.f.pi()).is_one()
 
 
 def test_plain_bloch_sum_membership(basis23, rationals):

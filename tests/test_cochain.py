@@ -9,7 +9,8 @@ import pytest
 from mpmath import mp
 
 from extbloch.field import NumberField, is_small
-from extbloch.extgroup import SymbolicBasis, _BasisCommon, cover_to_C
+from extbloch.extgroup import (LogLift, SymbolicBasis, _BasisCommon,
+                               cover_to_C)
 from extbloch.bloch import Flattening, NotAFlattening, chi, normalize
 from extbloch.regulator import reg_vector
 from extbloch.torsion import beta_p, certify_order
@@ -142,6 +143,37 @@ def test_explicit_lifts_must_project(cyclic6):
     rep = next(iter(lifts))
     lifts[rep] = lifts[rep] + lc.basis.element(0, {0: 1})
     with pytest.raises(NotIdeal):
+        LiftedCochain(co, lc.basis, lifts)
+
+
+def _cyclic4_with_a_key_outside():
+    """The cyclic cochain over Q with c = 0 on four simplices, its lifted
+    cochain and a key at a ninth simplex, which the cycle lacks."""
+    co = cyclic_cochain(RATIONALS, 0, 4)
+    return co, LiftedCochain(co), (9, (0, 1))
+
+
+@pytest.mark.parametrize("use", ["label", "twist", "edge"])
+def test_a_key_outside_the_cycle_is_a_cochain_error(use):
+    co, lc, key = _cyclic4_with_a_key_outside()
+    with pytest.raises(CochainError, match="no edge"):
+        if use == "label":
+            IdealCochain(co.cycle, RATIONALS, {**co.class_values, key: 1})
+        elif use == "twist":
+            z2_twist(lc, {**{rep: 1 for rep in co.class_values}, key: 1})
+        else:
+            co.cycle.edge_class(0, 1, 1)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_lifts_must_label_exactly_the_one_cells(change):
+    co, lc, key = _cyclic4_with_a_key_outside()
+    lifts = dict(lc.class_lifts)
+    if change == "missing":
+        del lifts[next(iter(lifts))]
+    else:
+        lifts[key] = lc.basis.element(0)
+    with pytest.raises(NotIdeal, match="exactly the 1-cells"):
         LiftedCochain(co, lc.basis, lifts)
 
 
@@ -695,6 +727,26 @@ def test_figure_eight_fixture():
         assert abs(inv.imaginary_parts[0]
                    - mp.mpf("2.029883212819307250042405109")) \
             < mp.mpf(10) ** -25
+
+
+def test_invariant_takes_one_logarithm_per_generator(monkeypatch):
+    # _edge_targets and reg_vector each build a covering at the one
+    # embedding; both read the logarithms of the two symbols of the basis
+    inside, logs = [], []
+    lambda_p, log = LogLift.lambda_p, mp.log
+
+    def spy_lambda_p(self, j):
+        inside.append(j)
+        try:
+            return lambda_p(self, j)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LogLift, "lambda_p", spy_lambda_p)
+    monkeypatch.setattr(mp, "log",
+                        lambda x: (inside and logs.append(x)) or log(x))
+    assert manifold_invariant(_figure_eight("figure_eight_glued"), 50).matches
+    assert len(logs) == 2
 
 
 def test_glued_figure_eight_constrains_the_shapes():

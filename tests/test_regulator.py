@@ -279,23 +279,34 @@ def _flattening(basis, z):
     return Flattening(basis.log_lift(z), basis.log_lift(basis.field.one - z))
 
 
-@pytest.mark.parametrize("terms", [
-    [(2, "w")], [(4, "w")], [(2, "1-w")], [(2, "w"), (-4, "1-w")],
-    [(1, "w"), (1, "1-w")]],
-    ids=["2[w]", "4[w]", "2[1-w]", "2[w]-4[1-w]", "[w]+[1-w]"])
-def test_regulator_is_galois_equivariant_on_bhat(terms):
-    # Q(sqrt-3) = Q[x]/(x^2 - x + 1) with w = x, a sixth root of unity;
-    # tau = 1 - w is complex conjugation, so the regulator of tau(s) at the
-    # one complex place is the conjugate of that of s, mod 4*pi^2
+# sums over Q(sqrt-3) = Q[x]/(x^2 - x + 1) with w = x, a sixth root of
+# unity, whose wedges vanish
+GALOIS_ELEMENTS = {"2[w]": [(2, "w")], "4[w]": [(4, "w")],
+                   "2[1-w]": [(2, "1-w")],
+                   "2[w]-4[1-w]": [(2, "w"), (-4, "1-w")],
+                   "[w]+[1-w]": [(1, "w"), (1, "1-w")]}
+
+
+def galois_element(terms):
+    """The sum of GALOIS_ELEMENTS' terms over the basis {2}."""
     field = NumberField([1, -1, 1])
     basis = MultBasis(field, [field.rational(2)])
     w = field.gen
     values = {"w": w, "1-w": field.one - w}
-    s = normalize(basis, [(n, _flattening(basis, values[z]))
-                          for n, z in terms])
+    return normalize(basis, [(n, _flattening(basis, values[z]))
+                             for n, z in terms])
+
+
+@pytest.mark.parametrize("terms", list(GALOIS_ELEMENTS.values()),
+                         ids=list(GALOIS_ELEMENTS))
+def test_regulator_is_galois_equivariant_on_bhat(terms):
+    # tau = 1 - w is complex conjugation, so the regulator of tau(s) at the
+    # one complex place is the conjugate of that of s, mod 4*pi^2
+    s = galois_element(terms)
+    field = s.basis.field
     assert s.is_in_Bhat()
     [v] = reg_vector(s, 40)
-    [image] = reg_vector(galois_apply(field.one - w, s), 40)
+    [image] = reg_vector(galois_apply(field.one - field.gen, s), 40)
     with mp.workdps(60):
         assert is_small(image.distance(mp.conj(v.value)), 40)
 

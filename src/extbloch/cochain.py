@@ -249,6 +249,8 @@ class LiftedCochain:
         """A lift with one 1-cell's label shifted by an integer multiple of
         the central unit."""
         lifts = dict(self.class_lifts)
+        if rep not in lifts:
+            raise NotIdeal(f"{rep!r} is no 1-cell of the cycle")
         lifts[rep] = lifts[rep] + self.basis.iota(amount)
         return LiftedCochain(self.cochain, self.basis, lifts)
 

@@ -31,9 +31,11 @@ import math
 import warnings
 
 from mpmath import mp
+from mpmath.libmp import mpc_add, mpc_mul_int, round_nearest
 
 from .field import (READ_DIGITS, FieldElement, FieldError, PrecisionExhausted,
-                    _peval, cyclotomic, is_small, nearest_integer, working)
+                    _peval, cyclotomic, is_small, nearest_integer, working,
+                    working_bits)
 
 
 class ExtGroupError(Exception):
@@ -145,6 +147,12 @@ class _BasisCommon:
         """Principal logarithms of the free generators, keyed by (root
         index, precision, j) and filled by `LogLift.lambda_p`: one per
         generator and embedding, shared by every covering of the basis."""
+        return {}
+
+    @functools.cached_property
+    def _coverings(self):
+        """The principal coverings made by `cover_to_C`, keyed by (root
+        index, precision)."""
         return {}
 
     def torsion_log(self, x):
@@ -393,7 +401,10 @@ class SymbolicBasis(_BasisCommon):
 class LogLift:
     """A covering of the extension into C at one embedding: an actual
     logarithm value per basis generator.  m * lambda_w is a multiple
-    2*pi*i*k_unit of 2*pi*i with k_unit prime to m."""
+    2*pi*i*k_unit of 2*pi*i with k_unit prime to m.  A lift is a sum on
+    the integer mantissas of lambda_w and of the generator logarithms,
+    which every covering of the basis at one root index and precision
+    shares (`_BasisCommon._generator_logs`)."""
 
     def __init__(self, basis, ctx, lambda_w, k_unit):
         self.basis = basis
@@ -412,11 +423,16 @@ class LogLift:
         return logs[key]
 
     def lift(self, e):
-        with working(self.ctx.precision):
-            acc = e.k * self.lambda_w
-            for j, exp in e.r:
-                acc += exp * self.lambda_p(j)
-            return +acc
+        """k * lambda_w + sum r_j * lambda_p(j) for e = (k, r), on the
+        integer mantissas of mpmath's numbers: libmp rounds each step to
+        `working_bits` as a `working` context would, without entering
+        one."""
+        wp = working_bits(self.ctx.precision)
+        acc = mpc_mul_int(self.lambda_w._mpc_, e.k, wp, round_nearest)
+        for j, exp in e.r:
+            acc = mpc_add(acc, mpc_mul_int(self.lambda_p(j)._mpc_, exp, wp,
+                                           round_nearest), wp, round_nearest)
+        return mp.make_mpc(acc)
 
 
 def cover_to_C(basis, ctx):
@@ -424,12 +440,16 @@ def cover_to_C(basis, ctx):
     LogLift's), with k_unit, m lambda_w = 2 pi i k_unit, rounded once or
     PrecisionExhausted.  k_unit is prime to m: w has exact order m
     (Phi_m(w) = 0 is certified, or w = -1 and m = 2), so
-    sigma(w) = e^(2 pi i h/m) with gcd(h, m) = 1 and k_unit = h (mod m)."""
-    prec = ctx.precision
-    with working(prec):
-        lambda_w = mp.log(ctx.evaluate(basis.torsion_gen))
-        k_unit = nearest_integer(basis.m * lambda_w / (2j * mp.pi), prec)
-    if k_unit is None:
-        raise PrecisionExhausted("m * lambda_w does not round to a multiple "
-                                 f"of 2*pi*i at {prec} digits")
-    return LogLift(basis, ctx, lambda_w, k_unit)
+    sigma(w) = e^(2 pi i h/m) with gcd(h, m) = 1 and k_unit = h (mod m).
+    It is made once per root index and precision and kept on the basis."""
+    key = (ctx.root_index, ctx.precision)
+    if key not in basis._coverings:
+        prec = ctx.precision
+        with working(prec):
+            lambda_w = mp.log(ctx.evaluate(basis.torsion_gen))
+            k_unit = nearest_integer(basis.m * lambda_w / (2j * mp.pi), prec)
+        if k_unit is None:
+            raise PrecisionExhausted("m * lambda_w does not round to a "
+                                     f"multiple of 2*pi*i at {prec} digits")
+        basis._coverings[key] = LogLift(basis, ctx, lambda_w, k_unit)
+    return basis._coverings[key]

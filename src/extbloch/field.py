@@ -45,7 +45,9 @@ import math
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest, to_int
+from mpmath.libmp import (dps_to_prec, from_int, from_man_exp, fzero,
+                          mpc_add_mpf, mpc_mul, mpf_div, mpf_pow_int,
+                          pi_fixed, round_nearest, to_fixed, to_int)
 
 
 class FieldError(Exception):
@@ -75,14 +77,28 @@ def working(precision):
     return mp.workdps(precision + max(10, precision // 5))
 
 
+@functools.cache
+def working_bits(precision):
+    """The binary precision of `working(precision)`: code that calls
+    mpmath's libmp directly rounds there, as the context would."""
+    return dps_to_prec(precision + max(10, precision // 5))
+
+
+@functools.cache
+def _power_of_ten(n, prec):
+    """10^n rounded to prec bits, as mp.mpf(10) ** n in a context of that
+    precision: each decision bound is made once per precision."""
+    return mp.make_mpf(mpf_pow_int(from_int(10), n, prec, round_nearest))
+
+
 def tolerance(precision):
     """The tolerance of `is_small` for values computed at `precision`
-    digits: 10^(10 - precision).
+    digits: 10^(10 - precision), rounded in the caller's context.
 
     >>> tolerance(30) == mp.mpf(10) ** -20
     True
     """
-    return mp.mpf(10) ** (10 - precision)
+    return _power_of_ten(10 - precision, mp.prec)
 
 
 def is_small(x, precision):
@@ -97,7 +113,37 @@ def nearest_integer(x, precision):
     context; the comparison runs in the caller's.
     """
     k = to_int(mp.re(x)._mpf_, round_nearest)
-    return k if abs(x - k) <= mp.mpf(10) ** (-precision // 2) else None
+    return k if abs(x - k) <= _decision_bound(precision, mp.prec) else None
+
+
+def _decision_bound(precision, prec):
+    """The bound 10^(-precision // 2) of `nearest_integer` and
+    `nearest_turn`, rounded to prec bits."""
+    return _power_of_ten(-precision // 2, prec)
+
+
+@functools.cache
+def _turn_scale(precision):
+    """The binary point b of `nearest_turn` at `precision`, 20 bits below
+    the working precision, and on it 2*pi and the square of the radius
+    2*pi * 10^(-precision // 2)."""
+    b = working_bits(precision) + 20
+    twopi = pi_fixed(b + 1)
+    radius = twopi * to_fixed(_decision_bound(precision, b)._mpf_, b) >> b
+    return b, twopi, radius * radius
+
+
+def nearest_turn(u, v, precision):
+    """`nearest_integer((u - v) / (2*pi*i), precision)` for the libmp
+    complex numbers u and v, decided on integers without the quotient: on
+    d = u - v read to b bits, the k nearest Im d / (2*pi) if
+    |d - 2*k*pi*i| <= 2*pi * 10^(-precision // 2), else None."""
+    b, twopi, radius2 = _turn_scale(precision)
+    dr = to_fixed(u[0], b) - to_fixed(v[0], b)
+    di = to_fixed(u[1], b) - to_fixed(v[1], b)
+    k = (2 * di + twopi) // (2 * twopi)
+    di -= k * twopi
+    return k if dr * dr + di * di <= radius2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +926,22 @@ class EmbeddingContext:
         return self.field.roots(self.precision)[self.root_index]
 
     def evaluate(self, a):
+        """sigma(a) at the working precision, by Horner's rule at `root` on
+        mpmath's integer-mantissa numbers: libmp rounds each coordinate
+        and step to `working_bits` as a `working` context would, without
+        entering one."""
         if a.field != self.field:
             raise FieldError("element belongs to a different field")
-        with working(self.precision):
-            coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                      for c in a.coeffs]
-            return +_peval(coeffs, self.root(), mp.mpc(0))
+        wp = working_bits(self.precision)
+        t = self.root()._mpc_
+        acc = None
+        for c in reversed(a.coeffs):
+            c = mpf_div(from_int(c.numerator, wp, round_nearest),
+                        from_int(c.denominator, wp, round_nearest), wp,
+                        round_nearest)
+            acc = (c, fzero) if acc is None else mpc_add_mpf(
+                mpc_mul(acc, t, wp, round_nearest), c, wp, round_nearest)
+        return mp.make_mpc(acc)
 
 
 def _reduction_rows(p):

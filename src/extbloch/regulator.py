@@ -20,17 +20,33 @@ where w1 = Log(1-z) + 2*q*pi*i; it is well defined modulo 4*pi^2.  The
 canonical representative has real part in [0, 4*pi^2); the symmetric range
 [-2*pi^2, 2*pi^2) is available for display.  A pure chi part contributes
 -pi*i times k_unit times its logarithm value.
+
+The regulator pass works on mpmath's integer-mantissa numbers through
+libmp.  `reg_vector` enters one working context; `reg_flattening` and
+`reg_sum` enter none and round each step to `working_bits`, as that
+context would.  Per flattening, z and 1 - z come from
+`EmbeddingContext.evaluate` (1 - z from its coordinates, so that a z next
+to 1 keeps its digits), the lifts w0 and w1 from `LogLift.lift` and the
+covering from `cover_to_C`, which keeps it on the basis; Log z and
+Log(1 - z) are taken once each, and p and q are decided by `nearest_turn`
+on integers, without the quotient by 2*pi*i.  Each flattening calls the
+module's `li2` once.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from mpmath import mp
-from mpmath.libmp import pi_fixed, to_fixed
+from mpmath.libmp import (dps_to_prec, from_int, fzero, mpc_add,
+                          mpc_div_mpf, mpc_log, mpc_mul, mpc_mul_int,
+                          mpc_pos, mpc_sub, mpc_sub_mpf, mpf_div, mpf_neg,
+                          mpf_pi, mpf_pow_int, mpf_shift, pi_fixed,
+                          round_nearest, to_fixed)
 
-from .field import (PrecisionExhausted, _mpc, is_small, nearest_integer,
-                    working)
+from .field import (PrecisionExhausted, _mpc, is_small, nearest_turn,
+                    working, working_bits)
 from .extgroup import cover_to_C
 
 
@@ -151,9 +167,8 @@ def li2(z, precision=50):
     True
     """
     with working(precision):
-        out = _li2(z)
-        with mp.workdps(precision):
-            return +out
+        out = _li2(z)._mpc_
+    return mp.make_mpc(mpc_pos(out, dps_to_prec(precision), round_nearest))
 
 
 def bloch_wigner(z, precision=50):
@@ -202,36 +217,60 @@ class RegulatorValue:
         return f"RegulatorValue({self.symmetric()})"
 
 
+@functools.cache
+def _constants(wp):
+    """2*pi*i, -pi*i and pi^2/6 at wp bits, as a context of that precision
+    makes them from mp.pi."""
+    pi = mpf_pi(wp, round_nearest)
+    return ((fzero, mpf_shift(pi, 1)), (fzero, mpf_neg(pi)),
+            mpf_div(mpf_pow_int(pi, 2, wp, round_nearest), from_int(6), wp,
+                    round_nearest))
+
+
 def reg_flattening(fl, lift):
-    """Regulator of one flattening under a covering at one embedding."""
-    prec = lift.ctx.precision
-    with working(prec):
-        w0 = lift.lift(fl.e)
-        w1 = lift.lift(fl.f)
-        z = lift.ctx.evaluate(fl.z)
-        logz = mp.log(z)
-        log1z = mp.log(1 - z)
-        twopii = 2j * mp.pi
-        # w0 = Log z + 2*p*pi*i and w1 = Log(1-z) + 2*q*pi*i; only q enters
-        q = nearest_integer((w1 - log1z) / twopii, prec)
-        if q is None or nearest_integer((w0 - logz) / twopii, prec) is None:
-            raise LiftInconsistent("lift values do not exponentiate to the "
-                                   "cross-ratio and its complement")
-        val = li2(z, prec) + w0 * (log1z - q * twopii) / 2 - mp.pi ** 2 / 6
-        return RegulatorValue(+val, prec)
+    """Regulator of one flattening under a covering at one embedding:
+    li2(z) + w0 * (Log(1-z) - q * 2*pi*i) / 2 - pi^2/6 in libmp, each step
+    rounded to the working precision."""
+    ctx = lift.ctx
+    prec = ctx.precision
+    wp = working_bits(prec)
+    w0 = lift.lift(fl.e)._mpc_
+    w1 = lift.lift(fl.f)._mpc_
+    z = ctx.evaluate(fl.z)
+    logz = mpc_log(z._mpc_, wp, round_nearest)
+    log1z = mpc_log(ctx.evaluate(ctx.field.one - fl.z)._mpc_, wp,
+                    round_nearest)
+    # w0 = Log z + 2*p*pi*i and w1 = Log(1-z) + 2*q*pi*i; only q enters
+    q = nearest_turn(w1, log1z, prec)
+    if q is None or nearest_turn(w0, logz, prec) is None:
+        raise LiftInconsistent("lift values do not exponentiate to the "
+                               "cross-ratio and its complement")
+    twopii, _, zeta2 = _constants(wp)
+    val = mpc_sub(log1z, mpc_mul_int(twopii, q, wp, round_nearest), wp,
+                  round_nearest)
+    val = mpc_div_mpf(mpc_mul(w0, val, wp, round_nearest), from_int(2), wp,
+                      round_nearest)
+    val = mpc_add(li2(z, prec)._mpc_, val, wp, round_nearest)
+    return RegulatorValue(mp.make_mpc(mpc_sub_mpf(val, zeta2, wp,
+                                                  round_nearest)), prec)
 
 
 def reg_sum(s, lift):
     """Regulator of a normalized combination: term regulators plus the chi
-    contribution -pi*i * k_unit * lift(chi_part)."""
+    contribution -pi*i * k_unit * lift(chi_part), summed in libmp at the
+    working precision."""
     prec = lift.ctx.precision
-    with working(prec):
-        acc = mp.mpc(0)
-        for n, fl in s.terms:
-            acc += n * reg_flattening(fl, lift).value
-        if not s.chi_part.is_zero():
-            acc += -1j * mp.pi * lift.k_unit * lift.lift(s.chi_part)
-        return RegulatorValue(+acc, prec)
+    wp = working_bits(prec)
+    acc = (fzero, fzero)
+    for n, fl in s.terms:
+        term = mpc_mul_int(reg_flattening(fl, lift).value._mpc_, n, wp,
+                           round_nearest)
+        acc = mpc_add(acc, term, wp, round_nearest)
+    if not s.chi_part.is_zero():
+        chi = mpc_mul_int(_constants(wp)[1], lift.k_unit, wp, round_nearest)
+        chi = mpc_mul(chi, lift.lift(s.chi_part)._mpc_, wp, round_nearest)
+        acc = mpc_add(acc, chi, wp, round_nearest)
+    return RegulatorValue(mp.make_mpc(acc), prec)
 
 
 def reg_vector(s, precision=50):

@@ -177,6 +177,12 @@ def test_lifts_must_label_exactly_the_one_cells(change):
         LiftedCochain(co, lc.basis, lifts)
 
 
+def test_shifting_a_key_outside_the_one_cells_is_not_ideal():
+    _, lc, key = _cyclic4_with_a_key_outside()
+    with pytest.raises(NotIdeal, match=r"\(9, \(0, 1\)\) is no 1-cell"):
+        lc.shifted(key, 1)
+
+
 def _edge_totals(cycle, fls):
     """The edge sums of the flattenings' log-parameters at every 1-cell."""
     return _edge_sums(cycle, [(fl.e, fl.f) for fl in fls],

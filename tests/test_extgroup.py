@@ -358,12 +358,14 @@ def test_principal_covering_unit_is_prime_to_m(case):
         assert math.gcd(h, basis.m) == 1
 
 
-def test_failed_cover_rounding_is_precision_exhausted(basis23, rationals,
+def test_failed_cover_rounding_is_precision_exhausted(rationals,
                                                       monkeypatch):
+    # a fresh basis: cover_to_C keeps the coverings it has made
+    basis = MultBasis(rationals, [rationals.rational(2)])
     monkeypatch.setattr("extbloch.extgroup.nearest_integer",
                         lambda x, precision: None)
     with pytest.raises(PrecisionExhausted):
-        cover_to_C(basis23, rationals.embeddings(40)[0])
+        cover_to_C(basis, rationals.embeddings(40)[0])
 
 
 def test_explicit_torsion_generator():

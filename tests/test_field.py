@@ -14,7 +14,8 @@ from extbloch.field import (PRIME_LIMIT, FieldElement, FieldError,
                             NotSquarefree, NumberField, _solve_rational,
                             cos2pi_minpoly, element_in_field, euler_phi,
                             integral_model, is_prime, is_small,
-                            nearest_integer, tolerance)
+                            nearest_integer, nearest_turn, tolerance,
+                            working)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,46 @@ def test_decisions_at_their_boundaries(precision):
             assert is_small(tolerance(precision), precision)
             bound = mp.mpf(10) ** (-precision // 2)
             assert nearest_integer(bound, precision) == 0
+
+
+def test_decision_bounds_are_made_once_per_precision(monkeypatch):
+    # the bounds are the powers of ten the caller's context would make, for
+    # even and odd precisions, and each (exponent, binary precision) pair
+    # builds its power once
+    for precision in (19, 20, 41, 200):
+        for dps in (15, 60, 300):
+            with mp.workdps(dps):
+                assert tolerance(precision) == mp.mpf(10) ** (10 - precision)
+                assert field_module._power_of_ten(-precision // 2, mp.prec) \
+                    == mp.mpf(10) ** (-precision // 2)
+    made = []
+    power = field_module.mpf_pow_int
+    monkeypatch.setattr(field_module, "mpf_pow_int",
+                        lambda *args: made.append(args) or power(*args))
+    with mp.workprec(1234):
+        for k in range(100):
+            assert nearest_integer(mp.mpf(k), 77) == k
+            assert is_small(mp.mpf(0), 77)
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("precision", [20, 41, 200])
+def test_nearest_turn_decides_as_nearest_integer(precision):
+    # nearest_turn decides on (u - v) / (2*pi*i) from the mantissas of u
+    # and v as nearest_integer does on the quotient itself: at half and
+    # twice the bound 10^(-precision // 2), in either direction off the
+    # integer
+    step = mp.mpf(10) ** (-precision // 2)
+    for k in (-3, 0, 1, 12):
+        for scale in (mp.mpf("0.5"), mp.mpf(2)):
+            for off in (1, -1, 1j, -1j, (1 + 1j) / mp.sqrt(2)):
+                with working(precision):
+                    v = mp.mpc(mp.log(3), mp.pi / 5)
+                    u = v + 2j * mp.pi * (k + off * scale * step)
+                    expected = nearest_integer((u - v) / (2j * mp.pi),
+                                               precision)
+                assert expected == (k if scale < 1 else None)
+                assert nearest_turn(u._mpc_, v._mpc_, precision) == expected
 
 
 def test_min_poly_of_generator(example_field):

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,8 @@ import mpmath
 from mpmath import mp
 
 from extbloch.field import NumberField, is_small, working
-from extbloch.extgroup import (LogLift, MultBasis, UnsaturatedBasis,
-                               cover_to_C)
+from extbloch.extgroup import (LogLift, MultBasis, SymbolicBasis,
+                               UnsaturatedBasis, cover_to_C)
 from extbloch.bloch import (Flattening, chi, galois_apply, lift_five_term,
                             normalize, rho_hat)
 from extbloch import regulator
@@ -398,3 +399,194 @@ def test_lift_inconsistency_detected(basis23):
     lift = cover_to_C(basis23, ctx)
     with pytest.raises(LiftInconsistent):
         reg_flattening(bad, lift)
+    # over Q(sqrt2), a flattening that carries the conjugate -r - 1 of its
+    # cross-ratio z = r - 1 is caught at both embeddings, where the true
+    # one passes
+    field = NumberField([-2, 0, 1])
+    r = field.gen
+    basis = MultBasis(field, [r, r - 1], saturated=True)
+    fl = _flattening(basis, r - 1)
+    bad = Flattening(fl.e, fl.f, -r - 1)
+    for ctx in field.embeddings(40):
+        lift = cover_to_C(basis, ctx)
+        reg_flattening(fl, lift)
+        with pytest.raises(LiftInconsistent):
+            reg_flattening(bad, lift)
+
+
+# Fields and cross-ratios of the regulator oracle: over Q, z in each series
+# map of li2 (1/3 and -1/2 direct, 9 and 3 inversion, 3/4 and 6/5
+# reflection), on the cut (3, 6/5), next to 0 and on both sides of 1; over
+# Q(sqrt-3) and the quartic at complex embeddings, with a rational z on the
+# cut there too.  A MultBasis lifts what factors over {2, 3, 5}, a
+# SymbolicBasis the rest.
+_TINY = Fraction(1, 10 ** 60)
+ORACLE_CASES = {
+    "Q": ([0, 1], [Fraction(1, 3), Fraction(-1, 2), Fraction(9), Fraction(3),
+                   Fraction(3, 4), Fraction(6, 5)],
+          [_TINY, 1 - _TINY, 1 + _TINY]),
+    "Q(sqrt-3)": ([1, -1, 1], [], [[0, 1], [0, 2], [Fraction(1, 5),
+                                                   Fraction(1, 3)], [3]]),
+    "quartic": ([1, -2, 2, -1, 1], [], [[0, 1], [Fraction(-1, 3), 0, 2],
+                                        [5, 0, 0, 1]]),
+}
+
+
+def _oracle_flattenings(case):
+    """The flattenings (log_lift(z), log_lift(1 - z)) over {2, 3, 5} and
+    (symbol(z), symbol(1 - z)) over a SymbolicBasis of ORACLE_CASES[case],
+    each with its cross-ratio."""
+    poly, factored, symbolic = ORACLE_CASES[case]
+    field = NumberField(poly)
+    out = []
+    if factored:
+        basis = MultBasis(field, [field.rational(p) for p in (2, 3, 5)],
+                          saturated=True)
+        out += [_flattening(basis, field.rational(z)) for z in factored]
+    basis = SymbolicBasis(field)
+    for coeffs in symbolic:
+        z = field.element(coeffs if isinstance(coeffs, list) else [coeffs])
+        out.append(Flattening(basis.symbol(z), basis.symbol(field.one - z),
+                              z))
+    return field, out
+
+
+def _reference_regulator(fls, ctx, precision):
+    """R(z; w0, w1) = Li2(z) + w0 * (Log(1 - z) - 2*q*pi*i) / 2 - pi^2/6 for
+    each flattening, from mpmath alone at 2P digits: the root from
+    mp.polyroots, w0 and w1 as sums of principal logarithms over the
+    coordinates of e and f, Li2 from mp.polylog (its limit from below on
+    the cut [1, oo)), and p, q rounded, each within 10^-P of an integer."""
+    field = ctx.field
+    with mp.workdps(2 * precision + 20):
+        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator
+                              for c in reversed(field.poly)],
+                             maxsteps=200, extraprec=4 * precision)
+        root = min(roots, key=lambda t: abs(t - ctx.root()))
+
+        def sigma(a):
+            return sum(mp.mpf(c.numerator) / c.denominator * root ** i
+                       for i, c in enumerate(a.coeffs))
+
+        logs = {}
+
+        def log_of(e):
+            basis = e.basis
+            for j in [-1] + [j for j, _ in e.r]:
+                if (basis, j) not in logs:
+                    value = basis.torsion_gen if j == -1 \
+                        else basis.gen_value(j)
+                    logs[basis, j] = mp.log(sigma(value))
+            return e.k * logs[basis, -1] + sum(r * logs[basis, j]
+                                               for j, r in e.r)
+
+        at = {}    # z -> (Log z, Log(1 - z), Li2(z)), once per cross-ratio
+        out = []
+        for fl in fls:
+            if fl.z not in at:
+                z = mp.mpc(sigma(fl.z))
+                li = mp.polylog(2, z)
+                if z.imag == 0 and z.real > 1:
+                    li = mp.mpc(mp.re(li), -mp.pi * mp.log(z.real))
+                at[fl.z] = mp.log(z), mp.log(1 - z), li
+            logz, log1z, li = at[fl.z]
+            turns = [(w - log) / (2j * mp.pi) for w, log in
+                     ((log_of(fl.e), logz), (log_of(fl.f), log1z))]
+            p, q = [int(mp.nint(mp.re(t))) for t in turns]
+            assert all(abs(t - k) < mp.mpf(10) ** -precision
+                       for t, k in zip(turns, (p, q)))
+            out.append((li, li + log_of(fl.e) * (log1z - 2j * mp.pi * q) / 2
+                        - mp.pi ** 2 / 6))
+        return out
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_reg_flattening_matches_an_mpmath_oracle(case, precision):
+    # every translate by (p, q) in {-2..2}^2 of every flattening, at every
+    # embedding, within 10^-P * max(1, |Li2(z)|) of the reference
+    field, fls = _oracle_flattenings(case)
+    translates = [fl.translate(p, q) for fl in fls
+                  for p in range(-2, 3) for q in range(-2, 3)]
+    for ctx in field.embeddings(precision):
+        refs = _reference_regulator(translates, ctx, precision)
+        for fl, (li, ref) in zip(translates, refs):
+            lift = cover_to_C(fl.basis, ctx)
+            ours = reg_flattening(fl, lift).value
+            with mp.workdps(2 * precision):
+                bound = mp.mpf(10) ** -precision * max(1, abs(li))
+                assert abs(ours - ref) < bound, (fl, fl.z)
+    if case == "Q":
+        # the cross-ratios over Q take each map of li2
+        assert {regulator._series_map(fl.z.as_fraction())
+                for fl in fls} == {0, 1, 2}
+
+
+def _in_context(fl, lift):
+    """z, w0 and the regulator of fl from mpmath's operators in a working
+    context: the formulas whose roundings the libmp pass repeats."""
+    ctx = lift.ctx
+    with working(ctx.precision):
+        def sigma(a):
+            acc = mp.mpc(0)
+            for c in reversed(a.coeffs):
+                acc = (acc * ctx.root()
+                       + mp.mpf(c.numerator) / mp.mpf(c.denominator))
+            return acc
+
+        def log_of(e):
+            acc = e.k * lift.lambda_w
+            for j, exp in e.r:
+                acc += exp * lift.lambda_p(j)
+            return acc
+
+        z, w0 = sigma(fl.z), log_of(fl.e)
+        log1z = mp.log(sigma(ctx.field.one - fl.z))
+        q = int(mp.nint(mp.im(log_of(fl.f) - log1z) / (2 * mp.pi)))
+        return z, w0, (li2(z, ctx.precision)
+                       + w0 * (log1z - q * (2j * mp.pi)) / 2 - mp.pi ** 2 / 6)
+
+
+@pytest.mark.parametrize("precision", [20, 100])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_libmp_pass_rounds_as_a_working_context(case, precision):
+    # evaluate, LogLift.lift, reg_flattening and reg_sum call libmp without
+    # a context; each value must equal, bit for bit, the same formula in
+    # mpmath's operators in the working context
+    field, fls = _oracle_flattenings(case)
+    for ctx in field.embeddings(precision):
+        for fl in fls:
+            lift = cover_to_C(fl.basis, ctx)
+            z, w0, val = _in_context(fl, lift)
+            assert ctx.evaluate(fl.z)._mpc_ == z._mpc_
+            assert lift.lift(fl.e)._mpc_ == w0._mpc_
+            assert reg_flattening(fl, lift).value._mpc_ == val._mpc_
+        basis = fls[-1].basis
+        s = normalize(basis, [(n, fl) for n, fl in zip((3, -2), fls[-2:])
+                              if fl.basis is basis], basis.iota(2))
+        lift = cover_to_C(basis, ctx)
+        with working(precision):
+            expected = sum(n * _in_context(fl, lift)[2] for n, fl in s.terms)
+            expected += -1j * mp.pi * lift.k_unit * lift.lift(s.chi_part)
+        assert reg_sum(s, lift).value._mpc_ == expected._mpc_
+
+
+def test_reg_vector_reaches_the_traced_spans(basis23, monkeypatch):
+    # wrap li2 and cover_to_C in every extbloch module that binds them, as
+    # the benchmark's tracer does: reg_vector must call both through those
+    # names, once per term and embedding and once per embedding
+    calls = {"li2": 0, "cover_to_C": 0}
+    modules = [importlib.import_module(f"extbloch.{name}") for name in
+               ("field", "extgroup", "bloch", "regulator", "torsion",
+                "cochain", "cli")]
+    for name, original in (("li2", li2), ("cover_to_C", cover_to_C)):
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    s = normalize(basis23, rho_hat(lift_five_term(
+        fl_of(basis23, Fraction(3)), fl_of(basis23, Fraction(9)))))
+    reg_vector(s, 40)
+    assert calls == {"li2": len(s.terms), "cover_to_C": 1}

@@ -94,11 +94,15 @@ def _required(data, key):
 
 
 def _convert(kind, value, key):
-    """kind(value) for a scalar of the fixture."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _bad(key, exc) from None
+    """kind(value) for a number of the fixture: a JSON number, its decimals
+    read as a Fraction, or for a coefficient also a string such as "1/3".
+    An int must have an integer value, and a boolean is no number."""
+    allowed = (int, Fraction) if kind is int else (int, Fraction, str)
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        if type(value) in allowed and kind(x := Fraction(value)) == x:
+            return kind(x)
+    what = "an integer" if kind is int else "a number"
+    raise _bad(key, f"expected {what}, not {value}")
 
 
 def _list(value, key, length=None):

@@ -143,13 +143,6 @@ class _BasisCommon:
         return powers
 
     @functools.cached_property
-    def _generator_logs(self):
-        """Principal logarithms of the free generators, keyed by (root
-        index, precision, j) and filled by `LogLift.lambda_p`: one per
-        generator and embedding, shared by every covering of the basis."""
-        return {}
-
-    @functools.cached_property
     def _coverings(self):
         """The principal coverings made by `cover_to_C`, keyed by (root
         index, precision)."""
@@ -403,24 +396,23 @@ class LogLift:
     logarithm value per basis generator.  m * lambda_w is a multiple
     2*pi*i*k_unit of 2*pi*i with k_unit prime to m.  A lift is a sum on
     the integer mantissas of lambda_w and of the generator logarithms,
-    which every covering of the basis at one root index and precision
-    shares (`_BasisCommon._generator_logs`)."""
+    each taken on first use and kept by the covering."""
 
     def __init__(self, basis, ctx, lambda_w, k_unit):
         self.basis = basis
         self.ctx = ctx
         self.lambda_w = lambda_w
         self.k_unit = k_unit
+        self._logs = {}
 
     def lambda_p(self, j):
         """The principal logarithm of free generator j, whatever lambda_w
-        is, so that all coverings at one embedding share it."""
-        logs = self.basis._generator_logs
-        key = (self.ctx.root_index, self.ctx.precision, j)
-        if key not in logs:
+        is."""
+        if j not in self._logs:
             with working(self.ctx.precision):
-                logs[key] = mp.log(self.ctx.evaluate(self.basis.gen_value(j)))
-        return logs[key]
+                self._logs[j] = mp.log(
+                    self.ctx.evaluate(self.basis.gen_value(j)))
+        return self._logs[j]
 
     def lift(self, e):
         """k * lambda_w + sum r_j * lambda_p(j) for e = (k, r), on the

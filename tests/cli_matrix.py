@@ -99,6 +99,12 @@ MALFORMED = [
      [["cycle", "invariant"]]),
     ("shapes-number", '{"field": [1, -1, 1], "tets": 1, "gluings": [],'
      ' "shapes": 4}', [["cycle", "invariant"]]),
+    # figure_eight.json with a fractional count of simplices
+    ("tets-fraction", '{"field": [1, -1, 1], "tets": 2.5, "gluings": '
+     '[[0, 0, 1, 0, [1, 2, 3]], [0, 1, 1, 1, [2, 0, 3]], '
+     '[0, 2, 1, 2, [1, 0, 3]], [0, 3, 1, 3, [1, 2, 0]]], '
+     '"shapes": [[0, 1], [0, 1]]}', [["cycle", "invariant"]]),
+    ("field-boolean", '{"field": [true, 0, 1]}', [["field", "info"]]),
 ]
 
 # figure_eight_glued.json with the second shape and supplied translates

@@ -434,6 +434,28 @@ MALFORMED_KEYS = {
     "triangulation-field": (["cycle", "invariant"],
                             _changed("figure_eight.json", field=[1, 2, 1]),
                             "field"),
+    # integers are not truncated and booleans are not numbers
+    "tets-fraction": (["cycle", "invariant"],
+                      _changed("figure_eight.json", tets=2.5), "tets"),
+    "gluing-vertex-fraction": (["cycle", "invariant"],
+                               _changed("figure_eight.json", gluings=[
+                                   [0, 0, 1, 0, [1.5, 2, 3]],
+                                   *_fixture("figure_eight.json")["gluings"]
+                                   [1:]]),
+                               "gluings"),
+    "term-multiplicity-fraction": (["bloch", "verify"],
+                                   _changed("element_example.json", terms=[
+                                       [1.5, *_fixture("element_example.json")
+                                        ["terms"][0][1:]],
+                                       *_fixture("element_example.json")
+                                       ["terms"][1:]]),
+                                   "terms"),
+    "chi-exponent-fraction": (["bloch", "regulator"],
+                              _changed("element_example.json",
+                                       chi=[0, [[0, 1.5]]]), "chi"),
+    "field-boolean": (["field", "info"], {"field": [True, 0, 1]}, "field"),
+    "tets-digits": (["cycle", "invariant"],
+                    _changed("figure_eight.json", tets="2"), "tets"),
 }
 
 

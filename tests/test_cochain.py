@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from extbloch.field import NumberField, is_small
+from extbloch.field import NumberField, is_small, working
 from extbloch.extgroup import (LogLift, SymbolicBasis, _BasisCommon,
                                cover_to_C)
 from extbloch.bloch import Flattening, NotAFlattening, chi, normalize
@@ -842,6 +842,48 @@ def test_invariant_reports_its_translates(source):
     again = manifold_invariant(
         dict(data, flattenings=[list(pq) for pq in inv.translates]), 20)
     assert again.translates == inv.translates
+
+
+def _relabelled(data, perm):
+    """The triangulation with simplex t renamed perm[t]: its gluings, and
+    its shapes, orientations and translates moved to their new places."""
+    out = dict(data, gluings=[[perm[t], f, perm[t2], f2, vmap]
+                              for t, f, t2, f2, vmap in data["gluings"]])
+    for key in ("shapes", "orientations", "flattenings"):
+        if data.get(key):
+            out[key] = [None] * len(perm)
+            for t, entry in enumerate(data[key]):
+                out[key][perm[t]] = entry
+    return out
+
+
+@pytest.mark.parametrize("supplied", [False, True],
+                         ids=["searched", "supplied"])
+@pytest.mark.parametrize("source", ["figure_eight", "figure_eight_glued",
+                                    "cyclic"])
+def test_relabelling_simplices_keeps_the_invariant(source, supplied):
+    # renaming the simplices reorders the terms of the element; the edge
+    # conditions and the imaginary parts of the regulator do not see it
+    if source == "cyclic":
+        data = _cyclic_triangulation_data()
+        rng = random.Random(31)
+        perms = [rng.sample(range(6), 6) for _ in range(3)]
+    else:
+        data = _figure_eight(source)
+        perms = list(itertools.permutations(range(data["tets"])))
+    if supplied:
+        # every simplex reversed, with the translates the search finds
+        data = dict(data, orientations=[-1] * data["tets"])
+        data["flattenings"] = [list(pq) for pq in
+                               manifold_invariant(data, 30).translates]
+    inv = manifold_invariant(data, 30)
+    assert inv.matches
+    for perm in perms:
+        got = manifold_invariant(_relabelled(data, perm), 30)
+        assert got.matches
+        with working(30):
+            assert all(is_small(a - b, 30) for a, b in zip(
+                got.imaginary_parts, inv.imaginary_parts, strict=True))
 
 
 def _trial_coefficients(cycle, field, shapes):

@@ -8,8 +8,17 @@ inversion map or at u = -Log z behind the reflection map, whichever u is
 smallest in floats; then |u| <= pi/3 (up to that rounding), the value at
 z = e^(+-i*pi/3), where the three coincide.  The series is summed in fixed
 point, on Python integers scaled by 2^W, W = prec + 20 bits, prec being
-the working binary precision, in v = u/(2*pi).  It stops at the first
-term below 2^-(prec + 10).
+the working binary precision, in v = u/(2*pi), c = v^2.  The number of
+terms n is fixed before summing: the least n whose tail bound
+7 * |v|^(2n+3) / (1 - |v|^2) is below 2^-(prec + 10), with |v| rounded up,
+since the j-th coefficient has modulus 4*pi*zeta(2j+2) / (2j+3) < 7; an n
+above W raises PrecisionExhausted.  The n terms are summed by Horner's
+rule over the real quadratic x^2 - 2*Re(c)*x + |c|^2, two real products
+per term (one for a real u), and multiplied once by v^3.  Error budget:
+the tail bound, plus the truncation units of 2^-W: each step adds at most
+2 units, and an error made at step k grows by at most (k+1)*|c|^k, at
+most 2 / (1 - |c|)^2 units in all; rounding v, c and the product by v^3
+adds a few units more.
 
 The regulator of a flattening with logarithm values (w0, w1) over the
 cross-ratio z is
@@ -66,54 +75,81 @@ class NotTorsion(RegulatorError):
     pass
 
 
-# W -> [d_j * 2^W, truncated, for j = 0, 1, ...], grown on demand, where
-# d_j = B_(2j+2) * (2*pi)^(2j+3) / (2j+3)! is the coefficient of v^(2j+3)
-# in v = u / (2*pi).  |d_j| is about 4*pi / (2j+3), so with |v| < 1 every
-# term is within a unit or two of 2^-W.  (B_n / (n+1)! itself would not
-# do: it shrinks like (2*pi)^-n while u^n grows, and a fixed-point term
-# lost the digits the shrinking coefficient no longer carried.)
+# W -> [d_j * 2^W, truncated, for j = 0, 1, ...], where d_j =
+# B_(2j+2) * (2*pi)^(2j+3) / (2j+3)! = +-4*pi*zeta(2j+2) / (2j+3) is the
+# coefficient of v^(2j+3) in v = u / (2*pi).  (B_n / (n+1)! itself would
+# not do: it shrinks like (2*pi)^-n while u^n grows, and a fixed-point term
+# lost the digits the shrinking coefficient no longer carried.)  |d_j| < 7,
+# so the terms after the first n sum to less than 7 * |v|^(2n+3) /
+# (1 - |v|^2), and the series takes the least n that puts this below
+# 2^-(prec + 10) (`_term_count`).  Each list grows to the largest n asked
+# of it.  A truncated d_j is one of the at most 2 units of 2^-W that a
+# Horner step adds; an error made at step k grows by at most (k+1) * |c|^k,
+# c = v^2, so the sum's truncation error stays below 2 / (1 - |c|)^2 units.
 _BERNOULLI = {}
 
 
-def _coefficients(w):
-    """The d_j of `_BERNOULLI` at W = w bits, j = 0, 1, ..., w - 1; a
-    series that needs more terms has |v| > 0.7 and raises."""
+def _coefficients(w, n):
+    """The first n d_j of `_BERNOULLI` at W = w bits, each made once.  More
+    than w terms means |v| above about 1/sqrt(2), where a term gains about
+    a bit or less: that raises before any coefficient is made."""
+    if n > w:
+        raise PrecisionExhausted("dilogarithm expansion did not converge")
     table = _BERNOULLI.setdefault(w, [])
-    for j in range(w):
-        if j == len(table):
-            n = 2 * j + 2
-            with mp.workprec(w + 20):
-                d = (mp.bernoulli(n) * (2 * mp.pi) ** (n + 1)
-                     / mp.factorial(n + 1))
-            table.append(to_fixed(d._mpf_, w))
-        yield table[j]
-    raise PrecisionExhausted("dilogarithm expansion did not converge")
+    for j in range(len(table), n):
+        k = 2 * j + 2
+        with mp.workprec(w + 20):
+            d = mp.bernoulli(k) * (2 * mp.pi) ** (k + 1) / mp.factorial(k + 1)
+        table.append(to_fixed(d._mpf_, w))
+    return table[:n]
+
+
+def _term_count(c, prec):
+    """The least n >= 0 with 7 * c^(n + 3/2) / (1 - c) < 2^-(prec + 10),
+    solved in floats; for c >= |v|^2 that bounds the tail of the series
+    after n terms, since |d_j| < 7.  Infinite for c >= 1."""
+    if c >= 1:
+        return math.inf
+    lc = math.log2(c)
+    return max(0, math.floor((prec + 10 + math.log2(7 / (1 - c)) + 1.5 * lc)
+                             / -lc) + 1)
 
 
 def _li2_log_series(u):
     """Li2(1 - e^-u) = sum B_n u^(n+1) / (n+1)!, convergent for
     |u| < 2*pi; `_li2` calls it with |u| at most about pi/3.  B_1 = -1/2
-    and B_n = 0 for odd n > 1, so the sum is u - u^2/4 + sum_j d_j v^(2j+3)
-    with v = u / (2*pi), in integers scaled by 2^W; a real u keeps the
-    imaginary half exactly 0.  The sum stops at the first term below
-    2^-(prec + 10)."""
+    and B_n = 0 for odd n > 1, so the sum is u - u^2/4 + v^3 * p(v^2) with
+    p(c) = sum_(j < n) d_j c^j and v = u / (2*pi), in integers scaled by
+    2^W.  n comes from `_term_count` at |v|^2 rounded up.  p(c) runs by
+    Horner's rule over the real quadratic x^2 - t*x + s that c and its
+    conjugate solve, b_j = d_j + t*b_(j+1) - s*b_(j+2), which leaves
+    p(c) = b_0 - b_1 * conj(c); a real v takes plain Horner, so a real u
+    keeps the imaginary half exactly 0."""
     w = mp.prec + 20
-    small = 1 << 10   # 2^-(prec + 10) in units of 2^-w
     twopi = pi_fixed(w) << 1
     ur, ui = to_fixed(u.real._mpf_, w), to_fixed(u.imag._mpf_, w)
     vr, vi = (ur << w) // twopi, (ui << w) // twopi
     re = ur - ((ur * ur - ui * ui) >> w + 2)
     im = ui - (ur * ui >> w + 1)
-    v2r, v2i = (vr * vr - vi * vi) >> w, vr * vi >> w - 1
-    pr, pi = (v2r * vr - v2i * vi) >> w, (v2r * vi + v2i * vr) >> w
-    for d in _coefficients(w):
-        tr, ti = d * pr >> w, d * pi >> w
-        re += tr
-        im += ti
-        if abs(tr) + abs(ti) < small:
-            break
-        pr, pi = (pr * v2r - pi * v2i) >> w, (pr * v2i + pi * v2r) >> w
-    return _mpc((re, im, w))
+    # a quotient of Python integers is correctly rounded; step it up
+    n = _term_count(math.nextafter((vr * vr + vi * vi) / (1 << 2 * w),
+                                   math.inf), mp.prec)
+    coefficients = reversed(_coefficients(w, n))
+    if not vi:
+        c = vr * vr >> w
+        b = 0
+        for d in coefficients:
+            b = d + (b * c >> w)
+        return _mpc((re + ((b * c >> w) * vr >> w), im, w))
+    cr, ci = (vr * vr - vi * vi) >> w, vr * vi >> w - 1
+    t, s = cr << 1, (cr * cr + ci * ci) >> w
+    b0 = b1 = 0
+    for d in coefficients:
+        b0, b1 = d + ((t * b0 - s * b1) >> w), b0
+    pr, pi = b0 - (b1 * cr >> w), b1 * ci >> w
+    v3r, v3i = (cr * vr - ci * vi) >> w, (cr * vi + ci * vr) >> w
+    return _mpc((re + ((pr * v3r - pi * v3i) >> w),
+                 im + ((pr * v3i + pi * v3r) >> w), w))
 
 
 def _series_map(z):

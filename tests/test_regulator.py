@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import mpmath
 from mpmath import mp
 
-from extbloch.field import NumberField, is_small, working
+from extbloch.field import (NumberField, PrecisionExhausted, is_small,
+                            working)
 from extbloch.extgroup import (LogLift, MultBasis, SymbolicBasis,
                                UnsaturatedBasis, cover_to_C)
 from extbloch.bloch import (Flattening, chi, galois_apply, lift_five_term,
@@ -228,6 +229,92 @@ def test_li2_coefficient_scaling_regression():
         ref = mpmath.polylog(2, z)
         assert abs(ours - ref) < mp.mpf(10) ** -40
         assert abs(direct - ref) < mp.mpf(10) ** -40
+
+
+def _li2_of_one_minus_exp(u):
+    """Li2(1 - e^-u) continued from u = 0 across the disc |u| < 2*pi, by
+    mpmath.polylog in the caller's context: where |Im u| > pi the point
+    1 - e^-u has crossed the cut [1, oo), across which the principal
+    branch jumps by 2*pi*i * Log(1 - e^-u)."""
+    z = 1 - mp.exp(-u)
+    value = mpmath.polylog(2, z)
+    if abs(mp.im(u)) > mp.pi:
+        value += mp.sign(mp.im(u)) * 2j * mp.pi * mp.log(z)
+    return value
+
+
+_SERIES_DISC = st.tuples(st.floats(-3.3, 3.3), st.floats(-3.3, 3.3)).filter(
+    lambda p: abs(complex(*p)) <= 3.3)
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+@given(point=_SERIES_DISC, real=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_li2_log_series_matches_polylog(precision, point, real):
+    """The kernel against an independent oracle at 2P digits, on the disc
+    |u| <= 3.3 (where |v| < 0.53) and on its real diameter."""
+    re, im = point
+    with mp.workdps(precision):
+        u = mp.mpf(re) if real else mp.mpc(re, im)
+        ours = regulator._li2_log_series(u)
+        bound = mp.mpf(2) ** -mp.prec
+    with mp.workdps(2 * precision):
+        ref = _li2_of_one_minus_exp(u)
+        assert abs(ours - ref) < bound * max(1, abs(ref)), u
+    if real:
+        assert ours.imag == 0
+
+
+def _tail_bound(a, n):
+    """The series' stated tail bound after n terms at |v| = a."""
+    return 7 * a ** (2 * n + 3) / (1 - a ** 2)
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+def test_li2_series_term_count_is_the_least_with_its_tail_bound(
+        monkeypatch, precision):
+    """On a grid of |v| in (0, 0.7), real and complex, the series sums the
+    least number n of terms whose tail bound 7 |v|^(2n+3) / (1 - |v|^2) is
+    below 2^-(prec + 10), judged here at twice the digits."""
+    counts = []
+    coefficients = regulator._coefficients
+
+    def spy(w, n):
+        counts.append(n)
+        return coefficients(w, n)
+
+    monkeypatch.setattr(regulator, "_coefficients", spy)
+    for a in ["1e-9", "0.001", "0.01"] + [f"{k / 20}" for k in range(1, 14)]:
+        for angle in (0, 1, 2.5):
+            with mp.workdps(precision):
+                prec = mp.prec
+                u = 2 * mp.pi * mp.mpf(a) * mp.expjpi(mp.mpf(angle) / 4)
+                if angle == 0:
+                    u = mp.re(u)
+                regulator._li2_log_series(u)
+            n = counts.pop()
+            with mp.workdps(2 * precision):
+                v = abs(u) / (2 * mp.pi)
+                target = mp.mpf(2) ** -(prec + 10)
+                assert _tail_bound(v, n) < target, (a, angle)
+                assert n == 0 or _tail_bound(v, n - 1) >= target, (a, angle)
+
+
+@pytest.mark.parametrize("precision", [40, 100, 240])
+def test_li2_series_beyond_its_term_count_raises_before_any_coefficient(
+        monkeypatch, precision):
+    """Once |v| is above about 1/sqrt(2), a term gains less than a bit and
+    the count exceeds W = prec + 20: PrecisionExhausted, with no Bernoulli
+    coefficient made."""
+    monkeypatch.setattr(regulator, "_BERNOULLI", {})
+    for a, angle in (("0.75", 0), ("0.75", 1), ("0.9", 3), ("1.5", 2)):
+        with mp.workdps(precision):
+            u = 2 * mp.pi * mp.mpf(a) * mp.expjpi(mp.mpf(angle) / 4)
+            if angle == 0:
+                u = mp.re(u)
+            with pytest.raises(PrecisionExhausted):
+                regulator._li2_log_series(u)
+    assert regulator._BERNOULLI == {}
 
 
 def test_bloch_wigner_vanishes_on_reals():
